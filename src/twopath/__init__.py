@@ -35,9 +35,7 @@ from .measurement import (
     SequentialStats,
     born_sample,
     measure,
-    merge_sequential_stats,
     sequential_experiment,
-    sequential_experiment_partitioned,
     uniformity_test,
 )
 from .qalgebra import (

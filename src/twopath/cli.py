@@ -20,7 +20,7 @@ import numpy as np
 from .interferometer import interference_scan
 from .measurement import (
     MeasurementOrder,
-    sequential_experiment_partitioned,
+    sequential_experiment,
     uniformity_test,
 )
 from .qalgebra import InvariantViolation
@@ -58,6 +58,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
+        raise InvariantViolation(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters shared by the scan and sample commands."""
@@ -70,7 +75,6 @@ class RunConfig:
     seed: int = 1
     output_path: str | None = None
     order: str = "both"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -83,12 +87,9 @@ class RunConfig:
             raise InvariantViolation("angles must be finite")
         if self.shots < 1:
             raise InvariantViolation(f"shots must be >= 1, got {self.shots}")
-        if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise InvariantViolation(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _check_seed(self.seed)
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
-        if self.workers < 1:
-            raise InvariantViolation(f"workers must be >= 1, got {self.workers}")
 
     def grid(self) -> list[float]:
         return [float(x) for x in np.linspace(self.phi_start, self.phi_end, self.steps)]
@@ -149,9 +150,7 @@ def cmd_sample(config: RunConfig) -> str:
         for order in orders:
             stream = base.derive(row_index)
             row_index += 1
-            stats = sequential_experiment_partitioned(
-                order, phi, config.phi0, config.shots, stream, config.workers
-            )
+            stats = sequential_experiment(order, phi, config.phi0, config.shots, stream)
             chi2, ok = uniformity_test(stats.second_counts)
             rows.append(
                 (
@@ -173,7 +172,11 @@ def cmd_sample(config: RunConfig) -> str:
 
 
 def cmd_verify(shots: int | None = None, seed: int = 1) -> tuple[int, str]:
-    """Run the invariant suite; exit code 0 only if every check passes."""
+    """Run the invariant suite; exit code 0 only if every check passes.
+
+    The seed is validated even when no Monte Carlo check will use it.
+    """
+    _check_seed(seed)
     report = run_verification(shots=shots, seed=seed)
     code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
     return code, format_report(report) + "\n"
@@ -238,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample_p.add_argument("--seed", type=int, default=1, help="base stream seed")
     sample_p.add_argument("--order", choices=("pw", "wp", "both"), default="both",
                           help="measurement order(s) to run")
-    sample_p.add_argument("--workers", type=int, default=1,
-                          help="sub-streams to partition each row across")
 
     verify_p = sub.add_parser("verify", help="run the named invariant suite")
     verify_p.add_argument("--shots", type=int, default=None,
@@ -274,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", 1),
             output_path=args.out,
             order=getattr(args, "order", "both"),
-            workers=getattr(args, "workers", 1),
         )
         if args.gnuplot and config.output_path is None:
             parser.error("--gnuplot requires --out")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +26,12 @@ from .rng import RandomStream
 #: Upper 1% critical value of the chi-square distribution with one degree
 #: of freedom; the acceptance threshold for the 50/50 uniformity test.
 CHI2_CRITICAL_1PCT = 6.635
+
+#: Shots per chunk of the sequential experiment.  A chunk draws 2^16
+#: uniforms into two 512 KB buffers, which stay in a core's L2 cache.  On
+#: a Xeon with 2 MB of L2 per core, chunks of 2^16 and 2^17 shots ran
+#: slower, and chunks of 2^12 shots paid more in per-chunk overhead.
+CHUNK_SHOTS = 1 << 15
 
 
 class MeasurementOrder(enum.Enum):
@@ -112,12 +117,6 @@ def born_sample(
     return np.where(rng.uniforms(shots) < p_plus, 1.0, -1.0)
 
 
-def _outcome_stats(outcomes: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(outcomes))
-    var = float(np.var(outcomes))
-    return mean, var
-
-
 def sequential_experiment(
     order: MeasurementOrder,
     phi: float,
@@ -129,9 +128,14 @@ def sequential_experiment(
 
     Every shot prepares the balanced state at phi, measures the first
     observable, then measures the second on the projected state.  The
-    implementation batches the Born sampling, consuming two stream draws
-    per shot in shot order, so it reproduces a literal measure-then-
-    measure loop bit for bit.
+    shots run in chunks of CHUNK_SHOTS, each consuming two stream draws
+    per shot in shot order, so the run reproduces a literal measure-then-
+    measure loop bit for bit and its memory does not grow with shots.
+
+    Outcomes are +1/-1, so the +1 counts of the two measurements are a
+    sufficient statistic: each chunk only adds to them.  With n shots and
+    k plus outcomes, the mean is (2k - n) / n and the variance is
+    4 k (n - k) / n^2, both from exact integers rounded once.
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
@@ -150,81 +154,23 @@ def sequential_experiment(
     p2_after_plus = abs(np.vdot(vecs2[:, 0], vecs1[:, 0])) ** 2
     p2_after_minus = abs(np.vdot(vecs2[:, 0], vecs1[:, 1])) ** 2
 
-    draws = rng.uniforms(2 * shots)
-    first_outcomes = np.where(draws[0::2] < p1, 1.0, -1.0)
-    p2 = np.where(first_outcomes > 0, p2_after_plus, p2_after_minus)
-    second_outcomes = np.where(draws[1::2] < p2, 1.0, -1.0)
+    n1 = n2 = 0
+    for done in range(0, shots, CHUNK_SHOTS):
+        draws = rng.uniforms(2 * min(CHUNK_SHOTS, shots - done))
+        first_plus = draws[0::2] < p1
+        second_plus = draws[1::2] < np.where(first_plus, p2_after_plus, p2_after_minus)
+        n1 += int(np.count_nonzero(first_plus))
+        n2 += int(np.count_nonzero(second_plus))
 
-    first_mean, first_var = _outcome_stats(first_outcomes)
-    second_mean, second_var = _outcome_stats(second_outcomes)
-    n_plus = int(np.count_nonzero(second_outcomes > 0))
     return SequentialStats(
         order=order,
         shots=shots,
-        first_mean=first_mean,
-        first_variance=first_var,
-        second_mean=second_mean,
-        second_variance=second_var,
-        second_counts=(n_plus, shots - n_plus),
+        first_mean=(2 * n1 - shots) / shots,
+        first_variance=4 * n1 * (shots - n1) / shots**2,
+        second_mean=(2 * n2 - shots) / shots,
+        second_variance=4 * n2 * (shots - n2) / shots**2,
+        second_counts=(n2, shots - n2),
     )
-
-
-def merge_sequential_stats(parts: Sequence[SequentialStats]) -> SequentialStats:
-    """Pool per-worker statistics: counts add, moments combine by weight."""
-    if not parts:
-        raise InvariantViolation("cannot merge an empty list of statistics")
-    order = parts[0].order
-    if any(p.order is not order for p in parts):
-        raise InvariantViolation("cannot merge statistics from different orders")
-    total = sum(p.shots for p in parts)
-    # clamp: weighted averages of values in [-1, 1] can round a hair outside
-    first_mean = min(1.0, max(-1.0, sum(p.shots * p.first_mean for p in parts) / total))
-    second_mean = min(1.0, max(-1.0, sum(p.shots * p.second_mean for p in parts) / total))
-    first_sq = sum(p.shots * (p.first_variance + p.first_mean**2) for p in parts)
-    second_sq = sum(p.shots * (p.second_variance + p.second_mean**2) for p in parts)
-    n_plus = sum(p.second_counts[0] for p in parts)
-    n_minus = sum(p.second_counts[1] for p in parts)
-    return SequentialStats(
-        order=order,
-        shots=total,
-        first_mean=first_mean,
-        first_variance=max(first_sq / total - first_mean**2, 0.0),
-        second_mean=second_mean,
-        second_variance=max(second_sq / total - second_mean**2, 0.0),
-        second_counts=(n_plus, n_minus),
-    )
-
-
-def sequential_experiment_partitioned(
-    order: MeasurementOrder,
-    phi: float,
-    phi0: float,
-    shots: int,
-    rng: RandomStream,
-    workers: int,
-) -> SequentialStats:
-    """Partition shots across independently seeded sub-streams and pool.
-
-    Worker i runs its chunk on rng.derive(i); chunk sizes differ by at
-    most one.  With workers == 1 this is exactly the plain experiment on
-    the parent stream, which remains the reference behavior.
-    """
-    if workers < 1:
-        raise InvariantViolation(f"workers must be >= 1, got {workers!r}")
-    if workers == 1:
-        return sequential_experiment(order, phi, phi0, shots, rng)
-    if shots < workers:
-        raise InvariantViolation(
-            f"cannot split {shots} shots across {workers} workers"
-        )
-    base, extra = divmod(shots, workers)
-    parts = []
-    for i in range(workers):
-        chunk = base + (1 if i < extra else 0)
-        parts.append(
-            sequential_experiment(order, phi, phi0, chunk, rng.derive(i))
-        )
-    return merge_sequential_stats(parts)
 
 
 def uniformity_test(counts: tuple[int, int]) -> tuple[float, bool]:

@@ -106,13 +106,6 @@ class TestSample:
         assert {r[2] for r in rows} == {"wp"}
         assert len(rows) == 2
 
-    def test_workers_deterministic(self, capsys):
-        args = ["sample", "--steps", "1", "--shots", "9000", "--seed", "4", "--workers", "3"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
-
     def test_seed_accepts_large_u64(self, capsys):
         assert main(["sample", "--steps", "1", "--shots", "100", "--seed", str((1 << 64) - 1)]) == 0
 
@@ -172,9 +165,16 @@ class TestExitCodes:
     def test_usage_error_inverted_range(self, capsys):
         assert main(["scan", "--from", "2", "--to", "1"]) == 2
 
-    def test_usage_error_more_workers_than_shots(self, capsys):
-        assert main(["sample", "--steps", "1", "--shots", "2", "--workers", "5"]) == 2
-        assert "split" in capsys.readouterr().err
+    def test_usage_error_removed_workers_flag(self, capsys):
+        assert main(["sample", "--steps", "1", "--shots", "100", "--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_usage_error_verify_seed_out_of_range(self, capsys):
+        # rejected whether or not a Monte Carlo check would use the seed
+        for extra in ([], ["--shots", "100"]):
+            assert main(["verify", "--seed", "-5"] + extra) == 2
+            assert "seed" in capsys.readouterr().err
+        assert main(["verify", "--seed", str(1 << 64)]) == 2
 
     def test_io_error_unwritable_path(self, capsys):
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3

@@ -1,19 +1,19 @@
 """Born-rule sampling, sequential experiments, and their statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
+    CHUNK_SHOTS,
     MeasurementOrder,
     SequentialStats,
     born_sample,
     measure,
-    merge_sequential_stats,
     sequential_experiment,
-    sequential_experiment_partitioned,
     uniformity_test,
 )
 from twopath.qalgebra import (
@@ -21,6 +21,7 @@ from twopath.qalgebra import (
     InvariantViolation,
     KET_LOWER,
     KET_UPPER,
+    eig_hermitian,
     pauli_compose,
     states_equal,
 )
@@ -118,11 +119,15 @@ class TestSequentialExperiment:
                 rec2 = measure(second_obs, rec1.post_state, rng)
                 firsts.append(rec1.outcome)
                 seconds.append(rec2.outcome)
+            # the variance oracle is the exact 4 n+ n- / n^2 of the loop's
+            # own counts, rounded once (np.var rounds more than once)
+            first_plus = sum(1 for o in firsts if o > 0)
+            second_plus = sum(1 for o in seconds if o > 0)
             assert stats.first_mean == float(np.mean(firsts))
-            assert stats.first_variance == float(np.var(firsts))
+            assert stats.first_variance == 4 * first_plus * (shots - first_plus) / shots**2
             assert stats.second_mean == float(np.mean(seconds))
-            assert stats.second_variance == float(np.var(seconds))
-            assert stats.second_counts[0] == sum(1 for o in seconds if o > 0)
+            assert stats.second_variance == 4 * second_plus * (shots - second_plus) / shots**2
+            assert stats.second_counts[0] == second_plus
 
     def test_path_first_randomizes_wave(self):
         shots = 200_000
@@ -173,56 +178,52 @@ class TestSequentialExperiment:
             sequential_experiment(MeasurementOrder.P_THEN_W, 0.0, 0.0, 0, RandomStream(1))
 
 
-class TestPartitioning:
-    def test_single_worker_is_the_reference(self):
-        direct = sequential_experiment(MeasurementOrder.W_THEN_P, 0.5, 0.1, 9999, RandomStream(3))
-        part = sequential_experiment_partitioned(
-            MeasurementOrder.W_THEN_P, 0.5, 0.1, 9999, RandomStream(3), workers=1
-        )
-        assert direct == part
+class TestChunking:
+    def test_chunk_boundary_matches_one_batch(self):
+        # a run that ends mid-chunk must see exactly the draws of one
+        # 2 * shots batch: first draw of each pair decides the first
+        # measurement, the second draw the second
+        shots = 2 * CHUNK_SHOTS + 7
+        phi, phi0, seed = 0.9, 0.2, 17
+        for order in MeasurementOrder:
+            rng = RandomStream(seed)
+            stats = sequential_experiment(order, phi, phi0, shots, rng)
+            assert rng.counter == 2 * shots
 
-    def test_partitioned_run_is_deterministic(self):
-        a = sequential_experiment_partitioned(
-            MeasurementOrder.P_THEN_W, 0.5, 0.1, 10_000, RandomStream(3), workers=4
-        )
-        b = sequential_experiment_partitioned(
-            MeasurementOrder.P_THEN_W, 0.5, 0.1, 10_000, RandomStream(3), workers=4
-        )
-        assert a == b
-        assert a.shots == 10_000
+            if order is MeasurementOrder.P_THEN_W:
+                first_obs, second_obs = path_operator(), wave_operator(phi0)
+            else:
+                first_obs, second_obs = wave_operator(phi0), path_operator()
+            vecs1 = eig_hermitian(first_obs)[1]
+            vecs2 = eig_hermitian(second_obs)[1]
+            p1 = abs(np.vdot(vecs1[:, 0], balanced_state(phi).amplitudes)) ** 2
+            p2 = [abs(np.vdot(vecs2[:, 0], vecs1[:, k])) ** 2 for k in (0, 1)]
+            draws = RandomStream(seed).uniforms(2 * shots)
+            first_plus = draws[0::2] < p1
+            second_plus = draws[1::2] < np.where(first_plus, p2[0], p2[1])
+            n1 = int(np.count_nonzero(first_plus))
+            n2 = int(np.count_nonzero(second_plus))
 
-    def test_merge_matches_concatenated_outcomes(self):
-        # pool two chunks by the moment formulas, compare against stats of
-        # the concatenated outcome arrays
-        obs = wave_operator(0.3)
-        state = balanced_state(1.0)
-        out1 = born_sample(obs, state, RandomStream(61), 4000)
-        out2 = born_sample(obs, state, RandomStream(62), 6000)
-        stats = []
-        for out in (out1, out2):
-            n_plus = int(np.count_nonzero(out > 0))
-            stats.append(
-                SequentialStats(
-                    order=MeasurementOrder.P_THEN_W,
-                    shots=len(out),
-                    first_mean=float(out.mean()),
-                    first_variance=float(out.var()),
-                    second_mean=float(out.mean()),
-                    second_variance=float(out.var()),
-                    second_counts=(n_plus, len(out) - n_plus),
+            assert stats.second_counts == (n2, shots - n2)
+            assert stats.first_mean == (2 * n1 - shots) / shots
+            assert stats.second_mean == (2 * n2 - shots) / shots
+
+    def test_peak_memory_is_flat_in_shots(self):
+        def peak_bytes(shots):
+            tracemalloc.start()
+            try:
+                sequential_experiment(
+                    MeasurementOrder.W_THEN_P, 0.9, 0.2, shots, RandomStream(5)
                 )
-            )
-        merged = merge_sequential_stats(stats)
-        both = np.concatenate([out1, out2])
-        assert merged.first_mean == pytest.approx(float(both.mean()), abs=1e-12)
-        assert merged.first_variance == pytest.approx(float(both.var()), abs=1e-12)
-        assert merged.second_counts[0] == int(np.count_nonzero(both > 0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    def test_rejects_more_workers_than_shots(self):
-        with pytest.raises(InvariantViolation, match="split"):
-            sequential_experiment_partitioned(
-                MeasurementOrder.P_THEN_W, 0.0, 0.0, 2, RandomStream(1), workers=3
-            )
+        small = peak_bytes(200_000)
+        large = peak_bytes(4_000_000)
+        # holding the 4e6-shot draws at once would take 64 MB
+        assert large < 16 * 2**20
+        assert large <= 2 * small
 
 
 class TestUniformityTest:
