@@ -2,7 +2,7 @@
 """Sequential-measurement demo: whichever observable goes second is random.
 
 Prepares the balanced state at several phases, measures path-then-wave
-and wave-then-first on many shots each, and tabulates the outcome
+and wave-then-path on many shots each, and tabulates the outcome
 statistics with the chi-square uniformity verdict for the second
 measurement.
 

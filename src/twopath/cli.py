@@ -299,6 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         sys.stderr.write(f"twopath: {exc}\n")
         return EXIT_USAGE
+    except MemoryError as exc:
+        # The whole grid and every CSV row are held in memory; a grid too
+        # large for it is a usage error, not a failed verification.
+        sys.stderr.write(f"twopath: not enough memory for this run, use fewer --steps ({exc})\n")
+        return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"twopath: cannot write output: {exc}\n")
         return EXIT_IO

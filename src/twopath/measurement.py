@@ -19,7 +19,7 @@ from .qalgebra import (
     InvariantViolation,
     Observable,
     StateVector,
-    eig_hermitian,
+    binary_eigensystem,
 )
 from .rng import RandomStream
 
@@ -72,22 +72,6 @@ class SequentialStats:
                 raise InvariantViolation(f"{name} = {value!r} outside [-1, 1]")
 
 
-def _binary_eigensystem(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of a +1/-1 observable, validated."""
-    evals, vecs = eig_hermitian(obs)
-    if abs(evals[0] - evals[1]) < 1e-9:
-        raise InvariantViolation(
-            f"measured observable is degenerate (eigenvalues {evals[0]!r}, "
-            f"{evals[1]!r})"
-        )
-    if abs(evals[0] - 1.0) > 1e-9 or abs(evals[1] + 1.0) > 1e-9:
-        raise InvariantViolation(
-            f"measured observable must have eigenvalues +1 and -1, got "
-            f"{evals[0]!r} and {evals[1]!r}"
-        )
-    return evals, vecs
-
-
 def measure(obs: Observable, state: StateVector, rng: RandomStream) -> MeasurementRecord:
     """Projective measurement of a +1/-1 observable on a pure state.
 
@@ -95,7 +79,7 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     the returned post-measurement state is the matching eigenvector.
     Consumes exactly one uniform draw from the stream.
     """
-    _, vecs = _binary_eigensystem(obs)
+    _, vecs = binary_eigensystem(obs)
     p_plus = abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2
     if rng.uniform() < p_plus:
         return MeasurementRecord(outcome=1.0, post_state=StateVector(vecs[:, 0]))
@@ -112,7 +96,7 @@ def born_sample(
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
-    _, vecs = _binary_eigensystem(obs)
+    _, vecs = binary_eigensystem(obs)
     p_plus = abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2
     return np.where(rng.uniforms(shots) < p_plus, 1.0, -1.0)
 
@@ -146,8 +130,8 @@ def sequential_experiment(
         first, second = wave_operator(phi0), path_operator()
 
     state = balanced_state(phi)
-    _, vecs1 = _binary_eigensystem(first)
-    _, vecs2 = _binary_eigensystem(second)
+    _, vecs1 = binary_eigensystem(first)
+    _, vecs2 = binary_eigensystem(second)
     p1 = abs(np.vdot(vecs1[:, 0], state.amplitudes)) ** 2
     # Second-measurement odds depend only on which eigenvector the first
     # projection selected.

@@ -255,3 +255,22 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
         pivot = col[0] if abs(col[0]) > 1e-12 else col[1]
         vecs[:, k] = col * (np.conj(pivot) / abs(pivot))
     return evals, vecs
+
+
+def binary_eigensystem(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` of an observable with outcomes +1 and -1.
+
+    Raises InvariantViolation unless the eigenvalues are +1 and -1 to
+    within TOL.spectrum; a degenerate spectrum is named as such.
+    """
+    evals, vecs = eig_hermitian(obs)
+    if abs(evals[0] - evals[1]) < TOL.spectrum:
+        raise InvariantViolation(
+            f"observable is degenerate (eigenvalues {evals[0]!r}, {evals[1]!r})"
+        )
+    if abs(evals[0] - 1.0) > TOL.spectrum or abs(evals[1] + 1.0) > TOL.spectrum:
+        raise InvariantViolation(
+            f"observable must have eigenvalues +1 and -1, got {evals[0]!r} and "
+            f"{evals[1]!r}"
+        )
+    return evals, vecs

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twopath import cli
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import uniformity_test
@@ -175,6 +176,16 @@ class TestExitCodes:
             assert main(["verify", "--seed", "-5"] + extra) == 2
             assert "seed" in capsys.readouterr().err
         assert main(["verify", "--seed", str(1 << 64)]) == 2
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 2.98 GiB")
+
+        for command in ("scan", "sample"):
+            monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+            assert main([command, "--steps", "3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("twopath: ") and "2.98 GiB" in err
 
     def test_io_error_unwritable_path(self, capsys):
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3

@@ -1,6 +1,10 @@
 """The named check suite: green by default, red under injected faults."""
 
+import ast
+from pathlib import Path
+
 from support import perturbed_splitter
+from twopath import verify
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -47,20 +51,25 @@ class TestFaultInjection:
     def test_perturbed_splitter_is_caught_by_name(self):
         report = run_verification(beam_splitter_override=perturbed_splitter())
         assert not report.all_passed
-        failed = {c.name for c in report.failures}
-        assert "beam_splitter_conjugation" in failed
-        # the untouched derivations still pass
-        assert "wave_eigenbasis_closed_form" not in failed
+        # exactly the checks that read the splitter; the derivations still pass
+        assert {c.name for c in report.failures} == {
+            "beam_splitter_conjugation",
+            "lower_port_splits_evenly",
+            "pipeline_fringe_shape",
+        }
 
     def test_non_complementary_basis_is_caught_by_name(self):
         # the path eigenbasis itself is the worst possible wave basis
         report = run_verification(wave_basis_override=path_eigenbasis())
         assert not report.all_passed
-        failed = {c.name for c in report.failures}
-        assert "path_blind_on_wave_eigenstates" in failed
-        assert "path_wave_mutually_unbiased" in failed
-        # the splitter is untouched
-        assert "beam_splitter_conjugation" not in failed
+        # exactly the checks that read the wave basis under test; the
+        # splitter and the closed-form derivation are untouched
+        assert {c.name for c in report.failures} == {
+            "path_blind_on_wave_eigenstates",
+            "wave_blind_on_path_eigenstates",
+            "path_wave_mutually_unbiased",
+            "wave_operator_pauli_form",
+        }
 
     def test_failure_lines_name_the_invariant(self):
         report = run_verification(beam_splitter_override=perturbed_splitter())
@@ -69,3 +78,20 @@ class TestFaultInjection:
             line.startswith("FAIL") and "beam_splitter_conjugation" in line
             for line in text.splitlines()
         )
+
+
+class TestNamedLimits:
+    def test_no_check_limit_is_a_numeric_literal(self):
+        tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+        limits = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check":
+                keywords = {k.arg: k.value for k in node.keywords}
+                limits.append(node.args[2] if len(node.args) > 2 else keywords["limit"])
+        assert len(limits) >= 20
+        for limit in limits:
+            if isinstance(limit, ast.UnaryOp):
+                limit = limit.operand
+            assert not (
+                isinstance(limit, ast.Constant) and isinstance(limit.value, (int, float))
+            ), f"line {limit.lineno}: _check limit {ast.unparse(limit)} is a literal"
