@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from twopath.cli import RunConfig, cmd_scan
-from twopath.uncertainty import duality_report, sensitivity
+from twopath.uncertainty import duality_table, sensitivity
 
 
 def main() -> int:
@@ -26,18 +26,18 @@ def main() -> int:
         fh.write(cmd_scan(config))
 
     grid = config.grid()
-    reports = [duality_report(phi, phi0) for phi in grid]
+    table = duality_table(grid, phi0)
     fringe = np.array([math.cos(phi - phi0) for phi in grid])
-    worst_gap = max(abs(r.gap) for r in reports)
-    steepest = max(grid, key=lambda phi: sensitivity(phi, phi0))
+    worst_gap = float(np.max(np.abs(table.gap)))
+    steepest = max(range(len(grid)), key=lambda k: sensitivity(grid[k], phi0))
 
     print(f"wrote {len(grid)} scan points to {out}")
     print(f"fringe visibility      : {0.5 * (fringe.max() - fringe.min()):.12f}")
     print(f"worst saturation gap   : {worst_gap:.3e}")
     print(
-        f"max sensitivity at phi = {steepest:+.4f} rad "
-        f"(phi - phi0 = {steepest - phi0:+.4f}), where delta_w = "
-        f"{duality_report(steepest, phi0).delta_w:.6f}"
+        f"max sensitivity at phi = {grid[steepest]:+.4f} rad "
+        f"(phi - phi0 = {grid[steepest] - phi0:+.4f}), where delta_w = "
+        f"{table.delta_w[steepest]:.6f}"
     )
     return 0
 

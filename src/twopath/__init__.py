@@ -21,8 +21,10 @@ from .complementarity import (
 from .interferometer import (
     ScanPoint,
     ScanResult,
+    balanced_amplitudes,
     balanced_state,
     beam_splitter,
+    interference_columns,
     interference_scan,
     path_operator,
     phase_shifter,
@@ -55,17 +57,21 @@ from .qalgebra import (
     commutator,
     eig_hermitian,
     expectation,
+    expectations,
     normalized,
     pauli_compose,
     pauli_decompose,
     states_equal,
     variance,
+    variances,
 )
 from .rng import RandomStream, mix64
 from .tolerances import TOL, Tolerances
 from .uncertainty import (
+    DualityTable,
     UncertaintyReport,
     duality_report,
+    duality_table,
     general_bound_rhs,
     robertson_bound,
     sensitivity,

@@ -14,10 +14,11 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .interferometer import interference_scan
+from .interferometer import interference_columns
 from .measurement import (
     MeasurementOrder,
     sequential_experiment,
@@ -25,7 +26,7 @@ from .measurement import (
 )
 from .qalgebra import InvariantViolation
 from .rng import RandomStream
-from .uncertainty import duality_report
+from .uncertainty import duality_table
 from .verify import format_report, run_verification
 
 SCAN_COLUMNS = (
@@ -51,6 +52,11 @@ SAMPLE_COLUMNS = (
     "chi2",
     "chi2_pass",
 )
+
+#: Row templates: "%.17g" round-trips a double exactly, %d prints counts
+#: and the chi-square pass flag as 1 or 0.
+SCAN_ROW = ",".join(["%.17g"] * len(SCAN_COLUMNS))
+SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -95,42 +101,20 @@ class RunConfig:
         return [float(x) for x in np.linspace(self.phi_start, self.phi_end, self.steps)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: tuple[str, ...], row_template: str, rows: Iterable[tuple]) -> str:
+    """The header line, then ``row_template % row`` for each row, LF-terminated."""
+    return "\n".join([",".join(header), *(row_template % row for row in rows)]) + "\n"
 
 
 def cmd_scan(config: RunConfig) -> str:
-    """Analytic scan: interference expectations plus uncertainty columns."""
-    grid = config.grid()
-    scan = interference_scan(config.phi0, grid)
-    rows = []
-    for point in scan.points:
-        report = duality_report(point.phi, config.phi0)
-        rows.append(
-            (
-                point.phi,
-                point.w_expect,
-                point.p_expect,
-                report.delta_p,
-                report.delta_w,
-                report.bound,
-                report.gap,
-            )
-        )
-    return _csv(SCAN_COLUMNS, rows)
+    """Analytic scan: interference expectations plus uncertainty columns.
+
+    The whole grid is evaluated as columns, in one batch per column.
+    """
+    phis, w, p = interference_columns(config.phi0, config.grid())
+    table = duality_table(phis, config.phi0)
+    columns = (phis, w, p, table.delta_p, table.delta_w, table.bound, table.gap)
+    return _csv(SCAN_COLUMNS, SCAN_ROW, zip(*(c.tolist() for c in columns)))
 
 
 def cmd_sample(config: RunConfig) -> str:
@@ -168,7 +152,7 @@ def cmd_sample(config: RunConfig) -> str:
                     ok,
                 )
             )
-    return _csv(SAMPLE_COLUMNS, rows)
+    return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows)
 
 
 def cmd_verify(shots: int | None = None, seed: int = 1) -> tuple[int, str]:

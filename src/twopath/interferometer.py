@@ -25,9 +25,10 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    apply,
-    expectation,
+    expectations,
     require_finite_angle,
+    require_finite_angles,
+    require_states,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -99,6 +100,19 @@ def balanced_state(phi: float) -> StateVector:
     )
 
 
+def balanced_amplitudes(phis) -> np.ndarray:
+    """The amplitudes of :func:`balanced_state` at each phi, as (N, 2) rows.
+
+    Bit for bit the scalar construction, with finiteness and norms
+    checked once for the whole batch.
+    """
+    half = 0.5 * require_finite_angles(phis, "phi")
+    amps = np.empty((half.size, 2), dtype=np.complex128)
+    amps[:, 0] = _INV_SQRT2 * np.exp(-1j * half)
+    amps[:, 1] = _INV_SQRT2 * np.exp(1j * half)
+    return require_states(amps)
+
+
 def wave_operator(phi0: float) -> Observable:
     """The fringe observable cos(phi0) sigma_x + sin(phi0) sigma_y.
 
@@ -111,23 +125,34 @@ def wave_operator(phi0: float) -> Observable:
     return Observable(m)
 
 
-def interference_scan(phi0: float, grid: Iterable[float]) -> ScanResult:
-    """Sweep the phase shifter and record <W> and <P> at each grid point.
+def interference_columns(
+    phi0: float, grid: Iterable[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (phi, <W>, <P>) columns of :func:`interference_scan`, in one batch.
 
     Each state is produced by the physical route, applying the phase
     shifter to the zero-phase balanced state, rather than by writing the
     shifted state down directly; the two constructions agreeing is one of
-    the package's cross-checks.
+    the package's cross-checks.  The shifter matrices are stacked and
+    applied as one matmul, which rounds as applying each gate does.
     """
     phi0 = require_finite_angle(phi0, "phi0")
-    grid = [require_finite_angle(phi, "grid entry") for phi in grid]
-    if not grid:
+    phis = require_finite_angles(list(grid), "grid entry")
+    if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
-    wave = wave_operator(phi0)
-    path = path_operator()
-    start = balanced_state(0.0)
-    points = []
-    for phi in grid:
-        state = apply(phase_shifter(phi), start)
-        points.append(ScanPoint(phi, expectation(wave, state), expectation(path, state)))
-    return ScanResult(tuple(points))
+    half = 0.5 * phis
+    shifters = np.zeros((phis.size, 2, 2), dtype=np.complex128)
+    shifters[:, 0, 0] = np.exp(-1j * half)
+    shifters[:, 1, 1] = np.exp(1j * half)
+    start = balanced_amplitudes([0.0])[0]
+    states = (shifters @ start[:, None])[:, :, 0]
+    return phis, expectations(wave_operator(phi0), states), expectations(path_operator(), states)
+
+
+def interference_scan(phi0: float, grid: Iterable[float]) -> ScanResult:
+    """Sweep the phase shifter and record <W> and <P> at each grid point.
+
+    The points of :func:`interference_columns`.
+    """
+    columns = (c.tolist() for c in interference_columns(phi0, grid))
+    return ScanResult(tuple(map(ScanPoint, *columns)))

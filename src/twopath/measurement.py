@@ -10,6 +10,7 @@ goes second comes out 50/50, which is complementarity seen operationally.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,24 @@ def born_sample(
     return np.where(rng.uniforms(shots) < p_plus, 1.0, -1.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _eigenvectors(order: MeasurementOrder, phi0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvector columns of the first and the second observable.
+
+    They depend on the order and phi0 alone, so a run over many phases
+    with one offset solves them once.
+    """
+    if order is MeasurementOrder.P_THEN_W:
+        first, second = path_operator(), wave_operator(phi0)
+    else:
+        first, second = wave_operator(phi0), path_operator()
+    _, vecs1 = binary_eigensystem(first)
+    _, vecs2 = binary_eigensystem(second)
+    vecs1.setflags(write=False)
+    vecs2.setflags(write=False)
+    return vecs1, vecs2
+
+
 def sequential_experiment(
     order: MeasurementOrder,
     phi: float,
@@ -124,14 +143,8 @@ def sequential_experiment(
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
     order = MeasurementOrder(order)
-    if order is MeasurementOrder.P_THEN_W:
-        first, second = path_operator(), wave_operator(phi0)
-    else:
-        first, second = wave_operator(phi0), path_operator()
-
+    vecs1, vecs2 = _eigenvectors(order, float(phi0))
     state = balanced_state(phi)
-    _, vecs1 = binary_eigensystem(first)
-    _, vecs2 = binary_eigensystem(second)
     p1 = abs(np.vdot(vecs1[:, 0], state.amplitudes)) ** 2
     # Second-measurement odds depend only on which eigenvector the first
     # projection selected.

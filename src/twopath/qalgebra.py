@@ -4,6 +4,10 @@ States, Hermitian observables, and unitaries are thin immutable wrappers
 around validated numpy arrays; all operations are pure functions.
 Constructors reject invalid input instead of repairing it; use
 :func:`normalized` when renormalization is actually wanted.
+
+The batched forms (:func:`expectations`, :func:`variances`,
+:func:`matrix_elements`) take an (N, 2) array of state rows, validate the
+whole batch once per call and give each row's scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,21 @@ def require_finite_angle(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise InvariantViolation(f"{name} must be a finite angle, got {value!r}")
     return value
+
+
+def require_finite_angles(values, name: str) -> np.ndarray:
+    """A fresh 1-D float array of angles.
+
+    The first non-finite entry raises the message
+    :func:`require_finite_angle` gives for it.
+    """
+    angles = np.array(values, dtype=np.float64)
+    if angles.ndim != 1:
+        raise InvariantViolation(f"{name} values must form a 1-D sequence, got shape {angles.shape}")
+    bad = np.flatnonzero(~np.isfinite(angles))
+    if bad.size:
+        require_finite_angle(angles[bad[0]], name)
+    return angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +162,67 @@ def variance(obs: Observable, state: StateVector) -> float:
     mean = expectation(obs, state)
     residual = obs.matrix @ state.amplitudes - mean * state.amplitudes
     return max(float(np.vdot(residual, residual).real), 0.0)
+
+
+def require_states(amps) -> np.ndarray:
+    """An (N, 2) complex array whose rows are normalized state amplitudes.
+
+    Validates the whole batch at once, with the checks and messages of
+    :class:`StateVector`; the first bad row is named by its index.
+    """
+    a = np.asarray(amps, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise InvariantViolation(f"states must form an (N, 2) complex array, got shape {a.shape}")
+    norm_sq = (a.real**2 + a.imag**2).sum(axis=1)
+    # A non-finite row has a NaN or infinite norm, which fails this test too.
+    off = ~(np.abs(norm_sq - 1.0) <= TOL.norm)
+    if off.any():
+        if not _finite(a):
+            raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
+        k = np.flatnonzero(off)[0]
+        raise InvariantViolation(
+            f"state {k} is not normalized: |a0|^2 + |a1|^2 = {float(norm_sq[k])!r}"
+        )
+    return a
+
+
+# The row-wise products below are written as stacked matmuls because those
+# round exactly as np.vdot and `matrix @ vector` do on one row, so a batch
+# reproduces the scalar functions bit for bit.  np.einsum and elementwise
+# sums of products do not.
+
+
+def _apply_rows(matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """matrix @ a for each row a."""
+    return (matrix @ amps[:, :, None])[:, :, 0]
+
+
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[k], b[k]) for each row k."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def matrix_elements(matrix: np.ndarray, amps) -> np.ndarray:
+    """<a|matrix|a> for each state row a, complex; any 2x2 matrix."""
+    a = require_states(amps)
+    return _vdot_rows(a, _apply_rows(np.asarray(matrix, dtype=np.complex128), a))
+
+
+def expectations(obs: Observable, amps) -> np.ndarray:
+    """:func:`expectation` of obs on each state row of amps, bit for bit."""
+    return matrix_elements(obs.matrix, amps).real
+
+
+def variances(obs: Observable, amps) -> np.ndarray:
+    """:func:`variance` of obs on each state row of amps, bit for bit.
+
+    Like the scalar form, the squared norm of the residual (obs - <obs>)|a>.
+    """
+    a = require_states(amps)
+    applied = _apply_rows(obs.matrix, a)
+    means = _vdot_rows(a, applied).real
+    residual = applied - means[:, None] * a
+    return np.maximum(_vdot_rows(residual, residual).real, 0.0)
 
 
 def commutator(a: Observable, b: Observable) -> np.ndarray:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .interferometer import balanced_state, path_operator, wave_operator
+from .interferometer import balanced_amplitudes, path_operator, wave_operator
 from .qalgebra import (
     InvariantViolation,
     Observable,
@@ -22,8 +23,10 @@ from .qalgebra import (
     StateVector,
     commutator,
     expectation,
+    matrix_elements,
     require_finite_angle,
-    variance,
+    require_finite_angles,
+    variances,
 )
 from .tolerances import TOL
 
@@ -73,35 +76,81 @@ def general_bound_rhs(phi0: float, state: StateVector) -> float:
     return abs(expectation(op, state))
 
 
+class DualityTable(NamedTuple):
+    """Uncertainty bookkeeping over a grid of balanced states, as columns.
+
+    Row k is what :func:`duality_report` gives for (phi[k], phi0).
+    """
+
+    phi0: float
+    phi: np.ndarray
+    delta_p: np.ndarray
+    delta_w: np.ndarray
+    bound: np.ndarray
+    gap: np.ndarray
+
+    def reports(self) -> list[UncertaintyReport]:
+        """One :class:`UncertaintyReport` per row."""
+        return [
+            UncertaintyReport(
+                phi=phi,
+                phi0=self.phi0,
+                delta_p=delta_p,
+                delta_w=delta_w,
+                product=delta_p * delta_w,
+                bound=bound,
+                gap=gap,
+                saturated=gap < TOL.var,
+            )
+            for phi, delta_p, delta_w, bound, gap in zip(
+                self.phi.tolist(),
+                self.delta_p.tolist(),
+                self.delta_w.tolist(),
+                self.bound.tolist(),
+                self.gap.tolist(),
+            )
+        ]
+
+
+def duality_table(phis, phi0: float) -> DualityTable:
+    """Uncertainty bookkeeping on the balanced state at every phi, in one batch.
+
+    Everything is computed through the operator machinery, not from the
+    closed forms: the spreads come from variances on the actual states and
+    the bound from the actual commutator.  Ideal two-path interferometry
+    makes the product equal the bound; a product below its bound by more
+    than TOL.var raises InvariantViolation naming the first such phi.
+    """
+    phi = require_finite_angles(phis, "phi")
+    phi0 = require_finite_angle(phi0, "phi0")
+    amps = balanced_amplitudes(phi)
+    path = path_operator()
+    wave = wave_operator(phi0)
+    delta_p = np.sqrt(variances(path, amps))
+    delta_w = np.sqrt(variances(wave, amps))
+    # np.hypot rounds as abs() of a Python complex does; np.abs can differ
+    # from it in the last bit.
+    element = matrix_elements(commutator(path, wave), amps)
+    bound = 0.5 * np.hypot(element.real, element.imag)
+    product = delta_p * delta_w
+    gap = product - bound
+    below = np.flatnonzero(gap < -TOL.var)
+    if below.size:
+        k = below[0]
+        raise InvariantViolation(
+            f"uncertainty product {float(product[k])!r} fell below its bound "
+            f"{float(bound[k])!r} at phi = {float(phi[k])!r}"
+        )
+    return DualityTable(phi0, phi, delta_p, delta_w, bound, gap)
+
+
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:
     """Full uncertainty bookkeeping on the balanced state at phi.
 
-    Everything is computed through the operator machinery, not from the
-    closed forms: the spreads come from variances on the actual state and
-    the bound from the actual commutator.  Ideal two-path interferometry
-    makes the product equal the bound, so the report carries an explicit
-    saturation flag.
+    The single row of :func:`duality_table` over [phi]; the report
+    carries an explicit saturation flag.
     """
-    phi = require_finite_angle(phi, "phi")
-    phi0 = require_finite_angle(phi0, "phi0")
-    state = balanced_state(phi)
-    path = path_operator()
-    wave = wave_operator(phi0)
-    delta_p = math.sqrt(variance(path, state))
-    delta_w = math.sqrt(variance(wave, state))
-    product = delta_p * delta_w
-    bound = robertson_bound(path, wave, state)
-    gap = product - bound
-    return UncertaintyReport(
-        phi=phi,
-        phi0=phi0,
-        delta_p=delta_p,
-        delta_w=delta_w,
-        product=product,
-        bound=bound,
-        gap=gap,
-        saturated=gap < TOL.var,
-    )
+    return duality_table([phi], phi0).reports()[0]
 
 
 def sensitivity(phi: float, phi0: float) -> float:

@@ -10,9 +10,9 @@ The checks run in groups: splitter, complementarity, uncertainty,
 pipeline, operators and Robertson, then the Monte Carlo checks when shots
 are given.  Each grid is evaluated once per run: the wave bases and their
 assembled W at the 17 offsets feed every check that reads them, and so do
-the 5 x 41 uncertainty reports and interference scans.  The override
-arguments exist so tests can inject a faulty component and watch the
-matching check fail by name.
+the 5 x 41 uncertainty reports (one duality table per offset) and
+interference scans.  The override arguments exist so tests can inject a
+faulty component and watch the matching check fail by name.
 """
 
 from __future__ import annotations
@@ -184,10 +184,13 @@ def _uncertainty_checks() -> list[CheckResult]:
     phi0s = [float(phi0) for phi0 in _PHI0_GRID[::4]]
     phis = [float(phi) for phi in _PHI_GRID]
     points = [(phi0, p) for phi0 in phi0s for p in ifm.interference_scan(phi0, phis).points]
-    reports = [unc.duality_report(phi, phi0) for phi0 in phi0s for phi in phis]
-    at_eigenstates = [
-        unc.duality_report(phi0 + k * math.pi, phi0) for phi0 in phi0s for k in (-2, -1, 0, 1, 2)
-    ]
+    reports, at_eigenstates = [], []
+    for phi0 in phi0s:
+        # One table per offset: the grid, then the wave eigenstates phi0 + k pi.
+        eigenstates = [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)]
+        rows = unc.duality_table(phis + eigenstates, phi0).reports()
+        reports += rows[:len(phis)]
+        at_eigenstates += rows[len(phis):]
     step = 1e-5
     slope_misses = []
     for phi in map(float, np.linspace(-math.pi, math.pi, 9)):

@@ -6,6 +6,7 @@ expectations are computed through a second, unrelated code path.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -90,3 +91,20 @@ def perturbed_splitter(epsilon: float = 1e-3) -> UnitaryGate:
     angle = math.pi / 4 + epsilon
     c, s = math.cos(angle), math.sin(angle)
     return UnitaryGate(np.array([[c, s], [-s, c]], dtype=np.complex128))
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call to fn, wherever a twopath module
+    binds it (its own module and every ``from ... import`` of it)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twopath" or name.startswith("twopath."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from twopath import cli
+from support import count_calls
+from twopath import cli, interferometer, qalgebra, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import uniformity_test
-from twopath.qalgebra import InvariantViolation, expectation
+from twopath.qalgebra import InvariantViolation, StateVector, expectation
 from twopath.verify import variance_window
 
 PI = str(math.pi)
@@ -66,6 +67,33 @@ class TestScan:
         phis = [float(r[0]) for r in rows]
         np.testing.assert_allclose(phis, [-math.pi, 0.0, math.pi], atol=1e-12)
 
+    def test_state_count_does_not_grow_with_steps(self, monkeypatch):
+        built = []
+        validate = StateVector.__post_init__
+
+        def counted(state):
+            built.append(state)
+            validate(state)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        counts = []
+        for steps in (10, 1000):
+            built.clear()
+            cmd_scan(RunConfig(phi0=0.6, steps=steps))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_makes_no_scalar_algebra_calls(self, monkeypatch):
+        scalar = (
+            qalgebra.expectation,
+            qalgebra.variance,
+            interferometer.balanced_state,
+            uncertainty.duality_report,
+        )
+        calls = [count_calls(monkeypatch, fn) for fn in scalar]
+        cmd_scan(RunConfig(phi0=0.6, phi_start=-3.14159, phi_end=3.14159, steps=20001))
+        assert [len(c) for c in calls] == [0, 0, 0, 0]
+
 
 class TestSample:
     def test_header_schema(self, capsys):
@@ -106,6 +134,16 @@ class TestSample:
         _, rows = parse_csv(capsys.readouterr().out)
         assert {r[2] for r in rows} == {"wp"}
         assert len(rows) == 2
+
+    def test_eigensystems_are_solved_once_per_order_and_offset(self, monkeypatch):
+        solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
+        counts = []
+        # a fresh offset per run, so no earlier run has solved its observables
+        for steps, phi0 in ((3, 0.3141), (9, 0.2718)):
+            solves.clear()
+            cmd_sample(RunConfig(phi0=phi0, steps=steps, shots=10, order="both"))
+            counts.append(len(solves))
+        assert counts[0] == counts[1]
 
     def test_seed_accepts_large_u64(self, capsys):
         assert main(["sample", "--steps", "1", "--shots", "100", "--seed", str((1 << 64) - 1)]) == 0

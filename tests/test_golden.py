@@ -9,7 +9,10 @@ History: the `scan` and `verify` digests date from before the sampler
 was rebuilt around counts and are unchanged by it.  The two `sample`
 digests were re-pinned with that rebuild, whose variance columns are the
 exact 4 n+ n- / n^2 rounded once instead of np.var's value (a few ulp
-apart); every other sample column kept its bytes.
+apart); every other sample column kept its bytes.  The three further
+`scan` digests (a wide range far from the origin, a single wave
+eigenstate, and a degree grid) were pinned before `scan` moved from
+per-point reports to one batch per column, and that move kept them.
 """
 
 import hashlib
@@ -33,6 +36,19 @@ GOLDEN = [
         "3163e7f04e1a5300b2a90fa70a9efd223485b34f8950cfcc0fd7f693ef61e62d",
     ),
     (
+        ["scan", "--phi0", "100.3", "--from", "-50", "--to", "70", "--steps", "5001"],
+        "af48edc1bb2bc9b620e2a4b90805b0ddd807b9f233948f81a10932236cc5af12",
+    ),
+    (
+        # a single point, at a wave eigenstate: delta_w, bound and gap vanish
+        ["scan", "--phi0", "0.6", "--from", "0.6", "--to", "0.6", "--steps", "1"],
+        "41c6624009f22a0cb3911afb58fa0d84393b5b60a86477a9821e40395ca9b098",
+    ),
+    (
+        ["scan", "--phi0", "30", "--from", "-180", "--to", "180", "--steps", "361", "--degrees"],
+        "76d0f069d9b092c6d84f26f62c7c4720a48678d89c9cec988a79276e33d9b31b",
+    ),
+    (
         ["verify", "--shots", "20000"],
         "f73049de89d9ebecf9438c47d75842b8f4c55252d204f3b04cf5317edf801a1d",
     ),
@@ -40,7 +56,10 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "argv, digest", GOLDEN, ids=["scan", "sample-both", "sample-wp", "verify-mc"]
+    "argv, digest", GOLDEN, ids=[
+        "scan", "sample-both", "sample-wp",
+        "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify-mc",
+    ],
 )
 def test_output_digest(argv, digest, capsys):
     assert main(argv) == 0

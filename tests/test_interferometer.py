@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from support import angles
 from twopath.complementarity import derive_wave_eigenbasis
 from twopath.interferometer import (
+    balanced_amplitudes,
     balanced_state,
     beam_splitter,
     interference_scan,
@@ -96,6 +98,21 @@ class TestBalancedState:
         assert abs(p0 - 0.5) < 1e-15
         assert p0 == p1
 
+    @given(st.lists(angles, min_size=1, max_size=8))
+    def test_batch_rows_are_the_scalar_states(self, phis):
+        amps = balanced_amplitudes(phis)
+        expected = np.array([balanced_state(phi).amplitudes for phi in phis])
+        assert amps.tobytes() == expected.tobytes()
+
+    @given(st.lists(angles, min_size=1, max_size=8), st.data())
+    def test_batch_rejects_a_non_finite_angle_anywhere(self, phis, data):
+        k = data.draw(st.integers(0, len(phis) - 1))
+        phis[k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(InvariantViolation, match="phi must be a finite angle"):
+            balanced_amplitudes(phis)
+        with pytest.raises(InvariantViolation, match="grid entry must be a finite angle"):
+            interference_scan(0.3, phis)
+
     @given(phi0=angles)
     def test_matches_wave_eigenstate_at_setup_offset(self, phi0):
         assert states_equal(balanced_state(phi0), derive_wave_eigenbasis(phi0).plus)
@@ -159,6 +176,16 @@ class TestInterferenceScan:
         grid = list(phi0 + np.linspace(-math.pi, math.pi, 1001))
         scan = interference_scan(phi0, grid)
         assert abs(float(np.max(np.abs(scan.w_expectations()))) - 1.0) < 1e-9
+
+    @given(angles, st.lists(angles, min_size=1, max_size=8))
+    def test_points_equal_the_scalar_shifter_route(self, phi0, grid):
+        wave, path = wave_operator(phi0), path_operator()
+        start = balanced_state(0.0)
+        expected = []
+        for phi in grid:
+            state = apply(phase_shifter(phi), start)
+            expected.append((phi, expectation(wave, state), expectation(path, state)))
+        assert [tuple(p) for p in interference_scan(phi0, grid).points] == expected
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvariantViolation, match="non-empty"):

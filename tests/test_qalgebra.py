@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from support import (
     angles,
@@ -29,11 +30,13 @@ from twopath.qalgebra import (
     commutator,
     eig_hermitian,
     expectation,
+    expectations,
     normalized,
     pauli_compose,
     pauli_decompose,
     states_equal,
     variance,
+    variances,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -136,6 +139,39 @@ class TestVariance:
         # a state well away from both eigenstates has strictly positive spread
         mixed = normalized(vecs[:, 0] + vecs[:, 1])
         assert variance(pauli_compose(0.3, 0.7, -0.2, 0.4), mixed) > 1e-6
+
+
+class TestBatched:
+    """The batched forms equal the scalar ones exactly, row by row."""
+
+    @given(hermitians(), st.lists(pure_states(), min_size=1, max_size=6))
+    def test_expectations_equal_the_scalar_rows(self, obs, states):
+        amps = np.array([s.amplitudes for s in states])
+        assert expectations(obs, amps).tolist() == [expectation(obs, s) for s in states]
+
+    @given(hermitians(), st.lists(pure_states(), min_size=1, max_size=6))
+    def test_variances_equal_the_scalar_rows(self, obs, states):
+        amps = np.array([s.amplitudes for s in states])
+        assert variances(obs, amps).tolist() == [variance(obs, s) for s in states]
+
+    @given(st.lists(pure_states(), min_size=1, max_size=6), st.data())
+    def test_nan_anywhere_in_a_batch_is_rejected(self, states, data):
+        amps = np.array([s.amplitudes for s in states])
+        row = data.draw(st.integers(0, len(states) - 1))
+        col = data.draw(st.integers(0, 1))
+        amps[row, col] = complex(math.nan, 0.0) if data.draw(st.booleans()) else complex(0.0, math.nan)
+        for batched in (expectations, variances):
+            with pytest.raises(InvariantViolation, match="finite"):
+                batched(SIGMA_X, amps)
+
+    def test_unnormalized_row_is_named(self):
+        amps = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.complex128)
+        with pytest.raises(InvariantViolation, match="state 1 is not normalized"):
+            expectations(SIGMA_Z, amps)
+
+    def test_rejects_a_single_vector(self):
+        with pytest.raises(InvariantViolation, match="shape"):
+            variances(SIGMA_Z, KET_UPPER.amplitudes)
 
 
 class TestCommutator:

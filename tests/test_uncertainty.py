@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from support import (
     angles,
@@ -14,8 +15,15 @@ from support import (
     random_hermitian,
     random_state,
 )
-from twopath.interferometer import balanced_state, interference_scan, wave_operator
+from twopath import uncertainty
+from twopath.interferometer import (
+    balanced_state,
+    interference_scan,
+    path_operator,
+    wave_operator,
+)
 from twopath.qalgebra import (
+    InvariantViolation,
     KET_UPPER,
     SIGMA_X,
     SIGMA_Z,
@@ -24,6 +32,7 @@ from twopath.qalgebra import (
 from twopath.uncertainty import (
     UncertaintyReport,
     duality_report,
+    duality_table,
     general_bound_rhs,
     robertson_bound,
     sensitivity,
@@ -123,6 +132,47 @@ class TestDualityReport:
                 phi=0.0, phi0=0.0, delta_p=1.0, delta_w=1.0,
                 product=1.0, bound=0.5, gap=0.5, saturated=True,
             )
+
+
+class TestDualityTable:
+    @given(st.lists(angles, min_size=1, max_size=8), angles)
+    def test_rows_equal_the_report_and_the_scalar_algebra(self, phis, phi0):
+        table = duality_table(phis, phi0)
+        path, wave = path_operator(), wave_operator(phi0)
+        for k, phi in enumerate(phis):
+            row = (table.phi[k], table.delta_p[k], table.delta_w[k], table.bound[k], table.gap[k])
+            report = duality_report(phi, phi0)
+            assert row == (report.phi, report.delta_p, report.delta_w, report.bound, report.gap)
+            state = balanced_state(phi)
+            delta_p = math.sqrt(variance(path, state))
+            delta_w = math.sqrt(variance(wave, state))
+            bound = robertson_bound(path, wave, state)
+            assert row == (phi, delta_p, delta_w, bound, delta_p * delta_w - bound)
+        assert table.reports() == [duality_report(phi, phi0) for phi in phis]
+
+    @given(st.lists(angles, min_size=1, max_size=8), st.data())
+    def test_nan_anywhere_in_a_batch_is_rejected(self, phis, data):
+        phis[data.draw(st.integers(0, len(phis) - 1))] = math.nan
+        with pytest.raises(InvariantViolation, match="phi must be a finite angle, got nan"):
+            duality_table(phis, 0.4)
+
+    def test_rejects_a_non_finite_offset(self):
+        with pytest.raises(InvariantViolation, match="phi0 must be a finite angle"):
+            duality_table([0.1, 0.2], math.inf)
+
+    def test_first_product_below_its_bound_is_named(self, monkeypatch):
+        # Shrink the spreads of rows 2 and 3 so their products fall below
+        # the bound; the error names the first of them.
+        real = uncertainty.variances
+
+        def shrunk(obs, amps):
+            values = real(obs, amps)
+            values[2:4] *= 0.25
+            return values
+
+        monkeypatch.setattr(uncertainty, "variances", shrunk)
+        with pytest.raises(InvariantViolation, match=r"fell below its bound .* at phi = 0\.75$"):
+            duality_table([0.25, 0.5, 0.75, 1.0], 0.0)
 
 
 class TestSensitivity:

@@ -3,8 +3,8 @@
 import ast
 from pathlib import Path
 
-from support import perturbed_splitter
-from twopath import verify
+from support import count_calls, perturbed_splitter
+from twopath import uncertainty, verify
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -31,6 +31,12 @@ class TestHealthySuite:
             "robertson_inequality",
         }
         assert expected <= names
+
+    def test_grids_make_no_per_point_reports(self, monkeypatch):
+        reports = count_calls(monkeypatch, uncertainty.duality_report)
+        tables = count_calls(monkeypatch, uncertainty.duality_table)
+        assert run_verification().all_passed
+        assert (len(reports), len(tables)) == (0, 5)
 
     def test_report_formatting(self):
         text = format_report(run_verification())
