@@ -19,12 +19,10 @@ from .complementarity import (
     path_eigenbasis,
 )
 from .interferometer import (
-    ScanPoint,
     ScanResult,
     balanced_amplitudes,
     balanced_state,
     beam_splitter,
-    interference_columns,
     interference_scan,
     path_operator,
     phase_shifter,

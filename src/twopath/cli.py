@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .interferometer import interference_columns
+from .interferometer import interference_scan
 from .measurement import (
     MeasurementOrder,
     sequential_experiment,
@@ -85,12 +85,24 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise InvariantViolation(f"steps must be >= 1, got {self.steps}")
+        # numpy caps an array's size in bytes at the largest np.intp, and
+        # np.linspace counts its points as a float64, which can round up.
+        max_steps = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+        if self.steps > max_steps or float(self.steps) > max_steps:
+            raise InvariantViolation(
+                f"steps must fit one float64 array (numpy allows at most {max_steps} "
+                f"entries), got {self.steps}"
+            )
         if self.phi_start > self.phi_end:
             raise InvariantViolation(
                 f"phi range is inverted: {self.phi_start} > {self.phi_end}"
             )
         if not (math.isfinite(self.phi0) and math.isfinite(self.phi_start) and math.isfinite(self.phi_end)):
             raise InvariantViolation("angles must be finite")
+        if not math.isfinite(self.phi_end - self.phi_start):
+            raise InvariantViolation(
+                f"phi range {self.phi_start} to {self.phi_end} is wider than a double can hold"
+            )
         if self.shots < 1:
             raise InvariantViolation(f"shots must be >= 1, got {self.shots}")
         _check_seed(self.seed)
@@ -111,9 +123,9 @@ def cmd_scan(config: RunConfig) -> str:
 
     The whole grid is evaluated as columns, in one batch per column.
     """
-    phis, w, p = interference_columns(config.phi0, config.grid())
-    table = duality_table(phis, config.phi0)
-    columns = (phis, w, p, table.delta_p, table.delta_w, table.bound, table.gap)
+    scan = interference_scan(config.phi0, config.grid())
+    table = duality_table(scan.phi, config.phi0)
+    columns = (*scan, table.delta_p, table.delta_w, table.bound, table.gap)
     return _csv(SCAN_COLUMNS, SCAN_ROW, zip(*(c.tolist() for c in columns)))
 
 
@@ -250,15 +262,14 @@ def main(argv: list[str] | None = None) -> int:
         half_turn = 180.0 if args.degrees else math.pi
         phi_from = args.phi_from if args.phi_from is not None else -half_turn
         phi_to = args.phi_to if args.phi_to is not None else half_turn
+        sampling = {k: v for k, v in vars(args).items() if k in ("shots", "seed", "order")}
         config = RunConfig(
             phi0=_angle(args.phi0, args.degrees),
             phi_start=_angle(phi_from, args.degrees),
             phi_end=_angle(phi_to, args.degrees),
             steps=args.steps,
-            shots=getattr(args, "shots", 100_000),
-            seed=getattr(args, "seed", 1),
             output_path=args.out,
-            order=getattr(args, "order", "both"),
+            **sampling,
         )
         if args.gnuplot and config.output_path is None:
             parser.error("--gnuplot requires --out")

@@ -54,14 +54,11 @@ class EigenBasis:
 class ComplementarityVerdict:
     """Outcome of a mutual-unbiasedness test between two bases."""
 
-    complementary: bool
     max_deviation: float  # largest |overlap^2 - 1/2| over the four pairs
 
-    def __post_init__(self) -> None:
-        if self.complementary != (self.max_deviation < TOL.comp):
-            raise InvariantViolation(
-                "verdict flag inconsistent with its max_deviation"
-            )
+    @property
+    def complementary(self) -> bool:
+        return self.max_deviation < TOL.comp
 
 
 def canonical_phase(phi: float) -> float:
@@ -151,9 +148,7 @@ def is_complementary(basis_a: EigenBasis, basis_b: EigenBasis) -> Complementarit
         for v in (basis_b.plus, basis_b.minus):
             overlap_sq = float(abs(np.vdot(u.amplitudes, v.amplitudes)) ** 2)
             deviation = max(deviation, abs(overlap_sq - 0.5))
-    return ComplementarityVerdict(
-        complementary=bool(deviation < TOL.comp), max_deviation=deviation
-    )
+    return ComplementarityVerdict(max_deviation=deviation)
 
 
 def check_mutual_zero_expectation(

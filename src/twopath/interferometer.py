@@ -1,18 +1,17 @@
 """The optical pipeline of an ideal two-path interferometer.
 
 Beam splitter, phase shifter, balanced states, the path and wave
-observables, and the interference scan.  Conventions: the path observable
-is sigma_z with the two arms as its eigenstates; the beam splitter is the
-real rotation that conjugates sigma_z into sigma_x, which makes zero the
-canonical setup offset.  Any other offset is reached by composing with a
-phase shifter.
+observables, and the interference scan, which returns its phi, <W> and
+<P> columns.  Conventions: the path observable is sigma_z with the two
+arms as its eigenstates; the beam splitter is the real rotation that
+conjugates sigma_z into sigma_x, which makes zero the canonical setup
+offset.  Any other offset is reached by composing with a phase shifter.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -34,26 +33,12 @@ from .qalgebra import (
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class ScanPoint(NamedTuple):
-    phi: float
-    w_expect: float
-    p_expect: float
+class ScanResult(NamedTuple):
+    """Interference scan samples as columns: phi, <W> and <P> per grid point."""
 
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Interference scan samples: (phi, <W>, <P>) per grid point."""
-
-    points: tuple[ScanPoint, ...]
-
-    def phis(self) -> np.ndarray:
-        return np.array([p.phi for p in self.points])
-
-    def w_expectations(self) -> np.ndarray:
-        return np.array([p.w_expect for p in self.points])
-
-    def p_expectations(self) -> np.ndarray:
-        return np.array([p.p_expect for p in self.points])
+    phi: np.ndarray
+    w_expect: np.ndarray
+    p_expect: np.ndarray
 
 
 def path_operator() -> Observable:
@@ -125,10 +110,8 @@ def wave_operator(phi0: float) -> Observable:
     return Observable(m)
 
 
-def interference_columns(
-    phi0: float, grid: Iterable[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (phi, <W>, <P>) columns of :func:`interference_scan`, in one batch.
+def interference_scan(phi0: float, grid: Iterable[float]) -> ScanResult:
+    """Sweep the phase shifter and record <W> and <P> at each grid point.
 
     Each state is produced by the physical route, applying the phase
     shifter to the zero-phase balanced state, rather than by writing the
@@ -146,13 +129,5 @@ def interference_columns(
     shifters[:, 1, 1] = np.exp(1j * half)
     start = balanced_amplitudes([0.0])[0]
     states = (shifters @ start[:, None])[:, :, 0]
-    return phis, expectations(wave_operator(phi0), states), expectations(path_operator(), states)
-
-
-def interference_scan(phi0: float, grid: Iterable[float]) -> ScanResult:
-    """Sweep the phase shifter and record <W> and <P> at each grid point.
-
-    The points of :func:`interference_columns`.
-    """
-    columns = (c.tolist() for c in interference_columns(phi0, grid))
-    return ScanResult(tuple(map(ScanPoint, *columns)))
+    wave, path = wave_operator(phi0), path_operator()
+    return ScanResult(phis, expectations(wave, states), expectations(path, states))

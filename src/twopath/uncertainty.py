@@ -3,7 +3,10 @@
 The product of spreads of two observables is bounded below by half the
 magnitude of their commutator expectation.  On balanced states the
 path/wave pair saturates that bound: the path spread is one and the wave
-spread equals the bound itself.
+spread equals the bound itself.  ``duality_table`` holds the spreads, the
+bound and the gap over a grid of balanced states as columns;
+``duality_report`` is its single row, whose product and saturation flag
+are derived from those values.
 """
 
 from __future__ import annotations
@@ -39,19 +42,17 @@ class UncertaintyReport:
     phi0: float
     delta_p: float
     delta_w: float
-    product: float
     bound: float
     gap: float
-    saturated: bool
 
-    def __post_init__(self) -> None:
-        if self.gap < -TOL.var:
-            raise InvariantViolation(
-                f"uncertainty product {self.product!r} fell below its bound "
-                f"{self.bound!r}"
-            )
-        if self.saturated != (self.gap < TOL.var):
-            raise InvariantViolation("saturation flag inconsistent with gap")
+    @property
+    def product(self) -> float:
+        return self.delta_p * self.delta_w
+
+    @property
+    def saturated(self) -> bool:
+        """The product meets its bound to within TOL.var."""
+        return self.gap < TOL.var
 
 
 def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
@@ -89,28 +90,6 @@ class DualityTable(NamedTuple):
     bound: np.ndarray
     gap: np.ndarray
 
-    def reports(self) -> list[UncertaintyReport]:
-        """One :class:`UncertaintyReport` per row."""
-        return [
-            UncertaintyReport(
-                phi=phi,
-                phi0=self.phi0,
-                delta_p=delta_p,
-                delta_w=delta_w,
-                product=delta_p * delta_w,
-                bound=bound,
-                gap=gap,
-                saturated=gap < TOL.var,
-            )
-            for phi, delta_p, delta_w, bound, gap in zip(
-                self.phi.tolist(),
-                self.delta_p.tolist(),
-                self.delta_w.tolist(),
-                self.bound.tolist(),
-                self.gap.tolist(),
-            )
-        ]
-
 
 def duality_table(phis, phi0: float) -> DualityTable:
     """Uncertainty bookkeeping on the balanced state at every phi, in one batch.
@@ -147,10 +126,11 @@ def duality_table(phis, phi0: float) -> DualityTable:
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:
     """Full uncertainty bookkeeping on the balanced state at phi.
 
-    The single row of :func:`duality_table` over [phi]; the report
-    carries an explicit saturation flag.
+    The single row of :func:`duality_table` over [phi].
     """
-    return duality_table([phi], phi0).reports()[0]
+    table = duality_table([phi], phi0)
+    phi, delta_p, delta_w, bound, gap = (column.item() for column in table[1:])
+    return UncertaintyReport(phi, table.phi0, delta_p, delta_w, bound, gap)
 
 
 def sensitivity(phi: float, phi0: float) -> float:

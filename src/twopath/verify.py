@@ -10,8 +10,8 @@ The checks run in groups: splitter, complementarity, uncertainty,
 pipeline, operators and Robertson, then the Monte Carlo checks when shots
 are given.  Each grid is evaluated once per run: the wave bases and their
 assembled W at the 17 offsets feed every check that reads them, and so do
-the 5 x 41 uncertainty reports (one duality table per offset) and
-interference scans.  The override arguments exist so tests can inject a
+the 5 x 41 interference scan and duality table columns (one scan and one
+table per offset).  The override arguments exist so tests can inject a
 faulty component and watch the matching check fail by name.
 """
 
@@ -183,38 +183,38 @@ def _uncertainty_checks() -> list[CheckResult]:
     """Fringe law, spreads, saturation and sensitivity on the 5 x 41 grid."""
     phi0s = [float(phi0) for phi0 in _PHI0_GRID[::4]]
     phis = [float(phi) for phi in _PHI_GRID]
-    points = [(phi0, p) for phi0 in phi0s for p in ifm.interference_scan(phi0, phis).points]
-    reports, at_eigenstates = [], []
-    for phi0 in phi0s:
-        # One table per offset: the grid, then the wave eigenstates phi0 + k pi.
-        eigenstates = [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)]
-        rows = unc.duality_table(phis + eigenstates, phi0).reports()
-        reports += rows[:len(phis)]
-        at_eigenstates += rows[len(phis):]
+    n = len(phis)
+    scans = [ifm.interference_scan(phi0, phis) for phi0 in phi0s]
+    # One table per offset: the grid, then the wave eigenstates phi0 + k pi.
+    tables = [unc.duality_table(phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)], phi0)
+              for phi0 in phi0s]
     step = 1e-5
     slope_misses = []
     for phi in map(float, np.linspace(-math.pi, math.pi, 9)):
-        lo, hi = ifm.interference_scan(0.0, [phi - step, phi + step]).points
-        slope = (hi.w_expect - lo.w_expect) / (2 * step)
+        lo, hi = ifm.interference_scan(0.0, [phi - step, phi + step]).w_expect
+        slope = (hi - lo) / (2 * step)
         slope_misses.append(abs(abs(slope) - unc.sensitivity(phi, 0.0)))
     return [
         _check("interference_cosine_law",
-               _worst(abs(p.w_expect - math.cos(p.phi - phi0)) for phi0, p in points),
+               _worst(abs(w - math.cos(phi - phi0))
+                      for phi0, s in zip(phi0s, scans) for phi, w in zip(phis, s.w_expect)),
                TOL.identity, "<W> = cos(phi - phi0) on the balanced manifold"),
-        _check("balanced_states_hide_path", _worst(abs(p.p_expect) for _, p in points),
+        _check("balanced_states_hide_path", _worst(abs(p) for s in scans for p in s.p_expect),
                TOL.identity, "<P> = 0 along every scan"),
-        _check("path_spread_unity", _worst(abs(r.delta_p - 1.0) for r in reports),
+        _check("path_spread_unity", _worst(abs(d - 1.0) for t in tables for d in t.delta_p[:n]),
                TOL.identity, "delta_p = 1"),
         _check("wave_spread_sine",
-               _worst(abs(r.delta_w - abs(math.sin(r.phi - r.phi0))) for r in reports),
+               _worst(abs(d - abs(math.sin(phi - t.phi0)))
+                      for t in tables for phi, d in zip(phis, t.delta_w)),
                TOL.identity, "delta_w = |sin(phi - phi0)|"),
-        _check("uncertainty_product_saturation", _worst(abs(r.gap) for r in reports),
+        _check("uncertainty_product_saturation", _worst(abs(g) for t in tables for g in t.gap[:n]),
                TOL.var, "delta_p * delta_w = robertson bound on balanced states"),
         _check("bound_vanishes_at_wave_eigenstates",
-               _worst(max(r.bound, r.delta_w) for r in at_eigenstates),
+               _worst(max(b, d) for t in tables for b, d in zip(t.bound[n:], t.delta_w[n:])),
                TOL.identity, "bound and delta_w vanish at phi = phi0 + k pi"),
         _check("sensitivity_matches_wave_spread",
-               _worst(abs(unc.sensitivity(r.phi, r.phi0) - r.delta_w) for r in reports),
+               _worst(abs(unc.sensitivity(phi, t.phi0) - d)
+                      for t in tables for phi, d in zip(phis, t.delta_w)),
                TOL.identity, "|d<W>/dphi| = delta_w"),
         _check("sensitivity_finite_difference", _worst(slope_misses),
                TOL.finite_diff, "slope of the scan matches the analytic sensitivity"),

@@ -1,11 +1,17 @@
 """Command-line contract: schemas, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from support import count_calls
+import twopath
 from twopath import cli, interferometer, qalgebra, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
@@ -145,6 +151,20 @@ class TestSample:
             counts.append(len(solves))
         assert counts[0] == counts[1]
 
+    def test_peak_memory_is_flat_in_shots(self, capsys):
+        def peak_bytes(shots):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--steps", "1", "--shots", str(shots), "--order", "pw"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        small, large = peak_bytes(200_000), peak_bytes(4_000_000)
+        assert large < 16 * 2**20
+        assert large < 2 * small
+
     def test_seed_accepts_large_u64(self, capsys):
         assert main(["sample", "--steps", "1", "--shots", "100", "--seed", str((1 << 64) - 1)]) == 0
 
@@ -224,6 +244,28 @@ class TestExitCodes:
             assert main([command, "--steps", "3"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("twopath: ") and "2.98 GiB" in err
+
+    def test_usage_error_steps_beyond_the_largest_grid(self, capsys):
+        # 2**60 float64 entries overflow numpy's byte count; 2**63 its index
+        for command in ("scan", "sample"):
+            for steps in (2**60, 2**63):
+                assert main([command, "--steps", str(steps)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("twopath: steps") and err.count("\n") == 1
+
+    def test_usage_error_range_wider_than_a_double(self):
+        # finite ends whose difference overflows; run as a process so that
+        # any warning numpy prints would show on stderr
+        src = Path(twopath.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for command in ("scan", "sample"):
+            argv = [sys.executable, "-m", "twopath.cli", command,
+                    "--steps", "3", "--from=-1e308", "--to", "1.7e308"]
+            run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert run.returncode == 2
+            assert run.stderr == (
+                "twopath: phi range -1e+308 to 1.7e+308 is wider than a double can hold\n"
+            )
 
     def test_io_error_unwritable_path(self, capsys):
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3

@@ -8,7 +8,6 @@ from hypothesis import given
 
 from support import angles, hermitians, overlap_sq_oracle
 from twopath.complementarity import (
-    ComplementarityVerdict,
     EigenBasis,
     canonical_phase,
     check_mutual_zero_expectation,
@@ -212,10 +211,6 @@ class TestIsComplementary:
         backward = is_complementary(basis_b, basis_a)
         assert forward.complementary == backward.complementary
         assert abs(forward.max_deviation - backward.max_deviation) < 1e-12
-
-    def test_verdict_consistency_enforced(self):
-        with pytest.raises(InvariantViolation, match="inconsistent"):
-            ComplementarityVerdict(complementary=True, max_deviation=0.3)
 
 
 class TestCheckMutualZeroExpectation:

@@ -148,11 +148,11 @@ class TestWaveOperator:
 class TestInterferenceScan:
     def test_cardinal_points(self):
         scan = interference_scan(0.0, [0.0, math.pi / 2, math.pi])
-        np.testing.assert_allclose(scan.w_expectations(), [1.0, 0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(scan.w_expect, [1.0, 0.0, -1.0], atol=1e-12)
 
     def test_peak_sits_at_the_setup_offset(self):
         scan = interference_scan(math.pi / 2, [math.pi / 2])
-        assert abs(scan.points[0].w_expect - 1.0) < 1e-12
+        assert abs(scan.w_expect[0] - 1.0) < 1e-12
 
     def test_matches_direct_construction_route(self):
         # scan states come from the shifter pipeline; compare against the
@@ -162,20 +162,20 @@ class TestInterferenceScan:
             grid = list(rng.uniform(-2 * math.pi, 2 * math.pi, size=16))
             scan = interference_scan(phi0, grid)
             wave = wave_operator(phi0)
-            for point in scan.points:
-                direct = expectation(wave, balanced_state(point.phi))
-                assert abs(point.w_expect - direct) < 1e-12
-                assert abs(point.w_expect - math.cos(point.phi - phi0)) < 1e-12
+            for phi, w_expect in zip(scan.phi, scan.w_expect):
+                direct = expectation(wave, balanced_state(phi))
+                assert abs(w_expect - direct) < 1e-12
+                assert abs(w_expect - math.cos(phi - phi0)) < 1e-12
 
     def test_path_expectation_vanishes_identically(self):
         scan = interference_scan(0.7, list(np.linspace(-math.pi, math.pi, 101)))
-        assert float(np.max(np.abs(scan.p_expectations()))) < 1e-12
+        assert float(np.max(np.abs(scan.p_expect))) < 1e-12
 
     def test_unit_visibility_on_dense_grid(self):
         phi0 = 0.3
         grid = list(phi0 + np.linspace(-math.pi, math.pi, 1001))
         scan = interference_scan(phi0, grid)
-        assert abs(float(np.max(np.abs(scan.w_expectations()))) - 1.0) < 1e-9
+        assert abs(float(np.max(np.abs(scan.w_expect))) - 1.0) < 1e-9
 
     @given(angles, st.lists(angles, min_size=1, max_size=8))
     def test_points_equal_the_scalar_shifter_route(self, phi0, grid):
@@ -185,7 +185,8 @@ class TestInterferenceScan:
         for phi in grid:
             state = apply(phase_shifter(phi), start)
             expected.append((phi, expectation(wave, state), expectation(path, state)))
-        assert [tuple(p) for p in interference_scan(phi0, grid).points] == expected
+        columns = (c.tolist() for c in interference_scan(phi0, grid))
+        assert list(zip(*columns)) == expected
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvariantViolation, match="non-empty"):

@@ -30,7 +30,6 @@ from twopath.qalgebra import (
     variance,
 )
 from twopath.uncertainty import (
-    UncertaintyReport,
     duality_report,
     duality_table,
     general_bound_rhs,
@@ -121,18 +120,6 @@ class TestDualityReport:
         worst = max(abs(duality_report(phi, phi0).gap) for phi, phi0 in pairs)
         assert worst < 1e-10
 
-    def test_report_invariants_enforced(self):
-        with pytest.raises(Exception, match="below its bound"):
-            UncertaintyReport(
-                phi=0.0, phi0=0.0, delta_p=1.0, delta_w=0.0,
-                product=0.0, bound=0.5, gap=-0.5, saturated=False,
-            )
-        with pytest.raises(Exception, match="saturation flag"):
-            UncertaintyReport(
-                phi=0.0, phi0=0.0, delta_p=1.0, delta_w=1.0,
-                product=1.0, bound=0.5, gap=0.5, saturated=True,
-            )
-
 
 class TestDualityTable:
     @given(st.lists(angles, min_size=1, max_size=8), angles)
@@ -143,12 +130,12 @@ class TestDualityTable:
             row = (table.phi[k], table.delta_p[k], table.delta_w[k], table.bound[k], table.gap[k])
             report = duality_report(phi, phi0)
             assert row == (report.phi, report.delta_p, report.delta_w, report.bound, report.gap)
+            assert report.phi0 == table.phi0
             state = balanced_state(phi)
             delta_p = math.sqrt(variance(path, state))
             delta_w = math.sqrt(variance(wave, state))
             bound = robertson_bound(path, wave, state)
             assert row == (phi, delta_p, delta_w, bound, delta_p * delta_w - bound)
-        assert table.reports() == [duality_report(phi, phi0) for phi in phis]
 
     @given(st.lists(angles, min_size=1, max_size=8), st.data())
     def test_nan_anywhere_in_a_batch_is_rejected(self, phis, data):
@@ -192,7 +179,7 @@ class TestSensitivity:
         phi0 = 0.4
         for phi in np.linspace(-math.pi, math.pi, 64):
             scan = interference_scan(phi0, [float(phi) - step, float(phi) + step])
-            slope = (scan.points[1].w_expect - scan.points[0].w_expect) / (2 * step)
+            slope = (scan.w_expect[1] - scan.w_expect[0]) / (2 * step)
             assert abs(abs(slope) - sensitivity(float(phi), phi0)) < 1e-6
 
 
