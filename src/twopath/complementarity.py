@@ -97,23 +97,6 @@ def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
     return EigenBasis(plus=plus, minus=minus)
 
 
-def extract_phase_offset(state: StateVector) -> float:
-    """Recover the free parameter of a constraint-satisfying state.
-
-    For any normalized state with zero path expectation the relative
-    phase between its components is the one remaining degree of freedom;
-    it is returned canonically in (-pi, pi].
-    """
-    balance = abs(expectation(SIGMA_Z, state))
-    if balance > TOL.comp:
-        raise InvariantViolation(
-            f"state does not satisfy the zero-path-expectation constraint "
-            f"(|<sz>| = {balance:.3e})"
-        )
-    a0, a1 = state.amplitudes
-    return canonical_phase(math.atan2(a1.imag, a1.real) - math.atan2(a0.imag, a0.real))
-
-
 def observable_from_eigensystem(basis: EigenBasis) -> Observable:
     """Spectral assembly: sum of label * |vector><vector| over the basis."""
     lp, lm = basis.labels

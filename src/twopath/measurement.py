@@ -60,18 +60,6 @@ class SequentialStats:
     second_variance: float
     second_counts: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        n_plus, n_minus = self.second_counts
-        if n_plus + n_minus != self.shots:
-            raise InvariantViolation(
-                f"second-outcome counts {self.second_counts} do not sum to "
-                f"shots = {self.shots}"
-            )
-        for name in ("first_mean", "second_mean"):
-            value = getattr(self, name)
-            if not -1.0 <= value <= 1.0:
-                raise InvariantViolation(f"{name} = {value!r} outside [-1, 1]")
-
 
 def measure(obs: Observable, state: StateVector, rng: RandomStream) -> MeasurementRecord:
     """Projective measurement of a +1/-1 observable on a pure state.
@@ -85,21 +73,6 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     if rng.uniform() < p_plus:
         return MeasurementRecord(outcome=1.0, post_state=StateVector(vecs[:, 0]))
     return MeasurementRecord(outcome=-1.0, post_state=StateVector(vecs[:, 1]))
-
-
-def born_sample(
-    obs: Observable, state: StateVector, rng: RandomStream, shots: int
-) -> np.ndarray:
-    """`shots` repeated measurements of obs on fresh copies of state.
-
-    Vectorized over the batch but stream-identical to calling
-    :func:`measure` in a loop: draw k decides shot k.
-    """
-    if shots < 1:
-        raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
-    _, vecs = binary_eigensystem(obs)
-    p_plus = abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2
-    return np.where(rng.uniforms(shots) < p_plus, 1.0, -1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,8 +125,7 @@ def sequential_experiment(
     p2_after_minus = abs(np.vdot(vecs2[:, 0], vecs1[:, 1])) ** 2
 
     n1 = n2 = 0
-    for done in range(0, shots, CHUNK_SHOTS):
-        draws = rng.uniforms(2 * min(CHUNK_SHOTS, shots - done))
+    for draws in rng.uniform_chunks(2 * shots, 2 * CHUNK_SHOTS):
         first_plus = draws[0::2] < p1
         second_plus = draws[1::2] < np.where(first_plus, p2_after_plus, p2_after_minus)
         n1 += int(np.count_nonzero(first_plus))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,14 +127,6 @@ class UnitaryGate:
         object.__setattr__(self, "matrix", m)
 
 
-class BlochVector(NamedTuple):
-    """Pauli expectation triple (x, y, z); unit length for pure states."""
-
-    x: float
-    y: float
-    z: float
-
-
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 SIGMA_Y = Observable(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 SIGMA_Z = Observable(np.array([[1, 0], [0, -1]], dtype=np.complex128))
@@ -230,20 +221,6 @@ def commutator(a: Observable, b: Observable) -> np.ndarray:
     return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
-def pauli_decompose(obs: Observable) -> tuple[float, float, float, float]:
-    """Coefficients (c0, cx, cy, cz) with obs = c0 I + cx sx + cy sy + cz sz.
-
-    Coefficients are real for Hermitian input; obtained from the trace
-    inner products with the Pauli basis.
-    """
-    m = obs.matrix
-    c0 = 0.5 * (m[0, 0] + m[1, 1])
-    cx = 0.5 * (m[0, 1] + m[1, 0])
-    cy = 0.5j * (m[0, 1] - m[1, 0])
-    cz = 0.5 * (m[0, 0] - m[1, 1])
-    return (float(c0.real), float(cx.real), float(cy.real), float(cz.real))
-
-
 def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
     """Hermitian operator c0 I + cx sx + cy sy + cz sz from real coefficients."""
     m = (
@@ -253,15 +230,6 @@ def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
         + cz * SIGMA_Z.matrix
     )
     return Observable(m)
-
-
-def bloch_vector(state: StateVector) -> BlochVector:
-    """Bloch-sphere coordinates (<sx>, <sy>, <sz>) of a pure state."""
-    return BlochVector(
-        expectation(SIGMA_X, state),
-        expectation(SIGMA_Y, state),
-        expectation(SIGMA_Z, state),
-    )
 
 
 def apply(gate: UnitaryGate, state: StateVector) -> StateVector:

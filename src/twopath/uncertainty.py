@@ -21,11 +21,8 @@ from .interferometer import balanced_amplitudes, path_operator, wave_operator
 from .qalgebra import (
     InvariantViolation,
     Observable,
-    SIGMA_X,
-    SIGMA_Y,
     StateVector,
     commutator,
-    expectation,
     matrix_elements,
     require_finite_angle,
     require_finite_angles,
@@ -61,20 +58,6 @@ def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
     comm = commutator(a, b)
     value = np.vdot(state.amplitudes, comm @ state.amplitudes)
     return 0.5 * abs(complex(value))
-
-
-def general_bound_rhs(phi0: float, state: StateVector) -> float:
-    """The path/wave bound written out for offset phi0, on any state.
-
-    Evaluates |<cos(phi0) sigma_y - sin(phi0) sigma_x>| directly; an
-    independent route to the same number as feeding the path and wave
-    observables through the commutator.
-    """
-    phi0 = require_finite_angle(phi0, "phi0")
-    op = Observable(
-        math.cos(phi0) * SIGMA_Y.matrix - math.sin(phi0) * SIGMA_X.matrix
-    )
-    return abs(expectation(op, state))
 
 
 class DualityTable(NamedTuple):

@@ -274,19 +274,24 @@ def _robertson_check() -> CheckResult:
                   TOL.var, "var(a) var(b) >= bound^2 on random triples")
 
 
-def variance_window(mean: float, shots: int, sigmas: float = 4.0) -> float:
+#: Half-width of the variance acceptance window, in standard errors.
+_WINDOW_SIGMAS = 4.0
+
+
+def variance_window(mean: float, shots: int) -> float:
     """Acceptance window for the sample variance of +1/-1 outcomes.
 
     For outcomes of magnitude one the sample variance is 1 - mean^2, so
     its standard error follows from the mean's by the delta method,
-    2|mu| sigma / sqrt(n); the quadratic term sigma^2 sigmas^2 / n keeps
-    the window meaningful where mu vanishes and the linear term with it.
+    2|mu| sigma / sqrt(n).  The window is _WINDOW_SIGMAS of those; the
+    quadratic term sigma^2 _WINDOW_SIGMAS^2 / n keeps it meaningful where
+    mu vanishes and the linear term with it.
     """
     sigma_sq = max(1.0 - mean**2, 0.0)
     sigma = math.sqrt(sigma_sq)
     window = (
-        sigmas * 2.0 * abs(mean) * sigma / math.sqrt(shots)
-        + sigmas**2 * sigma_sq / shots
+        _WINDOW_SIGMAS * 2.0 * abs(mean) * sigma / math.sqrt(shots)
+        + _WINDOW_SIGMAS**2 * sigma_sq / shots
     )
     # Degenerate direction (certain outcome): the estimate is exact.
     return max(window, 1e-30)

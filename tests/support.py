@@ -1,8 +1,10 @@
 """Shared hypothesis strategies and independent oracle helpers.
 
-The oracles intentionally avoid the package's own linear algebra: they
-use explicit index loops over plain Python complex numbers so that test
-expectations are computed through a second, unrelated code path.
+The index-loop oracles avoid the package's own linear algebra: explicit
+loops over plain Python complex numbers give test expectations a second,
+unrelated code path.  `pauli_decompose`, `general_bound_rhs` and
+`extract_phase_offset` reach library results by other formulas; only
+tests compare against them, so they live here.
 """
 
 import math
@@ -11,7 +13,20 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from twopath.qalgebra import Observable, StateVector, UnitaryGate, pauli_compose
+from twopath.complementarity import canonical_phase
+from twopath.qalgebra import (
+    InvariantViolation,
+    Observable,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    StateVector,
+    UnitaryGate,
+    expectation,
+    pauli_compose,
+    require_finite_angle,
+)
+from twopath.tolerances import TOL
 
 angles = st.floats(min_value=-25.0, max_value=25.0)
 coefficients = st.floats(min_value=-2.0, max_value=2.0)
@@ -68,6 +83,51 @@ def overlap_sq_oracle(u, v) -> float:
     for i in range(2):
         total += complex(u[i]).conjugate() * complex(v[i])
     return abs(total) ** 2
+
+
+def pauli_decompose(obs: Observable) -> tuple[float, float, float, float]:
+    """Coefficients (c0, cx, cy, cz) with obs = c0 I + cx sx + cy sy + cz sz.
+
+    Coefficients are real for Hermitian input; obtained from the trace
+    inner products with the Pauli basis.
+    """
+    m = obs.matrix
+    c0 = 0.5 * (m[0, 0] + m[1, 1])
+    cx = 0.5 * (m[0, 1] + m[1, 0])
+    cy = 0.5j * (m[0, 1] - m[1, 0])
+    cz = 0.5 * (m[0, 0] - m[1, 1])
+    return (float(c0.real), float(cx.real), float(cy.real), float(cz.real))
+
+
+def general_bound_rhs(phi0: float, state: StateVector) -> float:
+    """The path/wave bound written out for offset phi0, on any state.
+
+    Evaluates |<cos(phi0) sigma_y - sin(phi0) sigma_x>| directly; an
+    independent route to the same number as feeding the path and wave
+    observables through the commutator.
+    """
+    phi0 = require_finite_angle(phi0, "phi0")
+    op = Observable(
+        math.cos(phi0) * SIGMA_Y.matrix - math.sin(phi0) * SIGMA_X.matrix
+    )
+    return abs(expectation(op, state))
+
+
+def extract_phase_offset(state: StateVector) -> float:
+    """Recover the free parameter of a constraint-satisfying state.
+
+    For any normalized state with zero path expectation the relative
+    phase between its components is the one remaining degree of freedom;
+    it is returned canonically in (-pi, pi].
+    """
+    balance = abs(expectation(SIGMA_Z, state))
+    if balance > TOL.comp:
+        raise InvariantViolation(
+            f"state does not satisfy the zero-path-expectation constraint "
+            f"(|<sz>| = {balance:.3e})"
+        )
+    a0, a1 = state.amplitudes
+    return canonical_phase(math.atan2(a1.imag, a1.real) - math.atan2(a0.imag, a0.real))
 
 
 def random_state(rng: np.random.Generator) -> StateVector:

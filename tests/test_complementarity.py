@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from support import angles, hermitians, overlap_sq_oracle
+from support import angles, extract_phase_offset, hermitians, overlap_sq_oracle
 from twopath.complementarity import (
     EigenBasis,
     canonical_phase,
     check_mutual_zero_expectation,
     derive_wave_eigenbasis,
     eigenbasis_of,
-    extract_phase_offset,
     is_complementary,
     observable_from_eigensystem,
     path_eigenbasis,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import angles
+from support import angles, pauli_decompose
 from twopath.complementarity import derive_wave_eigenbasis
 from twopath.interferometer import (
     balanced_amplitudes,
@@ -28,7 +28,6 @@ from twopath.qalgebra import (
     eig_hermitian,
     expectation,
     normalized,
-    pauli_decompose,
     states_equal,
 )
 
@@ -46,6 +45,10 @@ class TestPathOperator:
     def test_blind_on_balanced_states(self):
         rng = np.random.default_rng(11)
         for phi in rng.uniform(-math.pi, math.pi, size=32):
+            assert abs(expectation(path_operator(), balanced_state(phi))) < 1e-12
+        # 10^4 random phases: <sz> never leaves zero
+        rng = np.random.default_rng(7)
+        for phi in rng.uniform(-40.0, 40.0, size=10_000):
             assert abs(expectation(path_operator(), balanced_state(phi))) < 1e-12
 
 

@@ -10,8 +10,6 @@ from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
     CHUNK_SHOTS,
     MeasurementOrder,
-    SequentialStats,
-    born_sample,
     measure,
     sequential_experiment,
     uniformity_test,
@@ -71,34 +69,6 @@ class TestMeasure:
             first = measure(obs, state, rng)
             second = measure(obs, first.post_state, rng)
             assert second.outcome == first.outcome
-
-
-class TestBornSample:
-    def test_matches_measure_loop_bit_for_bit(self):
-        obs = wave_operator(0.6)
-        state = balanced_state(1.9)
-        batch = born_sample(obs, state, RandomStream(123), 2000)
-        loop_rng = RandomStream(123)
-        loop = [measure(obs, state, loop_rng).outcome for _ in range(2000)]
-        assert batch.tolist() == loop
-
-    def test_balanced_state_is_fifty_fifty(self):
-        outcomes = born_sample(path_operator(), balanced_state(0.77), RandomStream(8), 1_000_000)
-        # binomial standard error at p = 1/2
-        assert abs(float(outcomes.mean())) < 4.0 / math.sqrt(1_000_000)
-
-    def test_fringe_mean(self):
-        # <W(0)> at pi/3 is 1/2; empirical mean within 3 binomial SEs
-        shots = 1_000_000
-        outcomes = born_sample(
-            wave_operator(0.0), balanced_state(math.pi / 3), RandomStream(15), shots
-        )
-        se = math.sqrt((1.0 - 0.25) / shots)
-        assert abs(float(outcomes.mean()) - 0.5) < 3 * se
-
-    def test_rejects_zero_shots(self):
-        with pytest.raises(InvariantViolation, match="shots"):
-            born_sample(path_operator(), KET_UPPER, RandomStream(0), 0)
 
 
 class TestSequentialExperiment:
@@ -247,29 +217,3 @@ class TestUniformityTest:
     def test_rejects_empty_counts(self):
         with pytest.raises(InvariantViolation, match="at least one"):
             uniformity_test((0, 0))
-
-
-class TestSequentialStatsValidation:
-    def test_counts_must_sum_to_shots(self):
-        with pytest.raises(InvariantViolation, match="sum"):
-            SequentialStats(
-                order=MeasurementOrder.P_THEN_W,
-                shots=10,
-                first_mean=0.0,
-                first_variance=1.0,
-                second_mean=0.0,
-                second_variance=1.0,
-                second_counts=(4, 5),
-            )
-
-    def test_means_bounded(self):
-        with pytest.raises(InvariantViolation, match="outside"):
-            SequentialStats(
-                order=MeasurementOrder.P_THEN_W,
-                shots=10,
-                first_mean=1.5,
-                first_variance=1.0,
-                second_mean=0.0,
-                second_variance=1.0,
-                second_counts=(5, 5),
-            )

@@ -12,6 +12,7 @@ from support import (
     expectation_oracle,
     hermitians,
     matmul_oracle,
+    pauli_decompose,
     pure_states,
 )
 from twopath.interferometer import balanced_state, wave_operator
@@ -26,14 +27,12 @@ from twopath.qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    bloch_vector,
     commutator,
     eig_hermitian,
     expectation,
     expectations,
     normalized,
     pauli_compose,
-    pauli_decompose,
     states_equal,
     variance,
     variances,
@@ -218,34 +217,6 @@ class TestPauliDecompose:
             + cz * np.array([[1, 0], [0, -1]])
         )
         assert float(np.max(np.abs(rebuilt - obs.matrix))) < 1e-12
-
-
-class TestBlochVector:
-    def test_north_pole(self):
-        assert bloch_vector(KET_UPPER) == (0.0, 0.0, 1.0)
-
-    def test_balanced_zero_phase_points_along_x(self):
-        x, y, z = bloch_vector(balanced_state(0.0))
-        assert abs(x - 1.0) < 1e-12 and abs(y) < 1e-12 and abs(z) < 1e-12
-
-    def test_balanced_states_live_on_the_equator(self):
-        rng = np.random.default_rng(2026)
-        for phi in rng.uniform(-math.pi, math.pi, size=32):
-            assert abs(bloch_vector(balanced_state(phi)).z) < 1e-12
-
-    def test_equator_sweep_dense(self):
-        # 10^4 random phases: the z component never leaves zero
-        rng = np.random.default_rng(7)
-        worst = max(
-            abs(bloch_vector(balanced_state(phi)).z)
-            for phi in rng.uniform(-40.0, 40.0, size=10_000)
-        )
-        assert worst < 1e-12
-
-    @given(state=pure_states())
-    def test_unit_length_for_pure_states(self, state):
-        x, y, z = bloch_vector(state)
-        assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) < 1e-10
 
 
 class TestStatesEqual:

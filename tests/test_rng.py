@@ -1,5 +1,6 @@
 """Counter-based stream: reproducibility, batching, derivation, statistics."""
 
+import numpy as np
 import pytest
 
 from twopath.qalgebra import InvariantViolation
@@ -77,6 +78,22 @@ class TestBatching:
         a = RandomStream(0)
         a.uniforms(123)
         assert a.counter == 123
+
+
+class TestUniformChunks:
+    def test_pieces_equal_the_scalar_stream(self):
+        # starts mid-stream, ends on a short piece, and wraps mod 2^64
+        seed = (1 << 64) - 1
+        a = RandomStream(seed)
+        a.uniform()
+        pieces = [piece.tolist() for piece in a.uniform_chunks(25, 10)]
+        assert [len(piece) for piece in pieces] == [10, 10, 5]
+        assert sum(pieces, []) == reference_scalar_stream(seed, 26)[1:]
+        assert a.counter == 26
+
+    def test_pieces_reuse_one_buffer(self):
+        first, second = RandomStream(3).uniform_chunks(20, 10)
+        assert np.shares_memory(first, second)
 
 
 class TestRange:

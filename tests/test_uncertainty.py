@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from support import (
     angles,
+    general_bound_rhs,
     hermitians,
     matmul_oracle,
     pure_states,
@@ -32,7 +33,6 @@ from twopath.qalgebra import (
 from twopath.uncertainty import (
     duality_report,
     duality_table,
-    general_bound_rhs,
     robertson_bound,
     sensitivity,
 )
