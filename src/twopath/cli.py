@@ -5,7 +5,8 @@ Subcommands:
   sample   sequential measurement Monte Carlo (CSV), deterministic per seed
   verify   run the named invariant suite, one PASS/FAIL line per check
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+(any subcommand whose --out file or stdout, say on a full disk, cannot be written).
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class RunConfig:
     steps: int = 181
     shots: int = 100_000
     seed: int = 1
-    output_path: str | None = None
     order: str = "both"
 
     def __post_init__(self) -> None:
@@ -109,8 +109,9 @@ class RunConfig:
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
 
-    def grid(self) -> list[float]:
-        return [float(x) for x in np.linspace(self.phi_start, self.phi_end, self.steps)]
+    def grid(self) -> np.ndarray:
+        """The ``steps`` phases from ``phi_start`` to ``phi_end`` inclusive."""
+        return np.linspace(self.phi_start, self.phi_end, self.steps)
 
 
 def _csv(header: tuple[str, ...], row_template: str, rows: Iterable[tuple]) -> str:
@@ -142,7 +143,7 @@ def cmd_sample(config: RunConfig) -> str:
     base = RandomStream(config.seed)
     rows = []
     row_index = 0
-    for phi in config.grid():
+    for phi in config.grid().tolist():
         for order in orders:
             stream = base.derive(row_index)
             row_index += 1
@@ -167,17 +168,6 @@ def cmd_sample(config: RunConfig) -> str:
     return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows)
 
 
-def cmd_verify(shots: int | None = None, seed: int = 1) -> tuple[int, str]:
-    """Run the invariant suite; exit code 0 only if every check passes.
-
-    The seed is validated even when no Monte Carlo check will use it.
-    """
-    _check_seed(seed)
-    report = run_verification(shots=shots, seed=seed)
-    code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
-    return code, format_report(report) + "\n"
-
-
 _GNUPLOT_SCAN = """set datafile separator ','
 set key autotitle columnhead
 set xlabel 'phi (rad)'
@@ -192,15 +182,12 @@ plot '{path}' using 1:6 with points
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or to a new file at ``path`` with LF line ends."""
     if path is None:
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,62 +234,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse, build, run and write; every failure maps to one exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse signals usage errors and --help
-        return int(exc.code or 0)
-
-    try:
         if args.command == "verify":
-            code, text = cmd_verify(shots=args.shots, seed=args.seed)
-            sys.stdout.write(text)
-            return code
+            # the seed is validated even when no Monte Carlo check uses it
+            _check_seed(args.seed)
+            report = run_verification(shots=args.shots, seed=args.seed)
+            _emit(format_report(report) + "\n", None)
+            return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
         half_turn = 180.0 if args.degrees else math.pi
         phi_from = args.phi_from if args.phi_from is not None else -half_turn
         phi_to = args.phi_to if args.phi_to is not None else half_turn
+        angles = (args.phi0, phi_from, phi_to)
+        phi0, phi_start, phi_end = map(math.radians, angles) if args.degrees else angles
         sampling = {k: v for k, v in vars(args).items() if k in ("shots", "seed", "order")}
-        config = RunConfig(
-            phi0=_angle(args.phi0, args.degrees),
-            phi_start=_angle(phi_from, args.degrees),
-            phi_end=_angle(phi_to, args.degrees),
-            steps=args.steps,
-            output_path=args.out,
-            **sampling,
-        )
-        if args.gnuplot and config.output_path is None:
+        config = RunConfig(phi0, phi_start, phi_end, args.steps, **sampling)
+        if args.gnuplot and args.out is None:
             parser.error("--gnuplot requires --out")
-    except InvariantViolation as exc:
-        sys.stderr.write(f"twopath: {exc}\n")
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         if args.command == "scan":
-            text = cmd_scan(config)
-            template = _GNUPLOT_SCAN
+            text, template = cmd_scan(config), _GNUPLOT_SCAN
         else:
-            text = cmd_sample(config)
-            template = _GNUPLOT_SAMPLE
-        _emit(text, config.output_path)
+            text, template = cmd_sample(config), _GNUPLOT_SAMPLE
+        _emit(text, args.out)
         if args.gnuplot:
-            script = template.format(path=config.output_path)
-            with open(config.output_path + ".gp", "w", encoding="utf-8", newline="") as fh:
-                fh.write(script)
+            _emit(template.format(path=args.out), args.out + ".gp")
+        return EXIT_OK
+    except SystemExit as exc:  # argparse signals usage errors and --help
+        return int(exc.code or 0)
     except InvariantViolation as exc:
-        sys.stderr.write(f"twopath: {exc}\n")
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
     except MemoryError as exc:
         # The whole grid and every CSV row are held in memory; a grid too
         # large for it is a usage error, not a failed verification.
-        sys.stderr.write(f"twopath: not enough memory for this run, use fewer --steps ({exc})\n")
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"not enough memory for this run, use fewer --steps ({exc})"
     except OSError as exc:
-        sys.stderr.write(f"twopath: cannot write output: {exc}\n")
-        return EXIT_IO
-    return EXIT_OK
+        code, message = EXIT_IO, f"cannot write output: {exc}"
+    sys.stderr.write(f"twopath: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -330,7 +330,7 @@ def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
         checks.append(_check(f"second_outcome_uniform_{tag}", worst_chi2, meas.CHI2_CRITICAL_1PCT,
                              "chi-square of second-measurement counts vs 50/50"))
         checks.append(_check(f"first_variance_convergence_{tag}", worst_var, TOL.window,
-                             "first-measurement variance within 4 standard errors"))
+                             f"first-measurement variance within {_WINDOW_SIGMAS:g} standard errors"))
 
     stats_a = meas.sequential_experiment(
         meas.MeasurementOrder.P_THEN_W, 0.7, 0.1, shots, RandomStream(seed)

@@ -1,5 +1,6 @@
 """Command-line contract: schemas, determinism, exit codes."""
 
+import ast
 import math
 import os
 import subprocess
@@ -230,10 +231,11 @@ class TestExitCodes:
 
     def test_usage_error_verify_seed_out_of_range(self, capsys):
         # rejected whether or not a Monte Carlo check would use the seed
-        for extra in ([], ["--shots", "100"]):
-            assert main(["verify", "--seed", "-5"] + extra) == 2
-            assert "seed" in capsys.readouterr().err
-        assert main(["verify", "--seed", str(1 << 64)]) == 2
+        sample = ["sample", "--steps", "1", "--shots", "10"]
+        for argv in (["verify"], ["verify", "--shots", "100"], sample):
+            for seed in (-5, 1 << 64):
+                assert main(argv + ["--seed", str(seed)]) == 2
+                assert "seed" in capsys.readouterr().err
 
     def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
         def exhausted(config):
@@ -271,11 +273,44 @@ class TestExitCodes:
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["scan", "--steps", "3"], ["sample", "--steps", "1", "--shots", "10"]],
+        ids=["verify", "scan", "sample"],
+    )
+    def test_io_error_unwritable_stdout(self, argv, capsys, monkeypatch):
+        # a full disk is an I/O error, never a failed verification
+        class FullDisk:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert main(argv) == 3
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_gnuplot_requires_out(self, capsys):
         assert main(["scan", "--gnuplot"]) == 2
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestOneWriter:
+    def test_only_emit_opens_or_writes_output(self):
+        # every output byte leaves through _emit; the one other write is
+        # main's error message on stderr
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        emit = next(n for n in tree.body if getattr(n, "name", None) == "_emit")
+        in_emit = {id(n) for n in ast.walk(emit)}
+        inside, outside = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in ("open", "print")
+                or getattr(node.func, "attr", None) == "write"
+            ):
+                (inside if id(node) in in_emit else outside).append(ast.unparse(node.func))
+        assert sorted(inside) == ["fh.write", "open", "sys.stdout.write"]
+        assert outside == ["sys.stderr.write"]
 
 
 class TestGnuplot:

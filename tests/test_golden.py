@@ -49,6 +49,10 @@ GOLDEN = [
         "76d0f069d9b092c6d84f26f62c7c4720a48678d89c9cec988a79276e33d9b31b",
     ),
     (
+        ["verify"],
+        "db7c259d0f60ed0a4953a0694fe3bed392d3af0eb9e3f8cbdff48b567d7e4d56",
+    ),
+    (
         ["verify", "--shots", "20000"],
         "f73049de89d9ebecf9438c47d75842b8f4c55252d204f3b04cf5317edf801a1d",
     ),
@@ -58,7 +62,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, digest", GOLDEN, ids=[
         "scan", "sample-both", "sample-wp",
-        "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify-mc",
+        "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify", "verify-mc",
     ],
 )
 def test_output_digest(argv, digest, capsys):

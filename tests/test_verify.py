@@ -52,6 +52,12 @@ class TestHealthySuite:
         assert "sampling_determinism" in names
         assert report.all_passed
 
+    def test_variance_detail_names_the_window_width(self, monkeypatch):
+        monkeypatch.setattr(verify, "_WINDOW_SIGMAS", 3.0)
+        details = {c.name: c.detail for c in verify._sampled_checks(shots=200, seed=1)}
+        for tag in ("pw", "wp"):
+            assert "within 3 standard errors" in details[f"first_variance_convergence_{tag}"]
+
 
 class TestFaultInjection:
     def test_perturbed_splitter_is_caught_by_name(self):
