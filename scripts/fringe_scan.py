@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from twopath.cli import RunConfig, cmd_scan
-from twopath.uncertainty import duality_table, sensitivity
+from twopath.interferometer import interference_scan
+from twopath.uncertainty import sensitivity
 
 
 def main() -> int:
@@ -26,9 +27,9 @@ def main() -> int:
         fh.write(cmd_scan(config))
 
     grid = config.grid()
-    table = duality_table(grid, phi0)
+    scan = interference_scan(phi0, grid)
     fringe = np.array([math.cos(phi - phi0) for phi in grid])
-    worst_gap = float(np.max(np.abs(table.gap)))
+    worst_gap = float(np.max(np.abs(scan.gap)))
     steepest = max(range(len(grid)), key=lambda k: sensitivity(grid[k], phi0))
 
     print(f"wrote {len(grid)} scan points to {out}")
@@ -37,7 +38,7 @@ def main() -> int:
     print(
         f"max sensitivity at phi = {grid[steepest]:+.4f} rad "
         f"(phi - phi0 = {grid[steepest] - phi0:+.4f}), where delta_w = "
-        f"{table.delta_w[steepest]:.6f}"
+        f"{scan.delta_w[steepest]:.6f}"
     )
     return 0
 

@@ -16,6 +16,6 @@ from .interferometer import (
 from .measurement import MeasurementOrder, measure, sequential_experiment
 from .qalgebra import InvariantViolation, expectation, expectations
 from .rng import RandomStream
-from .uncertainty import duality_report, duality_table
+from .uncertainty import duality_report
 
 __version__ = "0.1.0"

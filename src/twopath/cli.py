@@ -27,7 +27,6 @@ from .measurement import (
 )
 from .qalgebra import InvariantViolation
 from .rng import RandomStream
-from .uncertainty import duality_table
 from .verify import format_report, run_verification
 
 SCAN_COLUMNS = (
@@ -122,12 +121,10 @@ def _csv(header: tuple[str, ...], row_template: str, rows: Iterable[tuple]) -> s
 def cmd_scan(config: RunConfig) -> str:
     """Analytic scan: interference expectations plus uncertainty columns.
 
-    The whole grid is evaluated as columns, in one batch per column.
+    The whole grid is evaluated as columns by one interference scan.
     """
     scan = interference_scan(config.phi0, config.grid())
-    table = duality_table(scan.phi, config.phi0)
-    columns = (*scan, table.delta_p, table.delta_w, table.bound, table.gap)
-    return _csv(SCAN_COLUMNS, SCAN_ROW, zip(*(c.tolist() for c in columns)))
+    return _csv(SCAN_COLUMNS, SCAN_ROW, zip(*(c.tolist() for c in scan)))
 
 
 def cmd_sample(config: RunConfig) -> str:

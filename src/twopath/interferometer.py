@@ -1,18 +1,20 @@
 """The optical pipeline of an ideal two-path interferometer.
 
 Beam splitter, phase shifter, balanced states, the path and wave
-observables, and the interference scan, which returns its phi, <W> and
-<P> columns.  Conventions: the path observable is sigma_z with the two
-arms as its eigenstates; the beam splitter is the real rotation that
-conjugates sigma_z into sigma_x, which makes zero the canonical setup
-offset.  Any other offset is reached by composing with a phase shifter.
+observables, and the interference scan, the one evaluator of a grid of
+balanced states: it returns the fringe, the spreads, the Robertson bound
+and the saturation gap as columns.  Conventions: the path observable is
+sigma_z with the two arms as its eigenstates; the beam splitter is the
+real rotation that conjugates sigma_z into sigma_x, which makes zero the
+canonical setup offset.  Any other offset is reached by composing with a
+phase shifter.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,21 +26,29 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    expectations,
+    commutator,
+    matrix_elements,
+    moments,
     require_finite_angle,
     require_finite_angles,
     require_states,
 )
+from .tolerances import TOL
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class ScanResult(NamedTuple):
-    """Interference scan samples as columns: phi, <W> and <P> per grid point."""
+    """Interference scan columns, in the order of the scan CSV: phi, <W>, <P>,
+    the two spreads, the Robertson bound and delta_p * delta_w - bound."""
 
     phi: np.ndarray
     w_expect: np.ndarray
     p_expect: np.ndarray
+    delta_p: np.ndarray
+    delta_w: np.ndarray
+    bound: np.ndarray
+    gap: np.ndarray
 
 
 def path_operator() -> Observable:
@@ -110,24 +120,37 @@ def wave_operator(phi0: float) -> Observable:
     return Observable(m)
 
 
-def interference_scan(phi0: float, grid: Iterable[float]) -> ScanResult:
-    """Sweep the phase shifter and record <W> and <P> at each grid point.
+def interference_scan(phi0: float, grid) -> ScanResult:
+    """The fringe and the uncertainty bookkeeping on the balanced state at
+    every grid point, as columns.
 
-    Each state is produced by the physical route, applying the phase
-    shifter to the zero-phase balanced state, rather than by writing the
-    shifted state down directly; the two constructions agreeing is one of
-    the package's cross-checks.  The shifter matrices are stacked and
-    applied as one matmul, which rounds as applying each gate does.
+    The states are built once, by :func:`balanced_amplitudes`.  Every
+    column comes from the operator machinery on them (the moments of the
+    two observables, the actual commutator), not from the closed forms,
+    and each row equals the scalar functions on its state bit for bit.  A
+    product of spreads below its bound by more than TOL.var raises
+    InvariantViolation naming the first such phi.
     """
     phi0 = require_finite_angle(phi0, "phi0")
-    phis = require_finite_angles(list(grid), "grid entry")
+    phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
-    half = 0.5 * phis
-    shifters = np.zeros((phis.size, 2, 2), dtype=np.complex128)
-    shifters[:, 0, 0] = np.exp(-1j * half)
-    shifters[:, 1, 1] = np.exp(1j * half)
-    start = balanced_amplitudes([0.0])[0]
-    states = (shifters @ start[:, None])[:, :, 0]
+    states = balanced_amplitudes(phis)
     wave, path = wave_operator(phi0), path_operator()
-    return ScanResult(phis, expectations(wave, states), expectations(path, states))
+    w_expect, w_var = moments(wave, states)
+    p_expect, p_var = moments(path, states)
+    delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
+    # np.hypot rounds as abs() of a Python complex does; np.abs can differ
+    # from it in the last bit.
+    element = matrix_elements(commutator(path, wave), states)
+    bound = 0.5 * np.hypot(element.real, element.imag)
+    product = delta_p * delta_w
+    gap = product - bound
+    below = np.flatnonzero(gap < -TOL.var)
+    if below.size:
+        k = below[0]
+        raise InvariantViolation(
+            f"uncertainty product {float(product[k])!r} fell below its bound "
+            f"{float(bound[k])!r} at phi = {float(phis[k])!r}"
+        )
+    return ScanResult(phis, w_expect, p_expect, delta_p, delta_w, bound, gap)

@@ -6,8 +6,10 @@ Constructors reject invalid input instead of repairing it; use
 :func:`normalized` when renormalization is actually wanted.
 
 The batched forms (:func:`expectations`, :func:`variances`,
-:func:`matrix_elements`) take an (N, 2) array of state rows, validate the
-whole batch once per call and give each row's scalar result bit for bit.
+:func:`moments`, :func:`matrix_elements`) take an (N, 2) array of state
+rows, validate the whole batch once per call and give each row's scalar
+result bit for bit; :func:`moments` gives the means and variances of one
+observable from a single application of it.
 """
 
 from __future__ import annotations
@@ -76,11 +78,6 @@ class StateVector:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities of the two basis outcomes."""
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +161,14 @@ def require_states(amps) -> np.ndarray:
     a = np.asarray(amps, dtype=np.complex128)
     if a.ndim != 2 or a.shape[1] != 2:
         raise InvariantViolation(f"states must form an (N, 2) complex array, got shape {a.shape}")
-    norm_sq = (a.real**2 + a.imag**2).sum(axis=1)
+    squares = a.real**2 + a.imag**2
+    norm_sq = squares[:, 0] + squares[:, 1]
     # A non-finite row has a NaN or infinite norm, which fails this test too.
-    off = ~(np.abs(norm_sq - 1.0) <= TOL.norm)
-    if off.any():
+    unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
+    if not unit_norm.all():
         if not _finite(a):
             raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
-        k = np.flatnonzero(off)[0]
+        k = np.flatnonzero(~unit_norm)[0]
         raise InvariantViolation(
             f"state {k} is not normalized: |a0|^2 + |a1|^2 = {float(norm_sq[k])!r}"
         )
@@ -204,16 +202,23 @@ def expectations(obs: Observable, amps) -> np.ndarray:
     return matrix_elements(obs.matrix, amps).real
 
 
-def variances(obs: Observable, amps) -> np.ndarray:
-    """:func:`variance` of obs on each state row of amps, bit for bit.
+def moments(obs: Observable, amps) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`expectations` and :func:`variances` of obs on each state row
+    of amps, bit for bit, from one application of obs.
 
-    Like the scalar form, the squared norm of the residual (obs - <obs>)|a>.
+    Like the scalar form, each variance is the squared norm of the
+    residual (obs - <obs>)|a>.
     """
     a = require_states(amps)
     applied = _apply_rows(obs.matrix, a)
     means = _vdot_rows(a, applied).real
     residual = applied - means[:, None] * a
-    return np.maximum(_vdot_rows(residual, residual).real, 0.0)
+    return means, np.maximum(_vdot_rows(residual, residual).real, 0.0)
+
+
+def variances(obs: Observable, amps) -> np.ndarray:
+    """:func:`variance` of obs on each state row of amps, bit for bit."""
+    return moments(obs, amps)[1]
 
 
 def commutator(a: Observable, b: Observable) -> np.ndarray:

@@ -46,16 +46,14 @@ class RandomStream:
 
     __slots__ = ("seed", "counter")
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed <= _MASK64:
             raise InvariantViolation(
                 f"seed must be an unsigned 64-bit integer, got {seed!r}"
             )
-        if counter < 0:
-            raise InvariantViolation(f"counter must be non-negative, got {counter!r}")
         self.seed = seed
-        self.counter = int(counter)
+        self.counter = 0
 
     def uniform(self) -> float:
         """One double in [0, 1); advances the counter by one."""

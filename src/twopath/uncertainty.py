@@ -3,8 +3,8 @@
 The product of spreads of two observables is bounded below by half the
 magnitude of their commutator expectation.  On balanced states the
 path/wave pair saturates that bound: the path spread is one and the wave
-spread equals the bound itself.  ``duality_table`` holds the spreads, the
-bound and the gap over a grid of balanced states as columns;
+spread equals the bound itself.  The interference scan holds the spreads,
+the bound and the gap over a grid of balanced states as columns;
 ``duality_report`` is its single row, whose product and saturation flag
 are derived from those values.
 """
@@ -13,21 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .interferometer import balanced_amplitudes, path_operator, wave_operator
-from .qalgebra import (
-    InvariantViolation,
-    Observable,
-    StateVector,
-    commutator,
-    matrix_elements,
-    require_finite_angle,
-    require_finite_angles,
-    variances,
-)
+from .interferometer import interference_scan
+from .qalgebra import Observable, StateVector, commutator, require_finite_angle
 from .tolerances import TOL
 
 
@@ -60,60 +50,15 @@ def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
     return 0.5 * abs(complex(value))
 
 
-class DualityTable(NamedTuple):
-    """Uncertainty bookkeeping over a grid of balanced states, as columns.
-
-    Row k is what :func:`duality_report` gives for (phi[k], phi0).
-    """
-
-    phi0: float
-    phi: np.ndarray
-    delta_p: np.ndarray
-    delta_w: np.ndarray
-    bound: np.ndarray
-    gap: np.ndarray
-
-
-def duality_table(phis, phi0: float) -> DualityTable:
-    """Uncertainty bookkeeping on the balanced state at every phi, in one batch.
-
-    Everything is computed through the operator machinery, not from the
-    closed forms: the spreads come from variances on the actual states and
-    the bound from the actual commutator.  Ideal two-path interferometry
-    makes the product equal the bound; a product below its bound by more
-    than TOL.var raises InvariantViolation naming the first such phi.
-    """
-    phi = require_finite_angles(phis, "phi")
-    phi0 = require_finite_angle(phi0, "phi0")
-    amps = balanced_amplitudes(phi)
-    path = path_operator()
-    wave = wave_operator(phi0)
-    delta_p = np.sqrt(variances(path, amps))
-    delta_w = np.sqrt(variances(wave, amps))
-    # np.hypot rounds as abs() of a Python complex does; np.abs can differ
-    # from it in the last bit.
-    element = matrix_elements(commutator(path, wave), amps)
-    bound = 0.5 * np.hypot(element.real, element.imag)
-    product = delta_p * delta_w
-    gap = product - bound
-    below = np.flatnonzero(gap < -TOL.var)
-    if below.size:
-        k = below[0]
-        raise InvariantViolation(
-            f"uncertainty product {float(product[k])!r} fell below its bound "
-            f"{float(bound[k])!r} at phi = {float(phi[k])!r}"
-        )
-    return DualityTable(phi0, phi, delta_p, delta_w, bound, gap)
-
-
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:
     """Full uncertainty bookkeeping on the balanced state at phi.
 
-    The single row of :func:`duality_table` over [phi].
+    The single row of :func:`interference_scan` over [phi].
     """
-    table = duality_table([phi], phi0)
-    phi, delta_p, delta_w, bound, gap = (column.item() for column in table[1:])
-    return UncertaintyReport(phi, table.phi0, delta_p, delta_w, bound, gap)
+    phi = require_finite_angle(phi, "phi")
+    phi0 = require_finite_angle(phi0, "phi0")
+    scan = interference_scan(phi0, [phi])
+    return UncertaintyReport(phi, phi0, *(column.item() for column in scan[3:]))
 
 
 def sensitivity(phi: float, phi0: float) -> float:

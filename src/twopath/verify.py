@@ -10,9 +10,10 @@ The checks run in groups: splitter, complementarity, uncertainty,
 pipeline, operators and Robertson, then the Monte Carlo checks when shots
 are given.  Each grid is evaluated once per run: the wave bases and their
 assembled W at the 17 offsets feed every check that reads them, and so do
-the 5 x 41 interference scan and duality table columns (one scan and one
-table per offset).  The override arguments exist so tests can inject a
-faulty component and watch the matching check fail by name.
+the columns of the 5 x 41 grid (one interference scan per offset) and of
+the finite-difference slopes (one scan for all nine).  The override
+arguments exist so tests can inject a faulty component and watch the
+matching check fail by name.
 """
 
 from __future__ import annotations
@@ -184,39 +185,39 @@ def _uncertainty_checks() -> list[CheckResult]:
     phi0s = [float(phi0) for phi0 in _PHI0_GRID[::4]]
     phis = [float(phi) for phi in _PHI_GRID]
     n = len(phis)
-    scans = [ifm.interference_scan(phi0, phis) for phi0 in phi0s]
-    # One table per offset: the grid, then the wave eigenstates phi0 + k pi.
-    tables = [unc.duality_table(phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)], phi0)
-              for phi0 in phi0s]
+    # One scan per offset: the grid, then the wave eigenstates phi0 + k pi.
+    scans = [ifm.interference_scan(phi0, phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)])
+             for phi0 in phi0s]
+    # One scan for every central difference: each centre - step, then + step.
     step = 1e-5
-    slope_misses = []
-    for phi in map(float, np.linspace(-math.pi, math.pi, 9)):
-        lo, hi = ifm.interference_scan(0.0, [phi - step, phi + step]).w_expect
-        slope = (hi - lo) / (2 * step)
-        slope_misses.append(abs(abs(slope) - unc.sensitivity(phi, 0.0)))
+    centres = np.linspace(-math.pi, math.pi, 9)
+    w = ifm.interference_scan(0.0, np.column_stack([centres - step, centres + step]).ravel()).w_expect
+    slopes = (w[1::2] - w[0::2]) / (2 * step)
     return [
         _check("interference_cosine_law",
                _worst(abs(w - math.cos(phi - phi0))
                       for phi0, s in zip(phi0s, scans) for phi, w in zip(phis, s.w_expect)),
                TOL.identity, "<W> = cos(phi - phi0) on the balanced manifold"),
-        _check("balanced_states_hide_path", _worst(abs(p) for s in scans for p in s.p_expect),
+        _check("balanced_states_hide_path", _worst(abs(p) for s in scans for p in s.p_expect[:n]),
                TOL.identity, "<P> = 0 along every scan"),
-        _check("path_spread_unity", _worst(abs(d - 1.0) for t in tables for d in t.delta_p[:n]),
+        _check("path_spread_unity", _worst(abs(d - 1.0) for s in scans for d in s.delta_p[:n]),
                TOL.identity, "delta_p = 1"),
         _check("wave_spread_sine",
-               _worst(abs(d - abs(math.sin(phi - t.phi0)))
-                      for t in tables for phi, d in zip(phis, t.delta_w)),
+               _worst(abs(d - abs(math.sin(phi - phi0)))
+                      for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w)),
                TOL.identity, "delta_w = |sin(phi - phi0)|"),
-        _check("uncertainty_product_saturation", _worst(abs(g) for t in tables for g in t.gap[:n]),
+        _check("uncertainty_product_saturation", _worst(abs(g) for s in scans for g in s.gap[:n]),
                TOL.var, "delta_p * delta_w = robertson bound on balanced states"),
         _check("bound_vanishes_at_wave_eigenstates",
-               _worst(max(b, d) for t in tables for b, d in zip(t.bound[n:], t.delta_w[n:])),
+               _worst(max(b, d) for s in scans for b, d in zip(s.bound[n:], s.delta_w[n:])),
                TOL.identity, "bound and delta_w vanish at phi = phi0 + k pi"),
         _check("sensitivity_matches_wave_spread",
-               _worst(abs(unc.sensitivity(phi, t.phi0) - d)
-                      for t in tables for phi, d in zip(phis, t.delta_w)),
+               _worst(abs(unc.sensitivity(phi, phi0) - d)
+                      for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w)),
                TOL.identity, "|d<W>/dphi| = delta_w"),
-        _check("sensitivity_finite_difference", _worst(slope_misses),
+        _check("sensitivity_finite_difference",
+               _worst(abs(abs(slope) - unc.sensitivity(phi, 0.0))
+                      for phi, slope in zip(centres.tolist(), slopes)),
                TOL.finite_diff, "slope of the scan matches the analytic sensitivity"),
     ]
 

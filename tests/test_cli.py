@@ -90,6 +90,11 @@ class TestScan:
             counts.append(len(built))
         assert counts[0] == counts[1]
 
+    def test_grid_states_are_built_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, interferometer.balanced_amplitudes)
+        cmd_scan(RunConfig(phi0=0.6, steps=361))
+        assert [len(args[0]) for args in calls] == [361]
+
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
         scalar = (
             qalgebra.expectation,

@@ -29,7 +29,9 @@ from twopath.qalgebra import (
     expectation,
     normalized,
     states_equal,
+    variance,
 )
+from twopath.uncertainty import robertson_bound
 
 
 class TestPathOperator:
@@ -97,7 +99,8 @@ class TestBalancedState:
 
     @given(phi=angles)
     def test_equal_arm_probabilities(self, phi):
-        p0, p1 = balanced_state(phi).probabilities()
+        a = balanced_state(phi).amplitudes
+        p0, p1 = a.real**2 + a.imag**2
         assert abs(p0 - 0.5) < 1e-15
         assert p0 == p1
 
@@ -158,8 +161,8 @@ class TestInterferenceScan:
         assert abs(scan.w_expect[0] - 1.0) < 1e-12
 
     def test_matches_direct_construction_route(self):
-        # scan states come from the shifter pipeline; compare against the
-        # directly written balanced state fed through plain expectation
+        # compare the batched scan against the directly written balanced
+        # state fed through plain expectation, and against the cosine law
         rng = np.random.default_rng(23)
         for phi0 in rng.uniform(-math.pi, math.pi, size=8):
             grid = list(rng.uniform(-2 * math.pi, 2 * math.pi, size=16))
@@ -187,7 +190,11 @@ class TestInterferenceScan:
         expected = []
         for phi in grid:
             state = apply(phase_shifter(phi), start)
-            expected.append((phi, expectation(wave, state), expectation(path, state)))
+            delta_p = math.sqrt(variance(path, state))
+            delta_w = math.sqrt(variance(wave, state))
+            bound = robertson_bound(path, wave, state)
+            expected.append((phi, expectation(wave, state), expectation(path, state),
+                             delta_p, delta_w, bound, delta_p * delta_w - bound))
         columns = (c.tolist() for c in interference_scan(phi0, grid))
         assert list(zip(*columns)) == expected
 

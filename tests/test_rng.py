@@ -59,7 +59,8 @@ class TestDeterminism:
         # a stream restarted at counter k continues identically
         a = RandomStream(5)
         skipped = [a.uniform() for _ in range(10)][3:]
-        b = RandomStream(5, counter=3)
+        b = RandomStream(5)
+        b.counter = 3
         assert [b.uniform() for _ in range(7)] == skipped
 
 

@@ -2,6 +2,7 @@
 every public name in the package has a user outside the unit tests."""
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -42,9 +43,9 @@ def test_readme_sketch_runs():
     assert namespace["report"].saturated is True
     phis = namespace["phis"]
     np.testing.assert_allclose(cosines, np.cos(phis), atol=1e-12)
-    table = namespace["table"]
-    np.testing.assert_allclose(table.delta_w, table.bound, atol=1e-12)
-    np.testing.assert_allclose(namespace["scan"].w_expect, np.cos(phis), atol=1e-12)
+    scan = namespace["scan"]
+    np.testing.assert_allclose(scan.w_expect, np.cos(phis), atol=1e-12)
+    np.testing.assert_allclose(scan.delta_w, scan.bound, atol=1e-12)
 
     imported = {
         alias.name
@@ -71,9 +72,21 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def public_definitions(module: Path):
+    """(dotted name, name) of each public function and class of a module,
+    and of each public method and property of its public classes."""
+    for node in ast.parse(module.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module.stem}.{node.name}", node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{module.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_public_name_has_a_user():
     # A user is the package itself, a script, the benchmark, the acceptance
-    # criteria or the README's prose; a name only unit tests call is dead.
+    # criteria or the README's prose and library sketch; a name only unit
+    # tests call is dead.
     modules = sorted(SRC.glob("*.py"))
     users = [
         *modules,
@@ -82,16 +95,16 @@ def test_every_public_name_has_a_user():
         ROOT / "tests" / "test_acceptance.py",
     ]
     used = set().union(*(referenced_names(path) for path in users))
-    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
-        used.update(re.findall(r"[A-Za-z_]\w*", span))
+    # The sketch's comments name what its results hold (report.saturated).
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    for text in (readme_sketch(), *spans):
+        used.update(re.findall(r"[A-Za-z_]\w*", text))
 
     unused = [
-        f"{module.stem}.{node.name}"
+        dotted
         for module in modules
-        for node in ast.parse(module.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for dotted, name in public_definitions(module)
+        if name not in used
     ]
     assert unused == [], f"public names with no user outside the unit tests: {unused}"
 
@@ -103,13 +116,20 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 def test_fringe_scan_script_runs(tmp_path):
-    out = tmp_path / "f.csv"
-    run = run_script("fringe_scan.py", "0.6", str(out), cwd=tmp_path)
+    run = run_script("fringe_scan.py", "0.6", "f.csv", cwd=tmp_path)
     assert run.returncode == 0
     assert run.stderr == ""
-    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    csv = (tmp_path / "f.csv").read_bytes()
+    header, *rows = csv.decode("utf-8").splitlines()
     assert header == ",".join(cli.SCAN_COLUMNS)
     assert len(rows) == 721
+    # Both outputs are pinned: the CSV and the summary's text and numbers.
+    assert hashlib.sha256(csv).hexdigest() == (
+        "6af3502cb08f8c3635b4c25fe0da50b23248a64151b251d267068d60b711a5f2"
+    )
+    assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == (
+        "84f4057eadc07006a3cf73c25465d8d8f07ac629417efe5e773d81776488bbf3"
+    )
 
 
 def test_randomization_demo_script_runs(tmp_path):

@@ -16,7 +16,7 @@ from support import (
     random_hermitian,
     random_state,
 )
-from twopath import uncertainty
+from twopath import interferometer
 from twopath.interferometer import (
     balanced_state,
     interference_scan,
@@ -32,7 +32,6 @@ from twopath.qalgebra import (
 )
 from twopath.uncertainty import (
     duality_report,
-    duality_table,
     robertson_bound,
     sensitivity,
 )
@@ -124,42 +123,36 @@ class TestDualityReport:
 class TestDualityTable:
     @given(st.lists(angles, min_size=1, max_size=8), angles)
     def test_rows_equal_the_report_and_the_scalar_algebra(self, phis, phi0):
-        table = duality_table(phis, phi0)
+        scan = interference_scan(phi0, phis)
         path, wave = path_operator(), wave_operator(phi0)
         for k, phi in enumerate(phis):
-            row = (table.phi[k], table.delta_p[k], table.delta_w[k], table.bound[k], table.gap[k])
+            row = (scan.phi[k], scan.delta_p[k], scan.delta_w[k], scan.bound[k], scan.gap[k])
             report = duality_report(phi, phi0)
             assert row == (report.phi, report.delta_p, report.delta_w, report.bound, report.gap)
-            assert report.phi0 == table.phi0
+            assert report.phi0 == phi0
             state = balanced_state(phi)
             delta_p = math.sqrt(variance(path, state))
             delta_w = math.sqrt(variance(wave, state))
             bound = robertson_bound(path, wave, state)
             assert row == (phi, delta_p, delta_w, bound, delta_p * delta_w - bound)
 
-    @given(st.lists(angles, min_size=1, max_size=8), st.data())
-    def test_nan_anywhere_in_a_batch_is_rejected(self, phis, data):
-        phis[data.draw(st.integers(0, len(phis) - 1))] = math.nan
-        with pytest.raises(InvariantViolation, match="phi must be a finite angle, got nan"):
-            duality_table(phis, 0.4)
-
     def test_rejects_a_non_finite_offset(self):
         with pytest.raises(InvariantViolation, match="phi0 must be a finite angle"):
-            duality_table([0.1, 0.2], math.inf)
+            interference_scan(math.inf, [0.1, 0.2])
 
     def test_first_product_below_its_bound_is_named(self, monkeypatch):
         # Shrink the spreads of rows 2 and 3 so their products fall below
         # the bound; the error names the first of them.
-        real = uncertainty.variances
+        real = interferometer.moments
 
         def shrunk(obs, amps):
-            values = real(obs, amps)
+            means, values = real(obs, amps)
             values[2:4] *= 0.25
-            return values
+            return means, values
 
-        monkeypatch.setattr(uncertainty, "variances", shrunk)
+        monkeypatch.setattr(interferometer, "moments", shrunk)
         with pytest.raises(InvariantViolation, match=r"fell below its bound .* at phi = 0\.75$"):
-            duality_table([0.25, 0.5, 0.75, 1.0], 0.0)
+            interference_scan(0.0, [0.25, 0.5, 0.75, 1.0])
 
 
 class TestSensitivity:

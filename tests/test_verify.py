@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 from support import count_calls, perturbed_splitter
-from twopath import uncertainty, verify
+from twopath import interferometer, uncertainty, verify
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -34,9 +34,9 @@ class TestHealthySuite:
 
     def test_grids_make_no_per_point_reports(self, monkeypatch):
         reports = count_calls(monkeypatch, uncertainty.duality_report)
-        tables = count_calls(monkeypatch, uncertainty.duality_table)
+        scans = count_calls(monkeypatch, interferometer.interference_scan)
         assert run_verification().all_passed
-        assert (len(reports), len(tables)) == (0, 5)
+        assert (len(reports), len(scans)) == (0, 6)
 
     def test_report_formatting(self):
         text = format_report(run_verification())
