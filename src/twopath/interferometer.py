@@ -26,12 +26,11 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
+    _matrix_elements,
+    _moments,
     commutator,
-    matrix_elements,
-    moments,
     require_finite_angle,
     require_finite_angles,
-    require_states,
 )
 from .tolerances import TOL
 
@@ -98,14 +97,15 @@ def balanced_state(phi: float) -> StateVector:
 def balanced_amplitudes(phis) -> np.ndarray:
     """The amplitudes of :func:`balanced_state` at each phi, as (N, 2) rows.
 
-    Bit for bit the scalar construction, with finiteness and norms
-    checked once for the whole batch.
+    Bit for bit the scalar construction, with finiteness checked once for
+    the whole batch.  The rows, e^{-+i phi/2}/sqrt(2), have unit norm to
+    rounding at every finite phi, so no norm check follows.
     """
     half = 0.5 * require_finite_angles(phis, "phi")
     amps = np.empty((half.size, 2), dtype=np.complex128)
     amps[:, 0] = _INV_SQRT2 * np.exp(-1j * half)
     amps[:, 1] = _INV_SQRT2 * np.exp(1j * half)
-    return require_states(amps)
+    return amps
 
 
 def wave_operator(phi0: float) -> Observable:
@@ -124,25 +124,25 @@ def interference_scan(phi0: float, grid) -> ScanResult:
     """The fringe and the uncertainty bookkeeping on the balanced state at
     every grid point, as columns.
 
-    The states are built once, by :func:`balanced_amplitudes`.  Every
-    column comes from the operator machinery on them (the moments of the
-    two observables, the actual commutator), not from the closed forms,
-    and each row equals the scalar functions on its state bit for bit.  A
-    product of spreads below its bound by more than TOL.var raises
-    InvariantViolation naming the first such phi.
+    :func:`wave_operator` checks phi0 before the grid is checked.  The
+    states are built once, by :func:`balanced_amplitudes`, and not checked
+    again.  Every column comes from the operator machinery on them (the
+    moments of the two observables, the actual commutator), not from the
+    closed forms, and each row equals the scalar functions on its state
+    bit for bit.  A product of spreads below its bound by more than
+    TOL.var raises InvariantViolation naming the first such phi.
     """
-    phi0 = require_finite_angle(phi0, "phi0")
+    wave, path = wave_operator(phi0), path_operator()
     phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
     states = balanced_amplitudes(phis)
-    wave, path = wave_operator(phi0), path_operator()
-    w_expect, w_var = moments(wave, states)
-    p_expect, p_var = moments(path, states)
+    w_expect, w_var = _moments(wave, states)
+    p_expect, p_var = _moments(path, states)
     delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
     # np.hypot rounds as abs() of a Python complex does; np.abs can differ
     # from it in the last bit.
-    element = matrix_elements(commutator(path, wave), states)
+    element = _matrix_elements(commutator(path, wave), states)
     bound = 0.5 * np.hypot(element.real, element.imag)
     product = delta_p * delta_w
     gap = product - bound

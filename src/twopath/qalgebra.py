@@ -5,11 +5,11 @@ around validated numpy arrays; all operations are pure functions.
 Constructors reject invalid input instead of repairing it; use
 :func:`normalized` when renormalization is actually wanted.
 
-The batched forms (:func:`expectations`, :func:`variances`,
-:func:`moments`, :func:`matrix_elements`) take an (N, 2) array of state
-rows, validate the whole batch once per call and give each row's scalar
-result bit for bit; :func:`moments` gives the means and variances of one
-observable from a single application of it.
+Each value is checked where it enters the library.  The three
+value types share one construction check and add only their own norm,
+Hermiticity or unitarity test.  :func:`expectations` validates an (N, 2)
+batch of state rows once and gives each row the scalar result bit for
+bit; the private row kernels under it trust rows the library built.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .tolerances import TOL
 
 class InvariantViolation(ValueError):
     """A value failed one of the library's validity invariants."""
-
-
-def _finite(values: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(values)))
 
 
 def require_finite_angle(value: float, name: str) -> float:
@@ -52,6 +48,17 @@ def require_finite_angles(values, name: str) -> np.ndarray:
     return angles
 
 
+def _checked_copy(values, shape: tuple[int, ...], shape_error: str, finite_error: str) -> np.ndarray:
+    """A read-only complex copy of values with the given shape and finite entries."""
+    a = np.array(values, dtype=np.complex128, order="C")
+    if a.shape != shape:
+        raise InvariantViolation(f"{shape_error}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvariantViolation(finite_error)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex 2-vector of probability amplitudes.
@@ -63,20 +70,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.shape != (2,):
-            raise InvariantViolation(
-                f"state must be a complex 2-vector, got shape {a.shape}"
-            )
-        if not _finite(a):
-            raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
+        a = _checked_copy(self.amplitudes, (2,), "state must be a complex 2-vector",
+                          "state amplitudes must be finite (no NaN/Inf)")
         norm_sq = float(a.real @ a.real + a.imag @ a.imag)
         if abs(norm_sq - 1.0) > TOL.norm:
             raise InvariantViolation(
                 f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
             )
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
 
@@ -87,18 +87,13 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise InvariantViolation(f"observable must be 2x2, got shape {m.shape}")
-        if not _finite(m):
-            raise InvariantViolation("observable entries must be finite (no NaN/Inf)")
-        residual = float(np.max(np.abs(m - m.conj().T)))
+        m = _checked_copy(self.matrix, (2, 2), "observable must be 2x2",
+                          "observable entries must be finite (no NaN/Inf)")
+        residual = float(np.abs(m - m.conj().T).max())
         if residual > TOL.herm:
             raise InvariantViolation(
                 f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
             )
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -109,18 +104,13 @@ class UnitaryGate:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise InvariantViolation(f"gate must be 2x2, got shape {m.shape}")
-        if not _finite(m):
-            raise InvariantViolation("gate entries must be finite (no NaN/Inf)")
-        residual = float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
+        m = _checked_copy(self.matrix, (2, 2), "gate must be 2x2",
+                          "gate entries must be finite (no NaN/Inf)")
+        residual = float(np.abs(m @ m.conj().T - np.eye(2)).max())
         if residual > TOL.unit:
             raise InvariantViolation(
                 f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
             )
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -166,7 +156,7 @@ def require_states(amps) -> np.ndarray:
     # A non-finite row has a NaN or infinite norm, which fails this test too.
     unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
     if not unit_norm.all():
-        if not _finite(a):
+        if not np.isfinite(a).all():
             raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
         k = np.flatnonzero(~unit_norm)[0]
         raise InvariantViolation(
@@ -191,34 +181,27 @@ def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def matrix_elements(matrix: np.ndarray, amps) -> np.ndarray:
-    """<a|matrix|a> for each state row a, complex; any 2x2 matrix."""
-    a = require_states(amps)
-    return _vdot_rows(a, _apply_rows(np.asarray(matrix, dtype=np.complex128), a))
+def _matrix_elements(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<a|matrix|a> for each validated state row a, complex; any 2x2 matrix."""
+    return _vdot_rows(a, _apply_rows(matrix, a))
 
 
 def expectations(obs: Observable, amps) -> np.ndarray:
     """:func:`expectation` of obs on each state row of amps, bit for bit."""
-    return matrix_elements(obs.matrix, amps).real
+    return _matrix_elements(obs.matrix, require_states(amps)).real
 
 
-def moments(obs: Observable, amps) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`expectations` and :func:`variances` of obs on each state row
-    of amps, bit for bit, from one application of obs.
+def _moments(obs: Observable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`expectation` and :func:`variance` of obs on each validated
+    state row a, bit for bit, from one application of obs.
 
     Like the scalar form, each variance is the squared norm of the
     residual (obs - <obs>)|a>.
     """
-    a = require_states(amps)
     applied = _apply_rows(obs.matrix, a)
     means = _vdot_rows(a, applied).real
     residual = applied - means[:, None] * a
     return means, np.maximum(_vdot_rows(residual, residual).real, 0.0)
-
-
-def variances(obs: Observable, amps) -> np.ndarray:
-    """:func:`variance` of obs on each state row of amps, bit for bit."""
-    return moments(obs, amps)[1]
 
 
 def commutator(a: Observable, b: Observable) -> np.ndarray:
@@ -244,11 +227,8 @@ def apply(gate: UnitaryGate, state: StateVector) -> StateVector:
 
 def normalized(values) -> StateVector:
     """Explicitly renormalize a raw complex 2-vector into a StateVector."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (2,):
-        raise InvariantViolation(f"expected a complex 2-vector, got shape {v.shape}")
-    if not _finite(v):
-        raise InvariantViolation("cannot normalize non-finite amplitudes")
+    v = _checked_copy(values, (2,), "expected a complex 2-vector",
+                      "cannot normalize non-finite amplitudes")
     norm = float(np.linalg.norm(v))
     if norm < 1e-150:
         raise InvariantViolation("cannot normalize a (near-)zero vector")

@@ -144,16 +144,14 @@ def _splitter_checks(b: np.ndarray) -> list[CheckResult]:
 
 def _complementarity_checks(offsets: list[_Offset]) -> list[CheckResult]:
     """Path and wave bases are mutually unbiased, and W has its Pauli form."""
-    path = ifm.path_operator()
     path_basis = comp.path_eigenbasis()
-    arms = (path_basis.plus, path_basis.minus)
+    cross = [comp.check_mutual_zero_expectation(ifm.path_operator(), o.basis) for o in offsets]
     return [
         _check("path_blind_on_wave_eigenstates",
-               _worst(abs(expectation(path, v))
-                      for o in offsets for v in (o.basis.plus, o.basis.minus)),
+               _worst(abs(value) for values in cross for value in values[:2]),
                TOL.comp, "<w|P|w> = 0 for both wave eigenstates"),
         _check("wave_blind_on_path_eigenstates",
-               _worst(abs(expectation(o.assembled, v)) for o in offsets for v in arms),
+               _worst(abs(value) for values in cross for value in values[2:]),
                TOL.comp, "<p|W|p> = 0 for both arms"),
         _check("path_wave_mutually_unbiased",
                _worst(comp.is_complementary(path_basis, o.basis).max_deviation

@@ -13,6 +13,10 @@ apart); every other sample column kept its bytes.  The three further
 `scan` digests (a wide range far from the origin, a single wave
 eigenstate, and a degree grid) were pinned before `scan` moved from
 per-point reports to one batch per column, and that move kept them.
+The last four are the argvs of the benchmark's workloads (scan-dense,
+sample-deep, sample-wide and verify-mc, the sampled ones at seed 1),
+whose bytes every refactor since the batched scan has kept; they were
+added unchanged, so the suite checks what had been compared by hand.
 """
 
 import hashlib
@@ -56,6 +60,22 @@ GOLDEN = [
         ["verify", "--shots", "20000"],
         "f73049de89d9ebecf9438c47d75842b8f4c55252d204f3b04cf5317edf801a1d",
     ),
+    (
+        ["scan", "--phi0", "0.6", "--from", "-3.14159", "--to", "3.14159", "--steps", "20001"],
+        "e4d1fcef99476a0104c8a1beb91f87b818a1434a4a244eb8158c6726d3774f21",
+    ),
+    (
+        ["sample", "--phi0", "0.6", "--steps", "3", "--shots", "4000000", "--order", "both", "--seed", "1"],
+        "aefa17dfd3b6204fffa684eff7487b9bb1b2376f6e1166137da4056d6467e6c6",
+    ),
+    (
+        ["sample", "--phi0", "0.6", "--steps", "2001", "--shots", "1000", "--order", "both", "--seed", "1"],
+        "7afd57f51bfc139b33b46ed85aadb00e1c5ecfd0dd887ec1161b8c2412127101",
+    ),
+    (
+        ["verify", "--shots", "200000", "--seed", "1"],
+        "e5b3883d10071d86832135e3294901c3ec6f01b5087f5de313a004de8b3bd5f1",
+    ),
 ]
 
 
@@ -63,6 +83,7 @@ GOLDEN = [
     "argv, digest", GOLDEN, ids=[
         "scan", "sample-both", "sample-wp",
         "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify", "verify-mc",
+        "bench-scan-dense", "bench-sample-deep", "bench-sample-wide", "bench-verify-mc",
     ],
 )
 def test_output_digest(argv, digest, capsys):

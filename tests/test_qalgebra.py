@@ -1,6 +1,7 @@
 """Hilbert-space primitives: validation, operations, and their invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,22 @@ from hypothesis import strategies as st
 
 from support import (
     angles,
+    count_calls,
     expectation_oracle,
     hermitians,
     matmul_oracle,
     pauli_decompose,
     pure_states,
 )
-from twopath.interferometer import balanced_state, wave_operator
+from twopath import qalgebra
+from twopath.interferometer import (
+    balanced_amplitudes,
+    balanced_state,
+    interference_scan,
+    wave_operator,
+)
 from twopath.qalgebra import (
+    _moments,
     IDENTITY,
     InvariantViolation,
     KET_LOWER,
@@ -33,10 +42,11 @@ from twopath.qalgebra import (
     expectations,
     normalized,
     pauli_compose,
+    require_states,
     states_equal,
     variance,
-    variances,
 )
+from twopath.uncertainty import duality_report
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -86,6 +96,20 @@ class TestConstructors:
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(InvariantViolation, match="zero"):
             normalized([0.0, 0.0])
+
+    @pytest.mark.parametrize("build, values, message", [
+        (StateVector, [1.0, 0.0, 0.0], "state must be a complex 2-vector, got shape (3,)"),
+        (StateVector, [math.inf, 0.0], "state amplitudes must be finite (no NaN/Inf)"),
+        (Observable, np.eye(3), "observable must be 2x2, got shape (3, 3)"),
+        (Observable, [[1.0, math.nan], [math.nan, 1.0]], "observable entries must be finite (no NaN/Inf)"),
+        (UnitaryGate, np.eye(3), "gate must be 2x2, got shape (3, 3)"),
+        (UnitaryGate, [[math.inf, 0.0], [0.0, 1.0]], "gate entries must be finite (no NaN/Inf)"),
+        (normalized, [3.0, 4.0, 0.0], "expected a complex 2-vector, got shape (3,)"),
+        (normalized, [math.nan, 1.0], "cannot normalize non-finite amplitudes"),
+    ])
+    def test_shape_and_finiteness_messages(self, build, values, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message) + "$"):
+            build(values)
 
 
 class TestExpectation:
@@ -151,7 +175,7 @@ class TestBatched:
     @given(hermitians(), st.lists(pure_states(), min_size=1, max_size=6))
     def test_variances_equal_the_scalar_rows(self, obs, states):
         amps = np.array([s.amplitudes for s in states])
-        assert variances(obs, amps).tolist() == [variance(obs, s) for s in states]
+        assert _moments(obs, require_states(amps))[1].tolist() == [variance(obs, s) for s in states]
 
     @given(st.lists(pure_states(), min_size=1, max_size=6), st.data())
     def test_nan_anywhere_in_a_batch_is_rejected(self, states, data):
@@ -159,9 +183,8 @@ class TestBatched:
         row = data.draw(st.integers(0, len(states) - 1))
         col = data.draw(st.integers(0, 1))
         amps[row, col] = complex(math.nan, 0.0) if data.draw(st.booleans()) else complex(0.0, math.nan)
-        for batched in (expectations, variances):
-            with pytest.raises(InvariantViolation, match="finite"):
-                batched(SIGMA_X, amps)
+        with pytest.raises(InvariantViolation, match="finite"):
+            expectations(SIGMA_X, amps)
 
     def test_unnormalized_row_is_named(self):
         amps = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.complex128)
@@ -170,7 +193,28 @@ class TestBatched:
 
     def test_rejects_a_single_vector(self):
         with pytest.raises(InvariantViolation, match="shape"):
-            variances(SIGMA_Z, KET_UPPER.amplitudes)
+            expectations(SIGMA_Z, KET_UPPER.amplitudes)
+
+
+class TestCheckedOnce:
+    """State rows are validated where they come in from outside, and the
+    rows the library builds itself are not checked again."""
+
+    def test_scan_and_report_trust_the_states_they_build(self, monkeypatch):
+        calls = count_calls(monkeypatch, qalgebra.require_states)
+        interference_scan(0.6, np.linspace(-3, 3, 361))
+        assert len(calls) == 0
+        duality_report(0.3, 0.6)
+        assert len(calls) == 0
+
+    def test_expectations_validates_its_batch_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, qalgebra.require_states)
+        expectations(SIGMA_X, balanced_amplitudes([0.1, 0.2, 0.3]))
+        assert len(calls) == 1
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_balanced_rows_pass_the_state_check_at_any_finite_angle(self, phis):
+        require_states(balanced_amplitudes(phis))
 
 
 class TestCommutator:

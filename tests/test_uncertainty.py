@@ -143,14 +143,14 @@ class TestDualityTable:
     def test_first_product_below_its_bound_is_named(self, monkeypatch):
         # Shrink the spreads of rows 2 and 3 so their products fall below
         # the bound; the error names the first of them.
-        real = interferometer.moments
+        real = interferometer._moments
 
         def shrunk(obs, amps):
             means, values = real(obs, amps)
             values[2:4] *= 0.25
             return means, values
 
-        monkeypatch.setattr(interferometer, "moments", shrunk)
+        monkeypatch.setattr(interferometer, "_moments", shrunk)
         with pytest.raises(InvariantViolation, match=r"fell below its bound .* at phi = 0\.75$"):
             interference_scan(0.0, [0.25, 0.5, 0.75, 1.0])
 
