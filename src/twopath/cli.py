@@ -22,11 +22,12 @@ import numpy as np
 from .interferometer import interference_scan
 from .measurement import (
     MeasurementOrder,
-    sequential_experiment,
+    outcome_moments,
+    sequential_counts,
     uniformity_test,
 )
 from .qalgebra import InvariantViolation
-from .rng import RandomStream
+from .rng import child_seeds
 from .verify import format_report, run_verification
 
 SCAN_COLUMNS = (
@@ -132,37 +133,34 @@ def cmd_sample(config: RunConfig) -> str:
 
     Each row gets its own child stream derived from the seed and the row
     index, so row values do not depend on how many rows precede them.
+    One sampler call draws every row and returns two +1 counts per row;
+    each CSV line is formatted from them.
     """
     if config.order == "both":
         orders = [MeasurementOrder.P_THEN_W, MeasurementOrder.W_THEN_P]
     else:
         orders = [MeasurementOrder(config.order)]
-    base = RandomStream(config.seed)
-    rows = []
-    row_index = 0
-    for phi in config.grid().tolist():
-        for order in orders:
-            stream = base.derive(row_index)
-            row_index += 1
-            stats = sequential_experiment(order, phi, config.phi0, config.shots, stream)
-            chi2, ok = uniformity_test(stats.second_counts)
-            rows.append(
-                (
-                    phi,
-                    config.phi0,
-                    order.value,
-                    stats.shots,
-                    stats.first_mean,
-                    stats.first_variance,
-                    stats.second_mean,
-                    stats.second_variance,
-                    stats.second_counts[0],
-                    stats.second_counts[1],
-                    chi2,
-                    ok,
+    grid = config.grid()
+    seeds = child_seeds(config.seed, np.arange(grid.size * len(orders), dtype=np.uint64))
+    n_first, n_second = sequential_counts(orders, grid, config.phi0, config.shots, seeds)
+    shots, phi0 = config.shots, config.phi0
+    values = [order.value for order in orders]
+
+    def rows():
+        row = 0
+        for phi in grid.tolist():
+            for value in values:
+                n1, n2 = int(n_first[row]), int(n_second[row])
+                row += 1
+                yield (
+                    phi, phi0, value, shots,
+                    *outcome_moments(n1, shots),
+                    *outcome_moments(n2, shots),
+                    n2, shots - n2,
+                    *uniformity_test((n2, shots - n2)),
                 )
-            )
-    return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows)
+
+    return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows())
 
 
 _GNUPLOT_SCAN = """set datafile separator ','

@@ -5,6 +5,11 @@ value is an avalanche mix of seed + (k+1) * GOLDEN, a pure function of
 (seed, k).  That makes every position O(1)-addressable, so drawing a
 batch is bit-identical to drawing one value at a time, and runs with the
 same seed reproduce the same stream exactly.
+
+Because a draw is a pure function of (seed, counter), many streams can be
+drawn at once: :func:`uniform_grid` evaluates a block of rows as one
+(rows, draws) array, with the same bits as each row's own stream.  A
+one-stream run (:meth:`RandomStream.uniform_chunks`) is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,12 +30,83 @@ _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit value."""
-    z &= _MASK64
+def mix64(z):
+    """SplitMix64 finalizer: avalanche a 64-bit value.
+
+    Takes a Python int, or a uint64 array mixed elementwise (wrapping
+    mod 2^64, as the int form masks); the argument is not modified.
+    """
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
+
+
+def child_seeds(seed: int, rows):
+    """Seeds of the child streams of `seed` for row indices `rows`.
+
+    `rows` is a non-negative Python int or a uint64 array of them; the
+    result has the same form.  The double avalanche mix decorrelates each
+    child from the parent and from its siblings.
+    """
+    return mix64(mix64(seed) ^ ((rows + 1) * _GOLDEN & _MASK64))
+
+
+def _aligned_empty(m: int) -> np.ndarray:
+    """An uninitialised uint64 array of m entries starting on a 64-byte
+    boundary.  numpy's allocator guarantees only 16 bytes, and the mixing
+    loop ran ~9% slower on buffers 16 bytes off, so which speed a run got
+    depended on unrelated heap history."""
+    raw = np.empty(m + 8, dtype=np.uint64)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip:skip + m]
+
+
+def uniform_grid(
+    seeds: np.ndarray, counter: int, n: int, size: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Draws counter+1 .. counter+n of each stream in the uint64 array
+    `seeds`, as blocks of at most `size` draws.
+
+    Yields (lo, hi, draws), where draws is a (hi - lo, c) array of the next
+    c doubles in [0, 1) of streams lo .. hi-1, bit-identical to each
+    stream's own batch.  A block holds max(1, size // n) whole rows; a row
+    of more than `size` draws is a block of its own, yielded in pieces of
+    `size` columns (the last may be shorter).
+
+    Every block is computed in place in the same two uint64 buffers,
+    allocated once per call, so a block is valid only until the next is
+    drawn.  A long run thus allocates nothing per block; freeing large
+    buffers per block let the C heap return their pages to the OS and
+    fault them back in, which slowed long `sample` runs by up to a third.
+    """
+    if n == 0 or not len(seeds):
+        return
+    cols = min(n, size)
+    per_block = min(len(seeds), max(1, size // n))
+    z = _aligned_empty(per_block * cols)
+    steps = np.arange(1, cols + 1, dtype=np.uint64)
+    steps *= _GOLDEN_U64
+    t = _aligned_empty(per_block * cols)
+    for lo in range(0, len(seeds), per_block):
+        hi = min(lo + per_block, len(seeds))
+        for done in range(0, n, cols):
+            c = min(cols, n - done)
+            zb = z[:(hi - lo) * c].reshape(hi - lo, c)
+            tb = t[:(hi - lo) * c].reshape(hi - lo, c)
+            # seed + (counter + done + k) * GOLDEN for k = 1..c, wrapping mod 2^64
+            offset = np.uint64((counter + done) * _GOLDEN & _MASK64)
+            np.add(steps[:c], (seeds[lo:hi] + offset)[:, None], out=zb)
+            np.right_shift(zb, np.uint64(30), out=tb)
+            zb ^= tb
+            zb *= _MIX_A_U64
+            np.right_shift(zb, np.uint64(27), out=tb)
+            zb ^= tb
+            zb *= _MIX_B_U64
+            np.right_shift(zb, np.uint64(31), out=tb)
+            zb ^= tb
+            zb >>= np.uint64(11)
+            yield lo, hi, np.multiply(zb, _U53, out=tb.view(np.float64))
 
 
 class RandomStream:
@@ -69,41 +145,19 @@ class RandomStream:
 
     def uniform_chunks(self, n: int, size: int) -> Iterator[np.ndarray]:
         """The next n doubles in [0, 1) as successive arrays of `size` (the
-        last may be shorter), bit-identical to one batch of n.
-
-        Every piece is computed in place in the same two uint64 buffers, so
-        a piece is valid only until the next is drawn.  A long run thus
-        allocates nothing per piece; freeing large buffers per piece let
-        the C heap return their pages to the OS and fault them back in,
-        which slowed long `sample` runs by up to a third.
-        """
-        z = np.arange(1, min(n, size) + 1, dtype=np.uint64)
-        steps = z * _GOLDEN_U64
-        t = np.empty_like(z)
-        for done in range(0, n, size):
-            m = min(size, n - done)
-            zm, tm = z[:m], t[:m]
-            # seed + (counter + k) * GOLDEN for k = 1..m, wrapping mod 2^64
-            np.add(steps[:m], np.uint64((self.seed + self.counter * _GOLDEN) & _MASK64), out=zm)
-            self.counter += m
-            np.right_shift(zm, np.uint64(30), out=tm)
-            zm ^= tm
-            zm *= _MIX_A_U64
-            np.right_shift(zm, np.uint64(27), out=tm)
-            zm ^= tm
-            zm *= _MIX_B_U64
-            np.right_shift(zm, np.uint64(31), out=tm)
-            zm ^= tm
-            zm >>= np.uint64(11)
-            yield np.multiply(zm, _U53, out=tm.view(np.float64))
+        last may be shorter), bit-identical to one batch of n: the one-row
+        case of :func:`uniform_grid`, so a piece is valid only until the
+        next is drawn."""
+        seeds = np.array([self.seed], dtype=np.uint64)
+        for _, _, draws in uniform_grid(seeds, self.counter, n, size):
+            self.counter += draws.shape[1]
+            yield draws[0]
 
     def derive(self, index: int) -> "RandomStream":
-        """Child stream for row `index`; deterministic and decorrelated
-        from the parent by double avalanche mixing."""
+        """Child stream for row `index`: :func:`child_seeds` of one row."""
         if index < 0:
             raise InvariantViolation(f"row index must be non-negative, got {index!r}")
-        child_seed = mix64(mix64(self.seed) ^ (((index + 1) * _GOLDEN) & _MASK64))
-        return RandomStream(child_seed)
+        return RandomStream(child_seeds(self.seed, index))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self.counter})"

@@ -13,11 +13,12 @@ import pytest
 
 from support import count_calls
 import twopath
-from twopath import cli, interferometer, qalgebra, uncertainty
+from twopath import cli, interferometer, measurement, qalgebra, rng, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import uniformity_test
 from twopath.qalgebra import InvariantViolation, StateVector, expectation
+from twopath.rng import RandomStream
 from twopath.verify import variance_window
 
 PI = str(math.pi)
@@ -156,6 +157,30 @@ class TestSample:
             cmd_sample(RunConfig(phi0=phi0, steps=steps, shots=10, order="both"))
             counts.append(len(solves))
         assert counts[0] == counts[1]
+
+    def test_grid_is_sampled_in_one_pass(self, monkeypatch):
+        amplitudes = count_calls(monkeypatch, interferometer.balanced_amplitudes)
+        states = count_calls(monkeypatch, interferometer.balanced_state)
+        derived = []
+        derive = RandomStream.derive
+        monkeypatch.setattr(
+            RandomStream, "derive", lambda self, i: derived.append(i) or derive(self, i)
+        )
+        blocks = []
+        grid = rng.uniform_grid
+
+        def recorded(*args):
+            for lo, hi, draws in grid(*args):
+                blocks.append(draws)
+                yield lo, hi, draws
+
+        monkeypatch.setattr(measurement, "uniform_grid", recorded)
+        cmd_sample(RunConfig(phi0=0.6, steps=2001, shots=1000, order="both"))
+        assert [len(args[0]) for args in amplitudes] == [2001]
+        assert (states, derived) == ([], [])
+        # 4002 rows of 2000 draws, 32 rows to a block
+        assert len(blocks) == 126
+        assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
 
     def test_peak_memory_is_flat_in_shots(self, capsys):
         def peak_bytes(shots):

@@ -1,5 +1,6 @@
 """Born-rule sampling, sequential experiments, and their statistics."""
 
+import functools
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from twopath.qalgebra import (
     pauli_compose,
     states_equal,
 )
+from twopath.cli import RunConfig, cmd_sample
 from twopath.rng import RandomStream
 
 
@@ -194,6 +196,72 @@ class TestChunking:
         # holding the 4e6-shot draws at once would take 64 MB
         assert large < 16 * 2**20
         assert large <= 2 * small
+
+
+@functools.lru_cache(maxsize=None)
+def reference_odds(order, phi0):
+    """The first observable's eigenvectors and the second outcome's +1
+    odds after each first outcome, as TestChunking derives them."""
+    if order is MeasurementOrder.P_THEN_W:
+        first_obs, second_obs = path_operator(), wave_operator(phi0)
+    else:
+        first_obs, second_obs = wave_operator(phi0), path_operator()
+    vecs1 = eig_hermitian(first_obs)[1]
+    vecs2 = eig_hermitian(second_obs)[1]
+    return vecs1, [abs(np.vdot(vecs2[:, 0], vecs1[:, k])) ** 2 for k in (0, 1)]
+
+
+def reference_counts(order, phi, phi0, shots, stream):
+    """+1 counts of one row from its own stream, thresholded as in
+    TestChunking: the first draw of each pair decides the first
+    measurement, the second draw the second."""
+    vecs1, p2 = reference_odds(order, phi0)
+    p1 = abs(np.vdot(vecs1[:, 0], balanced_state(phi).amplitudes)) ** 2
+    draws = stream.uniforms(2 * shots)
+    first_plus = draws[0::2] < p1
+    second_plus = draws[1::2] < np.where(first_plus, p2[0], p2[1])
+    return int(np.count_nonzero(first_plus)), int(np.count_nonzero(second_plus))
+
+
+class TestBlocks:
+    """The sampler draws many rows per block; every row must still see
+    exactly its own stream, at and around each block edge."""
+
+    SEED = (1 << 64) - 1
+
+    @pytest.mark.parametrize(
+        "shots, steps, order",
+        [
+            # 32768 rows per block, then a last block of one row
+            (1, 32_769, "pw"),
+            # 4681 rows per block, then a partial last block of 319
+            (7, 2500, "both"),
+            # 32 rows per block, then a partial last block of 18
+            (1000, 50, "pw"),
+            (1000, 50, "wp"),
+            (1000, 25, "both"),
+            # one row per block from here on, in chunks past CHUNK_SHOTS
+            (CHUNK_SHOTS - 1, 3, "both"),
+            (CHUNK_SHOTS, 3, "both"),
+            (CHUNK_SHOTS + 1, 3, "both"),
+            (2 * CHUNK_SHOTS + 7, 2, "both"),
+        ],
+    )
+    def test_rows_equal_their_own_streams(self, shots, steps, order):
+        phi0 = 0.6
+        config = RunConfig(phi0=phi0, steps=steps, shots=shots, seed=self.SEED, order=order)
+        lines = cmd_sample(config).splitlines()[1:]
+        orders = list(MeasurementOrder) if order == "both" else [MeasurementOrder(order)]
+        assert len(lines) == steps * len(orders)
+        parent = RandomStream(self.SEED)
+        for row, line in enumerate(lines):
+            fields = line.split(",")
+            phi = float(fields[0])
+            n1, n2 = reference_counts(
+                orders[row % len(orders)], phi, phi0, shots, parent.derive(row)
+            )
+            assert int(fields[8]) == n2, row
+            assert float(fields[4]) == (2 * n1 - shots) / shots, row
 
 
 class TestUniformityTest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twopath.qalgebra import InvariantViolation
-from twopath.rng import RandomStream, mix64
+from twopath.rng import RandomStream, child_seeds, mix64, uniform_grid
 
 # Raw 64-bit outputs of the published algorithm for seed 1234567,
 # cross-checked against an independent transcription of its reference
@@ -96,6 +96,51 @@ class TestUniformChunks:
         first, second = RandomStream(3).uniform_chunks(20, 10)
         assert np.shares_memory(first, second)
 
+    @pytest.mark.parametrize("n, size", [(1, 1), (25, 10), (1000, 1000), (70_000, 1 << 16)])
+    def test_pieces_start_on_a_64_byte_boundary(self, n, size):
+        for piece in RandomStream(3).uniform_chunks(n, size):
+            assert piece.ctypes.data % 64 == 0
+
+
+class TestUniformGrid:
+    SEEDS = [0, 1, (1 << 64) - 1, 12345, 1 << 63]
+
+    @pytest.mark.parametrize(
+        "n, size, blocks",
+        [
+            # whole rows, size // n = 2 per block, the last block partial
+            (7, 16, [(0, 2, 7), (2, 4, 7), (4, 5, 7)]),
+            # one row fills a block exactly
+            (8, 8, [(0, 1, 8), (1, 2, 8), (2, 3, 8), (3, 4, 8), (4, 5, 8)]),
+            # rows longer than a block: one row per block, in pieces
+            (25, 10, [(lo, lo + 1, c) for lo in range(5) for c in (10, 10, 5)]),
+        ],
+    )
+    def test_blocks_equal_each_stream(self, n, size, blocks):
+        # starts mid-stream and wraps mod 2^64 at the largest seed
+        seeds = np.array(self.SEEDS, dtype=np.uint64)
+        got = {lo: [] for lo in range(len(seeds))}
+        shapes = []
+        for lo, hi, draws in uniform_grid(seeds, 3, n, size):
+            shapes.append((lo, hi, draws.shape[1]))
+            assert draws.shape[0] == hi - lo
+            assert draws.ctypes.data % 64 == 0
+            for row in range(lo, hi):
+                got[row] += draws[row - lo].tolist()
+        assert shapes == blocks
+        for row, seed in enumerate(self.SEEDS):
+            assert got[row] == reference_scalar_stream(seed, 3 + n)[3:]
+
+    def test_blocks_reuse_one_buffer(self):
+        seeds = np.arange(10, dtype=np.uint64)
+        blocks = [draws for _, _, draws in uniform_grid(seeds, 0, 4, 8)]
+        assert len(blocks) == 5
+        assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
+
+    def test_nothing_to_draw(self):
+        assert list(uniform_grid(np.arange(3, dtype=np.uint64), 0, 0, 8)) == []
+        assert list(uniform_grid(np.empty(0, dtype=np.uint64), 0, 4, 8)) == []
+
 
 class TestRange:
     def test_unit_interval(self):
@@ -125,6 +170,13 @@ class TestDerive:
     def test_chains(self):
         grandchild = RandomStream(42).derive(1).derive(2)
         assert grandchild.seed != RandomStream(42).derive(1).seed
+
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+    def test_equals_the_array_mix(self, seed):
+        rows = np.arange(10_001, dtype=np.uint64)
+        parent = RandomStream(seed)
+        children = [parent.derive(i).seed for i in range(10_001)]
+        assert child_seeds(seed, rows).tolist() == children
 
     def test_rejects_negative_index(self):
         with pytest.raises(InvariantViolation, match="non-negative"):
