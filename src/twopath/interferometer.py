@@ -26,9 +26,8 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    _matrix_elements,
+    _half_commutator,
     _moments,
-    commutator,
     require_finite_angle,
     require_finite_angles,
 )
@@ -101,7 +100,12 @@ def balanced_amplitudes(phis) -> np.ndarray:
     the whole batch.  The rows, e^{-+i phi/2}/sqrt(2), have unit norm to
     rounding at every finite phi, so no norm check follows.
     """
-    half = 0.5 * require_finite_angles(phis, "phi")
+    return _balanced_rows(require_finite_angles(phis, "phi"))
+
+
+def _balanced_rows(phis: np.ndarray) -> np.ndarray:
+    """:func:`balanced_amplitudes` of an array of angles already checked finite."""
+    half = 0.5 * phis
     amps = np.empty((half.size, 2), dtype=np.complex128)
     amps[:, 0] = _INV_SQRT2 * np.exp(-1j * half)
     amps[:, 1] = _INV_SQRT2 * np.exp(1j * half)
@@ -124,26 +128,23 @@ def interference_scan(phi0: float, grid) -> ScanResult:
     """The fringe and the uncertainty bookkeeping on the balanced state at
     every grid point, as columns.
 
-    :func:`wave_operator` checks phi0 before the grid is checked.  The
-    states are built once, by :func:`balanced_amplitudes`, and not checked
-    again.  Every column comes from the operator machinery on them (the
-    moments of the two observables, the actual commutator), not from the
-    closed forms, and each row equals the scalar functions on its state
-    bit for bit.  A product of spreads below its bound by more than
-    TOL.var raises InvariantViolation naming the first such phi.
+    :func:`wave_operator` checks phi0, then the grid is checked once and
+    its states built once, as :func:`balanced_amplitudes` rows.  Every
+    column comes from the row kernels on them (the moments of the two
+    observables, the actual commutator), not from the closed forms, and
+    each row equals the scalar functions on its state bit for bit.  A
+    product of spreads below its bound by more than TOL.var raises
+    InvariantViolation naming the first such phi.
     """
     wave, path = wave_operator(phi0), path_operator()
     phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
-    states = balanced_amplitudes(phis)
-    w_expect, w_var = _moments(wave, states)
-    p_expect, p_var = _moments(path, states)
+    states = _balanced_rows(phis)
+    w_expect, w_var = _moments(wave.matrix, states)
+    p_expect, p_var = _moments(path.matrix, states)
     delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
-    # np.hypot rounds as abs() of a Python complex does; np.abs can differ
-    # from it in the last bit.
-    element = _matrix_elements(commutator(path, wave), states)
-    bound = 0.5 * np.hypot(element.real, element.imag)
+    bound = _half_commutator(path.matrix, wave.matrix, states)
     product = delta_p * delta_w
     gap = product - bound
     below = np.flatnonzero(gap < -TOL.var)

@@ -9,7 +9,8 @@ Each value is checked where it enters the library.  The three
 value types share one construction check and add only their own norm,
 Hermiticity or unitarity test.  :func:`expectations` validates an (N, 2)
 batch of state rows once and gives each row the scalar result bit for
-bit; the private row kernels under it trust rows the library built.
+bit.  The private row kernels under it trust rows the library built, and
+take one 2x2 matrix for every row or an (N, 2, 2) stack, one per row.
 """
 
 from __future__ import annotations
@@ -191,17 +192,23 @@ def expectations(obs: Observable, amps) -> np.ndarray:
     return _matrix_elements(obs.matrix, require_states(amps)).real
 
 
-def _moments(obs: Observable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`expectation` and :func:`variance` of obs on each validated
-    state row a, bit for bit, from one application of obs.
-
-    Like the scalar form, each variance is the squared norm of the
-    residual (obs - <obs>)|a>.
-    """
-    applied = _apply_rows(obs.matrix, a)
+def _moments(matrix: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`expectation` and :func:`variance` of a Hermitian matrix or
+    stack on each validated state row a, bit for bit, from one application;
+    like the scalar form, each variance is the squared norm of the residual
+    (matrix - <matrix>)|a>."""
+    applied = _apply_rows(matrix, a)
     means = _vdot_rows(a, applied).real
     residual = applied - means[:, None] * a
     return means, np.maximum(_vdot_rows(residual, residual).real, 0.0)
+
+
+def _half_commutator(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Robertson bound 0.5 |<[a, b]>| on each validated state row, for
+    matrices or stacks a and b, bit for bit.  np.hypot rounds as abs() of a
+    Python complex does; np.abs can differ from it in the last bit."""
+    element = _matrix_elements(a @ b - b @ a, rows)
+    return 0.5 * np.hypot(element.real, element.imag)
 
 
 def commutator(a: Observable, b: Observable) -> np.ndarray:
@@ -209,15 +216,15 @@ def commutator(a: Observable, b: Observable) -> np.ndarray:
     return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
+def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:
+    """c0 I + cx sx + cy sy + cz sz: one matrix for scalar coefficients, an
+    (N, 2, 2) stack for (N, 1, 1) coefficient arrays."""
+    return c0 * IDENTITY.matrix + cx * SIGMA_X.matrix + cy * SIGMA_Y.matrix + cz * SIGMA_Z.matrix
+
+
 def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
     """Hermitian operator c0 I + cx sx + cy sy + cz sz from real coefficients."""
-    m = (
-        c0 * IDENTITY.matrix
-        + cx * SIGMA_X.matrix
-        + cy * SIGMA_Y.matrix
-        + cz * SIGMA_Z.matrix
-    )
-    return Observable(m)
+    return Observable(_pauli_sum(c0, cx, cy, cz))
 
 
 def apply(gate: UnitaryGate, state: StateVector) -> StateVector:

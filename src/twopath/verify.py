@@ -8,12 +8,12 @@ a fixed-seed stream.
 
 The checks run in groups: splitter, complementarity, uncertainty,
 pipeline, operators and Robertson, then the Monte Carlo checks when shots
-are given.  Each grid is evaluated once per run: the wave bases and their
-assembled W at the 17 offsets feed every check that reads them, and so do
-the columns of the 5 x 41 grid (one interference scan per offset) and of
-the finite-difference slopes (one scan for all nine).  The override
-arguments exist so tests can inject a faulty component and watch the
-matching check fail by name.
+are given.  Each grid is evaluated once per run, as rows through the
+stacked kernels of ``qalgebra``: the wave eigenstates and W at the 17
+offsets, the 129 pipeline phases, the 512 Robertson triples, the 5 x 41
+scan grid and the nine finite-difference slopes.  The override arguments
+exist so tests can inject a faulty component and watch the matching
+check fail by name.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from .qalgebra import (
     SIGMA_X,
     SIGMA_Z,
     Observable,
-    StateVector,
     UnitaryGate,
-    apply,
-    expectation,
-    pauli_compose,
-    variance,
+    _apply_rows,
+    _half_commutator,
+    _matrix_elements,
+    _moments,
+    _pauli_sum,
+    require_states,
 )
 from .rng import RandomStream
 from .tolerances import TOL
@@ -114,13 +115,16 @@ def run_verification(
         derived = comp.derive_wave_eigenbasis(phi0)
         basis = wave_basis_override or derived
         offsets.append(_Offset(phi0, derived, basis, comp.observable_from_eigensystem(basis)))
+    # The wave eigenstates as rows, plus then minus per offset, and each row's W.
+    rows = np.array([v.amplitudes for o in offsets for v in (o.basis.plus, o.basis.minus)])
+    waves = np.repeat([o.assembled.matrix for o in offsets], 2, axis=0)
 
     checks = [
         *_splitter_checks(splitter.matrix),
-        *_complementarity_checks(offsets),
+        *_complementarity_checks(offsets, rows, waves),
         *_uncertainty_checks(),
-        *_pipeline_checks(splitter),
-        *_operator_checks(offsets),
+        *_pipeline_checks(splitter.matrix),
+        *_operator_checks(rows, waves),
         _robertson_check(),
     ]
     if shots is not None:
@@ -142,16 +146,17 @@ def _splitter_checks(b: np.ndarray) -> list[CheckResult]:
     ]
 
 
-def _complementarity_checks(offsets: list[_Offset]) -> list[CheckResult]:
+def _complementarity_checks(offsets: list[_Offset], rows: np.ndarray,
+                            waves: np.ndarray) -> list[CheckResult]:
     """Path and wave bases are mutually unbiased, and W has its Pauli form."""
     path_basis = comp.path_eigenbasis()
-    cross = [comp.check_mutual_zero_expectation(ifm.path_operator(), o.basis) for o in offsets]
+    arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(offsets), 1))
     return [
         _check("path_blind_on_wave_eigenstates",
-               _worst(abs(value) for values in cross for value in values[:2]),
+               _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real)),
                TOL.comp, "<w|P|w> = 0 for both wave eigenstates"),
         _check("wave_blind_on_path_eigenstates",
-               _worst(abs(value) for values in cross for value in values[2:]),
+               _worst(np.abs(_matrix_elements(waves, arms).real)),
                TOL.comp, "<p|W|p> = 0 for both arms"),
         _check("path_wave_mutually_unbiased",
                _worst(comp.is_complementary(path_basis, o.basis).max_deviation
@@ -220,17 +225,17 @@ def _uncertainty_checks() -> list[CheckResult]:
     ]
 
 
-def _pipeline_checks(splitter: UnitaryGate) -> list[CheckResult]:
+def _pipeline_checks(b: np.ndarray) -> list[CheckResult]:
     """Splitter, shifter, splitter, then a path measurement.
 
     With the library's splitter the fringe is cos(phi) with unit contrast.
     """
     grid = np.linspace(-math.pi, math.pi, 129)
-    opened = apply(splitter, KET_LOWER)
-    fringe = np.array([
-        expectation(SIGMA_Z, apply(splitter, apply(ifm.phase_shifter(phi), opened)))
-        for phi in map(float, grid)
-    ])
+    shifters = np.zeros((grid.size, 2, 2), dtype=np.complex128)
+    shifters[:, 0, 0], shifters[:, 1, 1] = np.exp(-0.5j * grid), np.exp(0.5j * grid)
+    opened = require_states(_apply_rows(b, KET_LOWER.amplitudes[None]))
+    closed = require_states(_apply_rows(b, require_states(_apply_rows(shifters, opened))))
+    fringe = _matrix_elements(SIGMA_Z.matrix, closed).real
     return [
         _check("pipeline_unit_visibility", abs(1.0 - float(np.max(np.abs(fringe)))),
                TOL.contrast, "full-pipeline fringe reaches unit contrast"),
@@ -239,36 +244,29 @@ def _pipeline_checks(splitter: UnitaryGate) -> list[CheckResult]:
     ]
 
 
-def _operator_checks(offsets: list[_Offset]) -> list[CheckResult]:
+def _operator_checks(rows: np.ndarray, waves: np.ndarray) -> list[CheckResult]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
     return [
         _check("wave_operator_periodicity",
-               _worst(np.max(np.abs(ifm.wave_operator(o.phi0 + 2 * math.pi).matrix
-                                    - ifm.wave_operator(o.phi0).matrix))
-                      for o in offsets),
+               _worst(np.max(np.abs(ifm.wave_operator(phi0 + 2 * math.pi).matrix
+                                    - ifm.wave_operator(phi0).matrix))
+                      for phi0 in map(float, _PHI0_GRID)),
                TOL.period, "W(phi0 + 2 pi) = W(phi0)"),
-        _check("variance_vanishes_on_eigenstates",
-               _worst(variance(o.assembled, v)
-                      for o in offsets for v in (o.basis.plus, o.basis.minus)),
+        _check("variance_vanishes_on_eigenstates", _worst(_moments(waves, rows)[1]),
                TOL.var, "eigenstates of W have zero spread"),
     ]
 
 
 def _robertson_check() -> CheckResult:
     """Robertson inequality on deterministic pseudo-random triples."""
-    # One batch of 512 x 10 draws: by counter addressing, the same values
-    # as 512 successive batches of 10, for one generator set-up.
-    excess = []
-    for raw in RandomStream(0xC0FFEE).uniforms(5120).reshape(512, 10):
-        a = pauli_compose(*(2.0 * raw[0:4] - 1.0))
-        b = pauli_compose(*(2.0 * raw[4:8] - 1.0))
-        theta = math.pi * raw[8]
-        xi = 2 * math.pi * raw[9]
-        state = StateVector(np.array(
-            [math.cos(0.5 * theta), math.sin(0.5 * theta) * np.exp(1j * xi)], dtype=np.complex128
-        ))
-        bound = unc.robertson_bound(a, b, state)
-        excess.append(bound**2 - variance(a, state) * variance(b, state))
+    # 512 rows of 10 draws (Pauli coefficients of a and b, theta, xi) in one
+    # batch: by counter addressing, 512 successive batches of 10 give the same.
+    raw = RandomStream(0xC0FFEE).uniforms(5120).reshape(512, 10).T
+    coeffs = (2.0 * raw[:8] - 1.0)[:, :, None, None]
+    a, b = _pauli_sum(*coeffs[:4]), _pauli_sum(*coeffs[4:])
+    half, xi = 0.5 * (math.pi * raw[8]), 2 * math.pi * raw[9]
+    states = require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)]))
+    excess = _half_commutator(a, b, states) ** 2 - _moments(a, states)[1] * _moments(b, states)[1]
     return _check("robertson_inequality", _worst(excess),
                   TOL.var, "var(a) var(b) >= bound^2 on random triples")
 
@@ -299,14 +297,7 @@ def variance_window(mean: float, shots: int) -> float:
 def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
     """Monte Carlo checks: randomization and convergence at finite shots."""
     checks: list[CheckResult] = []
-    pair_draws = RandomStream(seed).uniforms(8)
-    pairs = [
-        (
-            float(2 * math.pi * pair_draws[2 * i] - math.pi),
-            float(2 * math.pi * pair_draws[2 * i + 1] - math.pi),
-        )
-        for i in range(4)
-    ]
+    pairs = (2 * math.pi * RandomStream(seed).uniforms(8) - math.pi).reshape(4, 2).tolist()
 
     stream_index = 0
     for order in meas.MeasurementOrder:

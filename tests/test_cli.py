@@ -92,7 +92,7 @@ class TestScan:
         assert counts[0] == counts[1]
 
     def test_grid_states_are_built_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, interferometer.balanced_amplitudes)
+        calls = count_calls(monkeypatch, interferometer._balanced_rows)
         cmd_scan(RunConfig(phi0=0.6, steps=361))
         assert [len(args[0]) for args in calls] == [361]
 

@@ -26,6 +26,7 @@ from twopath.interferometer import (
 )
 from twopath.qalgebra import (
     _moments,
+    _pauli_sum,
     IDENTITY,
     InvariantViolation,
     KET_LOWER,
@@ -49,6 +50,10 @@ from twopath.qalgebra import (
 from twopath.uncertainty import duality_report
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Pauli coefficients with both signed zeros drawn often: a stacked sum must
+# keep the sign of every zero entry that the scalar sum gives.
+signed_coefficients = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
 
 
 class TestConstructors:
@@ -172,10 +177,20 @@ class TestBatched:
         amps = np.array([s.amplitudes for s in states])
         assert expectations(obs, amps).tolist() == [expectation(obs, s) for s in states]
 
-    @given(hermitians(), st.lists(pure_states(), min_size=1, max_size=6))
-    def test_variances_equal_the_scalar_rows(self, obs, states):
-        amps = np.array([s.amplitudes for s in states])
-        assert _moments(obs, require_states(amps))[1].tolist() == [variance(obs, s) for s in states]
+    @given(hermitians(), st.lists(st.tuples(hermitians(), pure_states()), min_size=1, max_size=6))
+    def test_variances_equal_the_scalar_rows(self, obs, rows):
+        # One matrix for every row, then a stack with one observable per row.
+        states = [s for _, s in rows]
+        amps = require_states(np.array([s.amplitudes for s in states]))
+        assert _moments(obs.matrix, amps)[1].tolist() == [variance(obs, s) for s in states]
+        stack = np.array([o.matrix for o, _ in rows])
+        assert _moments(stack, amps)[1].tolist() == [variance(o, s) for o, s in rows]
+
+    @given(st.lists(st.tuples(*[signed_coefficients] * 4), min_size=1, max_size=6))
+    def test_stacked_pauli_sum_equals_pauli_compose(self, rows):
+        stack = _pauli_sum(*np.array(rows).T[:, :, None, None])
+        for matrix, coeffs in zip(stack, rows):
+            assert matrix.tobytes() == pauli_compose(*coeffs).matrix.tobytes()
 
     @given(st.lists(pure_states(), min_size=1, max_size=6), st.data())
     def test_nan_anywhere_in_a_batch_is_rejected(self, states, data):
@@ -206,6 +221,11 @@ class TestCheckedOnce:
         assert len(calls) == 0
         duality_report(0.3, 0.6)
         assert len(calls) == 0
+
+    def test_scan_checks_its_grid_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, qalgebra.require_finite_angles)
+        interference_scan(0.6, np.linspace(-3, 3, 361))
+        assert len(calls) == 1
 
     def test_expectations_validates_its_batch_once(self, monkeypatch):
         calls = count_calls(monkeypatch, qalgebra.require_states)

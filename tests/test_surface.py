@@ -109,6 +109,26 @@ def test_every_public_name_has_a_user():
     assert unused == [], f"public names with no user outside the unit tests: {unused}"
 
 
+def test_every_import_is_used():
+    # No linter runs on the package, so this catches what a refactor leaves
+    # behind.  __init__ imports in order to re-export, so it is exempt.
+    unused = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module.stem}: {name}" for name in sorted(imported - used)]
+    assert unused == [], f"imported but never used: {unused}"
+
+
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     argv = [sys.executable, str(ROOT / "scripts" / name), *args]

@@ -24,6 +24,7 @@ from twopath.interferometer import (
     wave_operator,
 )
 from twopath.qalgebra import (
+    _half_commutator,
     InvariantViolation,
     KET_UPPER,
     SIGMA_X,
@@ -64,6 +65,12 @@ class TestRobertsonBound:
         oracle = commutator_bound_oracle(a.matrix, b.matrix, state.amplitudes)
         assert abs(bound - oracle) < 1e-10
         assert variance(a, state) * variance(b, state) >= bound**2 - 1e-10
+
+    @given(st.lists(st.tuples(hermitians(), hermitians(), pure_states()), min_size=1, max_size=6))
+    def test_stacked_bound_equals_the_scalar_rows(self, triples):
+        a, b = (np.array([t[k].matrix for t in triples]) for k in (0, 1))
+        amps = np.array([t[2].amplitudes for t in triples])
+        assert _half_commutator(a, b, amps).tolist() == [robertson_bound(*t) for t in triples]
 
 
 class TestGeneralBoundRhs:

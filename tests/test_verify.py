@@ -1,10 +1,13 @@
 """The named check suite: green by default, red under injected faults."""
 
 import ast
+import hashlib
 from pathlib import Path
 
+import pytest
+
 from support import count_calls, perturbed_splitter
-from twopath import interferometer, uncertainty, verify
+from twopath import complementarity, interferometer, qalgebra, uncertainty, verify
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -37,6 +40,19 @@ class TestHealthySuite:
         scans = count_calls(monkeypatch, interferometer.interference_scan)
         assert run_verification().all_passed
         assert (len(reports), len(scans)) == (0, 6)
+
+    def test_makes_no_scalar_algebra_calls(self, monkeypatch):
+        scalar = (
+            qalgebra.expectation,
+            qalgebra.variance,
+            qalgebra.apply,
+            qalgebra.pauli_compose,
+            uncertainty.robertson_bound,
+            complementarity.check_mutual_zero_expectation,
+        )
+        calls = [count_calls(monkeypatch, fn) for fn in scalar]
+        assert run_verification().all_passed
+        assert [len(c) for c in calls] == [0, 0, 0, 0, 0, 0]
 
     def test_report_formatting(self):
         text = format_report(run_verification())
@@ -90,6 +106,23 @@ class TestFaultInjection:
             line.startswith("FAIL") and "beam_splitter_conjugation" in line
             for line in text.splitlines()
         )
+
+
+class TestReportBytes:
+    """The whole report, residuals included, under each injected fault."""
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "4adf6594a7fee8d0b33219c12539d06f4393e68dfba38467d53470a5f7f46619"),
+        ({"beam_splitter_override": perturbed_splitter()},
+         "38a110dfdf83af1552995aa8c7eaecc9eb73a1a448055b0603e853b9c4e663e4"),
+        ({"wave_basis_override": path_eigenbasis()},
+         "badd724af6164fb51aab9d13d9fae4e477b9962bb53a8dbe5a80a282ee217a82"),
+        ({"beam_splitter_override": perturbed_splitter(0.3), "wave_basis_override": path_eigenbasis()},
+         "208aac60fbc6b90526d1cfe8554203d37d716d6de3afa1faf56a83ab976b4731"),
+    ], ids=["healthy", "splitter", "wave-basis", "both"])
+    def test_report_digest(self, overrides, digest):
+        text = format_report(run_verification(**overrides))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestNamedLimits:
