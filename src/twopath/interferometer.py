@@ -119,9 +119,14 @@ def wave_operator(phi0: float) -> Observable:
     measurement placed after the closing beam splitter of a setup with
     offset phi0.
     """
-    phi0 = require_finite_angle(phi0, "phi0")
-    m = math.cos(phi0) * SIGMA_X.matrix + math.sin(phi0) * SIGMA_Y.matrix
-    return Observable(m)
+    return Observable(_wave_matrices(require_finite_angle(phi0, "phi0")))
+
+
+def _wave_matrices(phi0s) -> np.ndarray:
+    """The matrix of :func:`wave_operator` for a scalar phi0, or an (N, 2, 2)
+    stack of them for an array of offsets already checked finite."""
+    phi0s = np.asarray(phi0s, dtype=np.float64)[..., None, None]
+    return np.cos(phi0s) * SIGMA_X.matrix + np.sin(phi0s) * SIGMA_Y.matrix
 
 
 def interference_scan(phi0: float, grid) -> ScanResult:

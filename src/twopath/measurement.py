@@ -6,16 +6,15 @@ sequential experiment prepares a balanced state, measures one of the
 path/wave pair, then measures the other on the projected state; whichever
 goes second comes out 50/50, which is complementarity seen operationally.
 
-One sampler runs every such experiment: :func:`sequential_counts` draws a
-whole grid of rows, each from its own stream, as blocks of the stream
-grid of :func:`rng.uniform_grid`, and keeps only two +1 counts per row.
-:func:`sequential_experiment` is its one-row call.
+One sampler runs every such experiment: a row of :func:`sequential_counts`
+is one experiment with its own order, phase, offset and stream seed, and
+the rows are drawn as blocks of :func:`rng.uniform_grid`, keeping two +1
+counts per row.  :func:`sequential_experiment` is its one-row call.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,22 +82,13 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     return MeasurementRecord(outcome=-1.0, post_state=StateVector(vecs[:, 1]))
 
 
-@functools.lru_cache(maxsize=8)
 def _eigenvectors(order: MeasurementOrder, phi0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvector columns of the first and the second observable.
-
-    They depend on the order and phi0 alone, so a run over many phases
-    with one offset solves them once.
-    """
+    """Eigenvector columns of the first and the second observable."""
     if order is MeasurementOrder.P_THEN_W:
         first, second = path_operator(), wave_operator(phi0)
     else:
         first, second = wave_operator(phi0), path_operator()
-    _, vecs1 = binary_eigensystem(first)
-    _, vecs2 = binary_eigensystem(second)
-    vecs1.setflags(write=False)
-    vecs2.setflags(write=False)
-    return vecs1, vecs2
+    return binary_eigensystem(first)[1], binary_eigensystem(second)[1]
 
 
 def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
@@ -113,43 +103,55 @@ def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
 def sequential_counts(
     orders,
     phis,
-    phi0: float,
+    phi0s,
     shots: int,
     seeds: np.ndarray,
     counter: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """+1 counts of the first and the second measurement in every row.
 
-    The rows run over the phases and, within each phase, over `orders`;
-    row r draws from the stream seeds[r] (uint64) from position `counter`
-    on, two draws per shot in shot order: the first decides the first
-    measurement, the second the second on the projected state.  So each
-    row reproduces a literal measure-then-measure loop bit for bit.
+    Row r is one experiment: it measures orders[r] (a MeasurementOrder or
+    its value) on the balanced state at phis[r] with setup offset
+    phi0s[r], and draws from the stream seeds[r] (uint64) from position
+    `counter` on, two draws per shot in shot order: the first decides the
+    first measurement, the second the second on the projected state.  So
+    each row reproduces a literal measure-then-measure loop bit for bit.
 
     The rows are drawn as blocks of :func:`rng.uniform_grid`, of at most
     CHUNK_SHOTS shots each, so memory does not grow with shots.  Each
-    row's first-outcome odds come from the state of
+    row's first-outcome odds come from its state of
     :func:`balanced_amplitudes` through np.vdot, as :func:`measure` gets
     them; the second-outcome odds depend only on the order, phi0 and which
-    eigenvector the first projection selected.
+    eigenvector the first projection selected, so the eigensystems are
+    solved once per distinct (order, phi0), in one pass over that order's
+    rows each.
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
-    orders = [MeasurementOrder(order) for order in orders]
-    eigenvectors = [_eigenvectors(order, float(phi0)) for order in orders]
+    lengths = (len(orders), len(phis), len(phi0s), len(seeds))
+    if len(set(lengths)) > 1:
+        raise InvariantViolation("need one order, phi, phi0 and seed per row, got %d orders, "
+                                 "%d phis, %d phi0s and %d seeds" % lengths)
+    order_col = np.asarray(orders, dtype=object)
+    phi0s = np.asarray(phi0s, dtype=np.float64)
     amps = balanced_amplitudes(phis)
-    k = len(orders)
-    if len(seeds) != len(amps) * k:
-        raise InvariantViolation(f"need one seed per row ({len(amps) * k}), got {len(seeds)}")
-    p_first = np.empty(len(amps) * k)
-    p_after_plus = np.empty_like(p_first)
-    p_after_minus = np.empty_like(p_first)
-    for j, (vecs1, vecs2) in enumerate(eigenvectors):
-        plus = vecs1[:, 0]
-        p_first[j::k] = [abs(np.vdot(plus, state)) ** 2 for state in amps]
-        p_after_plus[j::k] = abs(np.vdot(vecs2[:, 0], plus)) ** 2
-        p_after_minus[j::k] = abs(np.vdot(vecs2[:, 0], vecs1[:, 1])) ** 2
-
+    # a row whose order is neither member nor value keeps NaN odds
+    p_first, p_after_plus, p_after_minus = np.full((3, len(amps)), np.nan)
+    for order in MeasurementOrder:
+        rows = np.flatnonzero((order_col == order) | (order_col == order.value))
+        # one pass per distinct offset: np.unique's code pages cost 0.2-0.5 MB of RSS
+        while rows.size:
+            phi0 = float(phi0s[rows[0]])
+            vecs1, vecs2 = _eigenvectors(order, phi0)  # rejects a non-finite phi0
+            same = phi0s[rows] == phi0
+            members, rows = rows[same], rows[~same]
+            plus = vecs1[:, 0]
+            p_first[members] = [abs(np.vdot(plus, state)) ** 2 for state in amps[members]]
+            p_after_plus[members] = abs(np.vdot(vecs2[:, 0], plus)) ** 2
+            p_after_minus[members] = abs(np.vdot(vecs2[:, 0], vecs1[:, 1])) ** 2
+    unmatched = np.flatnonzero(np.isnan(p_first))
+    if unmatched.size:
+        raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")
     n_first = np.zeros(p_first.size, dtype=np.int64)
     n_second = np.zeros_like(n_first)
     for lo, hi, draws in uniform_grid(seeds, counter, 2 * shots, 2 * CHUNK_SHOTS):
@@ -188,7 +190,7 @@ def sequential_experiment(
     (:func:`outcome_moments`).
     """
     seeds = np.array([rng.seed], dtype=np.uint64)
-    (n1,), (n2,) = sequential_counts([order], [phi], phi0, shots, seeds, rng.counter)
+    (n1,), (n2,) = sequential_counts([order], [phi], [phi0], shots, seeds, rng.counter)
     rng.counter += 2 * shots
     n1, n2 = int(n1), int(n2)
     first_mean, first_variance = outcome_moments(n1, shots)

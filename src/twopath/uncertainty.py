@@ -53,12 +53,12 @@ def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:
     """Full uncertainty bookkeeping on the balanced state at phi.
 
-    The single row of :func:`interference_scan` over [phi].
+    The single row of :func:`interference_scan` over [phi], which checks
+    phi0 through :func:`wave_operator`.
     """
     phi = require_finite_angle(phi, "phi")
-    phi0 = require_finite_angle(phi0, "phi0")
     scan = interference_scan(phi0, [phi])
-    return UncertaintyReport(phi, phi0, *(column.item() for column in scan[3:]))
+    return UncertaintyReport(phi, float(phi0), *(column.item() for column in scan[3:]))
 
 
 def sensitivity(phi: float, phi0: float) -> float:

@@ -11,9 +11,11 @@ pipeline, operators and Robertson, then the Monte Carlo checks when shots
 are given.  Each grid is evaluated once per run, as rows through the
 stacked kernels of ``qalgebra``: the wave eigenstates and W at the 17
 offsets, the 129 pipeline phases, the 512 Robertson triples, the 5 x 41
-scan grid and the nine finite-difference slopes.  The override arguments
-exist so tests can inject a faulty component and watch the matching
-check fail by name.
+scan grid and the nine finite-difference slopes.  The eight Monte Carlo
+rows, four (phi, phi0) pairs under each order, are one sampler call, in
+which row r draws from child stream r of the seed.  The override
+arguments exist so tests can inject a faulty component and watch the
+matching check fail by name.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .qalgebra import (
     _pauli_sum,
     require_states,
 )
-from .rng import RandomStream
+from .rng import RandomStream, child_seeds
 from .tolerances import TOL
 
 _PHI0_GRID = np.linspace(-math.pi, math.pi, 17)
@@ -166,8 +168,8 @@ def _complementarity_checks(offsets: list[_Offset], rows: np.ndarray,
                _worst(_closed_form_miss(o.phi0, o.derived) for o in offsets),
                TOL.identity, "derived basis matches its closed form"),
         _check("wave_operator_pauli_form",
-               _worst(np.max(np.abs(o.assembled.matrix - ifm.wave_operator(o.phi0).matrix))
-                      for o in offsets),
+               np.max(np.abs(np.array([o.assembled.matrix for o in offsets])
+                             - ifm._wave_matrices([o.phi0 for o in offsets]))),
                TOL.identity, "assembled W = cos(phi0) sx + sin(phi0) sy"),
     ]
 
@@ -248,9 +250,8 @@ def _operator_checks(rows: np.ndarray, waves: np.ndarray) -> list[CheckResult]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
     return [
         _check("wave_operator_periodicity",
-               _worst(np.max(np.abs(ifm.wave_operator(phi0 + 2 * math.pi).matrix
-                                    - ifm.wave_operator(phi0).matrix))
-                      for phi0 in map(float, _PHI0_GRID)),
+               np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
+                             - ifm._wave_matrices(_PHI0_GRID))),
                TOL.period, "W(phi0 + 2 pi) = W(phi0)"),
         _check("variance_vanishes_on_eigenstates", _worst(_moments(waves, rows)[1]),
                TOL.var, "eigenstates of W have zero spread"),
@@ -297,25 +298,26 @@ def variance_window(mean: float, shots: int) -> float:
 def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
     """Monte Carlo checks: randomization and convergence at finite shots."""
     checks: list[CheckResult] = []
-    pairs = (2 * math.pi * RandomStream(seed).uniforms(8) - math.pi).reshape(4, 2).tolist()
-
-    stream_index = 0
-    for order in meas.MeasurementOrder:
-        worst_chi2 = 0.0
-        worst_var = 0.0
-        for phi, phi0 in pairs:
-            stream = RandomStream(seed).derive(stream_index)
-            stream_index += 1
-            stats = meas.sequential_experiment(order, phi, phi0, shots, stream)
-            chi2, _ = meas.uniformity_test(stats.second_counts)
+    orders = list(meas.MeasurementOrder)
+    pairs = (2 * math.pi * RandomStream(seed).uniforms(8) - math.pi).reshape(4, 2)
+    # Eight rows, each pair under each order, order-major: row r is one
+    # experiment on child stream r of the seed.
+    phis, phi0s = np.tile(pairs, (len(orders), 1)).T
+    counts = meas.sequential_counts([order for order in orders for _ in pairs], phis, phi0s,
+                                    shots, child_seeds(seed, np.arange(phis.size, dtype=np.uint64)))
+    n_first, n_second = (c.reshape(len(orders), len(pairs)).tolist() for c in counts)
+    for order, firsts, seconds in zip(orders, n_first, n_second):
+        worst_chi2 = worst_var = 0.0
+        for (phi, phi0), n1, n2 in zip(pairs.tolist(), firsts, seconds):
+            chi2, _ = meas.uniformity_test((n2, shots - n2))
             worst_chi2 = max(worst_chi2, chi2)
             if order is meas.MeasurementOrder.P_THEN_W:
                 mean, target_var = 0.0, 1.0
             else:
                 mean = math.cos(phi - phi0)
                 target_var = math.sin(phi - phi0) ** 2
-            window = variance_window(mean, shots)
-            worst_var = max(worst_var, abs(stats.first_variance - target_var) / window)
+            first_variance = meas.outcome_moments(n1, shots)[1]
+            worst_var = max(worst_var, abs(first_variance - target_var) / variance_window(mean, shots))
         tag = order.value
         checks.append(_check(f"second_outcome_uniform_{tag}", worst_chi2, meas.CHI2_CRITICAL_1PCT,
                              "chi-square of second-measurement counts vs 50/50"))

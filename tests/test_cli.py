@@ -176,7 +176,7 @@ class TestSample:
 
         monkeypatch.setattr(measurement, "uniform_grid", recorded)
         cmd_sample(RunConfig(phi0=0.6, steps=2001, shots=1000, order="both"))
-        assert [len(args[0]) for args in amplitudes] == [2001]
+        assert [len(args[0]) for args in amplitudes] == [4002]
         assert (states, derived) == ([], [])
         # 4002 rows of 2000 draws, 32 rows to a block
         assert len(blocks) == 126

@@ -7,11 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from support import count_calls
+from twopath import qalgebra
 from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
     CHUNK_SHOTS,
     MeasurementOrder,
     measure,
+    sequential_counts,
     sequential_experiment,
     uniformity_test,
 )
@@ -25,7 +28,7 @@ from twopath.qalgebra import (
     states_equal,
 )
 from twopath.cli import RunConfig, cmd_sample
-from twopath.rng import RandomStream
+from twopath.rng import RandomStream, child_seeds
 
 
 class TestMeasure:
@@ -262,6 +265,62 @@ class TestBlocks:
             )
             assert int(fields[8]) == n2, row
             assert float(fields[4]) == (2 * n1 - shots) / shots, row
+
+
+class TestRows:
+    """Each row of one sampler call is a whole experiment: its own order,
+    phase, offset and stream."""
+
+    SEED = 2024
+    OFFSETS = (0.6, -1.3, 2.9, 0.0)
+
+    def rows(self, count):
+        rng = np.random.default_rng(count)
+        orders = [list(MeasurementOrder)[k] for k in rng.integers(2, size=count)]
+        phis = rng.uniform(-math.pi, math.pi, size=count)
+        phi0s = [self.OFFSETS[k] for k in rng.integers(len(self.OFFSETS), size=count)]
+        return orders, phis, phi0s, child_seeds(self.SEED, np.arange(count, dtype=np.uint64))
+
+    def test_mixed_rows_equal_their_own_streams(self):
+        # 1000 shots put 32 rows in a block, so 40 rows cross a block edge
+        shots = 1000
+        orders, phis, phi0s, seeds = self.rows(40)
+        # a value in place of a member, and offsets that repeat across orders
+        orders[5] = orders[5].value
+        assert len(set(phi0s)) < len(phi0s) and len({*map(MeasurementOrder, orders)}) == 2
+        n_first, n_second = sequential_counts(orders, phis, phi0s, shots, seeds)
+        parent = RandomStream(self.SEED)
+        for row in range(40):
+            want = reference_counts(
+                MeasurementOrder(orders[row]), float(phis[row]), phi0s[row], shots,
+                parent.derive(row),
+            )
+            assert (int(n_first[row]), int(n_second[row])) == want, row
+
+    @pytest.mark.parametrize("count", [8, 40, 400])
+    def test_eigensystems_are_solved_once_per_order_and_offset(self, monkeypatch, count):
+        _, phis, _, seeds = self.rows(count)
+        orders = [order for order in MeasurementOrder for _ in range(count // 2)]
+        phi0s = [self.OFFSETS[row % 4] for row in range(count)]
+        solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
+        sequential_counts(orders, phis, phi0s, 10, seeds)
+        # 4 offsets x 2 orders, two observables each
+        assert len(solves) == 16
+
+    def test_rows_of_unequal_length_are_rejected(self):
+        orders, phis, phi0s, seeds = self.rows(4)
+        with pytest.raises(InvariantViolation, match="4 orders, 4 phis, 3 phi0s and 4 seeds"):
+            sequential_counts(orders, phis, phi0s[:3], 10, seeds)
+
+    def test_non_finite_offset_is_named(self):
+        orders, phis, phi0s, seeds = self.rows(4)
+        with pytest.raises(InvariantViolation, match="phi0 must be a finite angle, got nan"):
+            sequential_counts(orders, phis, phi0s[:3] + [math.nan], 10, seeds)
+
+    def test_unknown_order_is_rejected(self):
+        orders, phis, phi0s, seeds = self.rows(4)
+        with pytest.raises(InvariantViolation, match="order must be pw or wp, got 'qq'"):
+            sequential_counts(orders[:3] + ["qq"], phis, phi0s, 10, seeds)
 
 
 class TestUniformityTest:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from support import (
     angles,
+    count_calls,
     general_bound_rhs,
     hermitians,
     matmul_oracle,
@@ -16,7 +17,7 @@ from support import (
     random_hermitian,
     random_state,
 )
-from twopath import interferometer
+from twopath import interferometer, qalgebra
 from twopath.interferometer import (
     balanced_state,
     interference_scan,
@@ -118,6 +119,17 @@ class TestDualityReport:
         assert abs(report.delta_p - 1.0) < 1e-12
         assert abs(report.delta_w - abs(math.sin(phi - phi0))) < 1e-12
         assert abs(report.bound - abs(math.sin(phi - phi0))) < 1e-12
+
+    def test_each_angle_is_checked_once(self, monkeypatch):
+        # phi here, phi0 inside the scan's wave_operator
+        checks = count_calls(monkeypatch, qalgebra.require_finite_angle)
+        report = duality_report(0.3, 1)
+        assert [args[1] for args in checks] == ["phi", "phi0"]
+        assert type(report.phi0) is float
+
+    def test_non_finite_offset_is_named(self):
+        with pytest.raises(InvariantViolation, match="phi0 must be a finite angle, got nan"):
+            duality_report(0.3, math.nan)
 
     def test_saturation_sweep(self):
         # 10^4 random scan points: the product equals the bound

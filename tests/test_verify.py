@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from support import count_calls, perturbed_splitter
-from twopath import complementarity, interferometer, qalgebra, uncertainty, verify
+from twopath import complementarity, interferometer, measurement, qalgebra, uncertainty, verify
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -40,6 +40,24 @@ class TestHealthySuite:
         scans = count_calls(monkeypatch, interferometer.interference_scan)
         assert run_verification().all_passed
         assert (len(reports), len(scans)) == (0, 6)
+
+    def test_wave_operator_is_built_once_per_scan(self, monkeypatch):
+        # the Pauli-form and periodicity checks compare stacks of W matrices
+        waves = count_calls(monkeypatch, interferometer.wave_operator)
+        assert run_verification().all_passed
+        assert len(waves) == 6
+
+    def test_sampled_rows_are_drawn_in_one_call(self, monkeypatch):
+        # the eight (phi, phi0, order) rows, then the two determinism runs
+        calls = count_calls(monkeypatch, measurement.sequential_counts)
+        derived = []
+        derive = verify.RandomStream.derive
+        monkeypatch.setattr(
+            verify.RandomStream, "derive", lambda self, i: derived.append(i) or derive(self, i)
+        )
+        verify._sampled_checks(shots=200, seed=4)
+        assert [len(args[0]) for args in calls] == [8, 1, 1]
+        assert derived == []
 
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
         scalar = (
