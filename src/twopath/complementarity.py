@@ -6,8 +6,8 @@ pins the wave observable's eigenvectors completely, up to one free
 relative phase: they must carry zero path expectation and form an
 orthonormal pair.  This module performs that derivation generically (it
 solves the constraints rather than hard-coding their solution), assembles
-observables from eigensystems, and tests arbitrary bases for
-complementarity.
++1/-1 observables from their eigenbases, and tests any two such bases
+(:class:`qalgebra.EigenBasis`) for complementarity.
 """
 
 from __future__ import annotations
@@ -18,36 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qalgebra import (
-    InvariantViolation,
+    EigenBasis,
     Observable,
     SIGMA_Z,
     StateVector,
     binary_eigensystem,
-    eig_hermitian,
     expectation,
     require_finite_angle,
 )
 from .tolerances import TOL
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True, eq=False)
-class EigenBasis:
-    """An orthonormal pair of eigenvectors with real outcome labels."""
-
-    plus: StateVector
-    minus: StateVector
-    labels: tuple[float, float] = (1.0, -1.0)
-
-    def __post_init__(self) -> None:
-        overlap = abs(np.vdot(self.plus.amplitudes, self.minus.amplitudes))
-        if overlap > TOL.norm:
-            raise InvariantViolation(
-                f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
-            )
-        if not all(math.isfinite(x) for x in self.labels):
-            raise InvariantViolation("eigenvalue labels must be finite reals")
 
 
 @dataclass(frozen=True)
@@ -98,30 +79,15 @@ def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
 
 
 def observable_from_eigensystem(basis: EigenBasis) -> Observable:
-    """Spectral assembly: sum of label * |vector><vector| over the basis."""
-    lp, lm = basis.labels
+    """Spectral assembly of the +1/-1 observable: |plus><plus| - |minus><minus|."""
     p = basis.plus.amplitudes
     m = basis.minus.amplitudes
-    matrix = lp * np.outer(p, np.conj(p)) + lm * np.outer(m, np.conj(m))
-    return Observable(matrix)
-
-
-def eigenbasis_of(obs: Observable) -> EigenBasis:
-    """Closed-form eigenbasis of a Hermitian 2x2 operator, labels attached.
-
-    The larger eigenvalue goes into the plus slot.
-    """
-    evals, vecs = eig_hermitian(obs)
-    return EigenBasis(
-        plus=StateVector(vecs[:, 0]),
-        minus=StateVector(vecs[:, 1]),
-        labels=(float(evals[0]), float(evals[1])),
-    )
+    return Observable(np.outer(p, np.conj(p)) - np.outer(m, np.conj(m)))
 
 
 def path_eigenbasis() -> EigenBasis:
-    """The eigenbasis of the path observable: the two arms, labels +1/-1."""
-    return eigenbasis_of(SIGMA_Z)
+    """The eigenbasis of the path observable: the upper arm +1, the lower -1."""
+    return binary_eigensystem(SIGMA_Z)
 
 
 def is_complementary(basis_a: EigenBasis, basis_b: EigenBasis) -> ComplementarityVerdict:
@@ -143,13 +109,11 @@ def check_mutual_zero_expectation(
     assembled from basis_w and p+/- are the eigenvectors of p_obs.  All
     four vanish exactly when the pair is complementary.
     """
-    _, vecs = binary_eigensystem(p_obs)
+    basis_p = binary_eigensystem(p_obs)
     w_obs = observable_from_eigensystem(basis_w)
-    p_plus = StateVector(vecs[:, 0])
-    p_minus = StateVector(vecs[:, 1])
     return (
         expectation(p_obs, basis_w.plus),
         expectation(p_obs, basis_w.minus),
-        expectation(w_obs, p_plus),
-        expectation(w_obs, p_minus),
+        expectation(w_obs, basis_p.plus),
+        expectation(w_obs, basis_p.minus),
     )

@@ -1,10 +1,11 @@
 """Born-rule projective measurement and the sequential-order experiment.
 
-A measurement projects the state onto an eigenvector of the measured
-observable, chosen with probability given by the squared overlap.  The
-sequential experiment prepares a balanced state, measures one of the
-path/wave pair, then measures the other on the projected state; whichever
-goes second comes out 50/50, which is complementarity seen operationally.
+A measurement projects the state onto a vector of the measured
+observable's :func:`qalgebra.binary_eigensystem` basis, chosen with
+probability given by the squared overlap.  The sequential experiment
+prepares a balanced state, measures one of the path/wave pair, then
+measures the other on the projected state; whichever goes second comes
+out 50/50, which is complementarity seen operationally.
 
 One sampler runs every such experiment: a row of :func:`sequential_counts`
 is one experiment with its own order, phase, offset and stream seed, and
@@ -75,20 +76,11 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     the returned post-measurement state is the matching eigenvector.
     Consumes exactly one uniform draw from the stream.
     """
-    _, vecs = binary_eigensystem(obs)
-    p_plus = abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2
+    basis = binary_eigensystem(obs)
+    p_plus = abs(np.vdot(basis.plus.amplitudes, state.amplitudes)) ** 2
     if rng.uniform() < p_plus:
-        return MeasurementRecord(outcome=1.0, post_state=StateVector(vecs[:, 0]))
-    return MeasurementRecord(outcome=-1.0, post_state=StateVector(vecs[:, 1]))
-
-
-def _eigenvectors(order: MeasurementOrder, phi0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvector columns of the first and the second observable."""
-    if order is MeasurementOrder.P_THEN_W:
-        first, second = path_operator(), wave_operator(phi0)
-    else:
-        first, second = wave_operator(phi0), path_operator()
-    return binary_eigensystem(first)[1], binary_eigensystem(second)[1]
+        return MeasurementRecord(outcome=1.0, post_state=basis.plus)
+    return MeasurementRecord(outcome=-1.0, post_state=basis.minus)
 
 
 def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
@@ -122,9 +114,9 @@ def sequential_counts(
     row's first-outcome odds come from its state of
     :func:`balanced_amplitudes` through np.vdot, as :func:`measure` gets
     them; the second-outcome odds depend only on the order, phi0 and which
-    eigenvector the first projection selected, so the eigensystems are
-    solved once per distinct (order, phi0), in one pass over that order's
-    rows each.
+    eigenvector the first projection selected.  So the path eigenbasis is
+    solved once per call and the wave eigenbasis once per distinct
+    (order, phi0), in one pass over that order's rows each.
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
@@ -137,18 +129,20 @@ def sequential_counts(
     amps = balanced_amplitudes(phis)
     # a row whose order is neither member nor value keeps NaN odds
     p_first, p_after_plus, p_after_minus = np.full((3, len(amps)), np.nan)
+    path = binary_eigensystem(path_operator())
     for order in MeasurementOrder:
         rows = np.flatnonzero((order_col == order) | (order_col == order.value))
         # one pass per distinct offset: np.unique's code pages cost 0.2-0.5 MB of RSS
         while rows.size:
             phi0 = float(phi0s[rows[0]])
-            vecs1, vecs2 = _eigenvectors(order, phi0)  # rejects a non-finite phi0
+            wave = binary_eigensystem(wave_operator(phi0))  # rejects a non-finite phi0
+            first, second = (path, wave) if order is MeasurementOrder.P_THEN_W else (wave, path)
             same = phi0s[rows] == phi0
             members, rows = rows[same], rows[~same]
-            plus = vecs1[:, 0]
+            plus, after = first.plus.amplitudes, second.plus.amplitudes
             p_first[members] = [abs(np.vdot(plus, state)) ** 2 for state in amps[members]]
-            p_after_plus[members] = abs(np.vdot(vecs2[:, 0], plus)) ** 2
-            p_after_minus[members] = abs(np.vdot(vecs2[:, 0], vecs1[:, 1])) ** 2
+            p_after_plus[members] = abs(np.vdot(after, plus)) ** 2
+            p_after_minus[members] = abs(np.vdot(after, first.minus.amplitudes)) ** 2
     unmatched = np.flatnonzero(np.isnan(p_first))
     if unmatched.size:
         raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")

@@ -7,10 +7,12 @@ Constructors reject invalid input instead of repairing it; use
 
 Each value is checked where it enters the library.  The three
 value types share one construction check and add only their own norm,
-Hermiticity or unitarity test.  :func:`expectations` validates an (N, 2)
-batch of state rows once and gives each row the scalar result bit for
-bit.  The private row kernels under it trust rows the library built, and
-take one 2x2 matrix for every row or an (N, 2, 2) stack, one per row.
+Hermiticity or unitarity test.  :class:`EigenBasis` is the one form of a
++1/-1 observable's eigenbasis; :func:`binary_eigensystem` solves for it.
+:func:`expectations` validates an (N, 2) batch of state rows once and
+gives each row the scalar result bit for bit.  The private row kernels
+under it trust rows the library built, and take one 2x2 matrix for every
+row or an (N, 2, 2) stack, one per row.
 """
 
 from __future__ import annotations
@@ -113,6 +115,22 @@ class UnitaryGate:
                 f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
             )
         object.__setattr__(self, "matrix", m)
+
+
+@dataclass(frozen=True, eq=False)
+class EigenBasis:
+    """The orthonormal eigenvectors of a +1/-1 observable: plus for the
+    outcome +1, minus for -1."""
+
+    plus: StateVector
+    minus: StateVector
+
+    def __post_init__(self) -> None:
+        overlap = abs(np.vdot(self.plus.amplitudes, self.minus.amplitudes))
+        if overlap > TOL.norm:
+            raise InvariantViolation(
+                f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
+            )
 
 
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=np.complex128))
@@ -297,8 +315,9 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-def binary_eigensystem(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eig_hermitian` of an observable with outcomes +1 and -1.
+def binary_eigensystem(obs: Observable) -> EigenBasis:
+    """The eigenbasis of an observable with outcomes +1 and -1: the columns
+    of :func:`eig_hermitian`, plus first.
 
     Raises InvariantViolation unless the eigenvalues are +1 and -1 to
     within TOL.spectrum; a degenerate spectrum is named as such.
@@ -313,4 +332,4 @@ def binary_eigensystem(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
             f"observable must have eigenvalues +1 and -1, got {evals[0]!r} and "
             f"{evals[1]!r}"
         )
-    return evals, vecs
+    return EigenBasis(StateVector(vecs[:, 0]), StateVector(vecs[:, 1]))

@@ -9,7 +9,8 @@ same seed reproduce the same stream exactly.
 Because a draw is a pure function of (seed, counter), many streams can be
 drawn at once: :func:`uniform_grid` evaluates a block of rows as one
 (rows, draws) array, with the same bits as each row's own stream.  A
-one-stream run (:meth:`RandomStream.uniform_chunks`) is its one-row case.
+batch of one stream (:meth:`RandomStream.uniforms`) is its one-row,
+one-block case.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ def uniform_grid(
 class RandomStream:
     """Deterministic uniform stream addressed by (seed, counter).
 
-    `uniform` draws one double in [0, 1); `uniforms` draws a batch and is
-    bit-identical to the same number of single draws, so a run drawn in
-    chunks sees the same bits as one drawn in a single batch.  `derive`
-    creates a decorrelated child stream for an index; `sample` and
-    `verify` give each output row its own child, so a row's values do not
-    depend on the rows before it.
+    `uniform` draws one double in [0, 1); `uniforms` draws a batch as one
+    block of :func:`uniform_grid` and is bit-identical to the same number
+    of single draws, so a run drawn in batches sees the same bits as one
+    drawn value by value.  `derive` creates a decorrelated child stream
+    for an index; `sample` and `verify` give each output row its own
+    child, so a row's values do not depend on the rows before it.
     """
 
     __slots__ = ("seed", "counter")
@@ -141,17 +142,11 @@ class RandomStream:
         """n doubles in [0, 1) in one array; advances the counter by n."""
         if n < 0:
             raise InvariantViolation(f"batch size must be non-negative, got {n!r}")
-        return next(self.uniform_chunks(n, max(n, 1)), np.empty(0))
-
-    def uniform_chunks(self, n: int, size: int) -> Iterator[np.ndarray]:
-        """The next n doubles in [0, 1) as successive arrays of `size` (the
-        last may be shorter), bit-identical to one batch of n: the one-row
-        case of :func:`uniform_grid`, so a piece is valid only until the
-        next is drawn."""
-        seeds = np.array([self.seed], dtype=np.uint64)
-        for _, _, draws in uniform_grid(seeds, self.counter, n, size):
-            self.counter += draws.shape[1]
-            yield draws[0]
+        if n == 0:
+            return np.empty(0)
+        _, _, draws = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n))
+        self.counter += n
+        return draws[0]
 
     def derive(self, index: int) -> "RandomStream":
         """Child stream for row `index`: :func:`child_seeds` of one row."""

@@ -304,8 +304,8 @@ class TestRows:
         phi0s = [self.OFFSETS[row % 4] for row in range(count)]
         solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
         sequential_counts(orders, phis, phi0s, 10, seeds)
-        # 4 offsets x 2 orders, two observables each
-        assert len(solves) == 16
+        # the path basis once, and the wave basis for 4 offsets x 2 orders
+        assert len(solves) == 9
 
     def test_rows_of_unequal_length_are_rejected(self):
         orders, phis, phi0s, seeds = self.rows(4)

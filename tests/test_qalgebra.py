@@ -35,8 +35,10 @@ from twopath.qalgebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    EigenBasis,
     StateVector,
     UnitaryGate,
+    binary_eigensystem,
     commutator,
     eig_hermitian,
     expectation,
@@ -329,3 +331,24 @@ class TestEigHermitian:
             pivot = vecs[0, k] if abs(vecs[0, k]) > 1e-12 else vecs[1, k]
             assert pivot.imag == pytest.approx(0.0, abs=1e-12)
             assert pivot.real > 0
+
+
+class TestBinaryEigensystem:
+    OFFSETS = [
+        0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e300, -1e300, 5e-324, -5e-324,
+        *np.random.default_rng(13).uniform(-math.pi, math.pi, size=200).tolist(),
+    ]
+
+    def test_basis_holds_the_eig_hermitian_columns_bit_for_bit(self):
+        for obs in (SIGMA_Z, SIGMA_X, *map(wave_operator, self.OFFSETS)):
+            basis = binary_eigensystem(obs)
+            _, vecs = eig_hermitian(obs)
+            assert isinstance(basis, EigenBasis)
+            assert basis.plus.amplitudes.tobytes() == vecs[:, 0].tobytes()
+            assert basis.minus.amplitudes.tobytes() == vecs[:, 1].tobytes()
+
+    def test_rejects_spectra_other_than_plus_and_minus_one(self):
+        with pytest.raises(InvariantViolation, match="observable is degenerate"):
+            binary_eigensystem(IDENTITY)
+        with pytest.raises(InvariantViolation, match="must have eigenvalues \\+1 and -1"):
+            binary_eigensystem(pauli_compose(0.0, 0.0, 0.0, 2.0))

@@ -82,23 +82,27 @@ class TestBatching:
 
 
 class TestUniformChunks:
+    """One stream's draws as pieces of :func:`uniform_grid` with one seed."""
+
     def test_pieces_equal_the_scalar_stream(self):
         # starts mid-stream, ends on a short piece, and wraps mod 2^64
         seed = (1 << 64) - 1
-        a = RandomStream(seed)
-        a.uniform()
-        pieces = [piece.tolist() for piece in a.uniform_chunks(25, 10)]
+        seeds = np.array([seed], dtype=np.uint64)
+        pieces = [draws[0].tolist() for _, _, draws in uniform_grid(seeds, 1, 25, 10)]
         assert [len(piece) for piece in pieces] == [10, 10, 5]
         assert sum(pieces, []) == reference_scalar_stream(seed, 26)[1:]
+        a = RandomStream(seed)
+        a.uniform()
+        assert a.uniforms(25).tolist() == sum(pieces, [])
         assert a.counter == 26
 
     def test_pieces_reuse_one_buffer(self):
-        first, second = RandomStream(3).uniform_chunks(20, 10)
+        (_, _, first), (_, _, second) = uniform_grid(np.array([3], dtype=np.uint64), 0, 20, 10)
         assert np.shares_memory(first, second)
 
     @pytest.mark.parametrize("n, size", [(1, 1), (25, 10), (1000, 1000), (70_000, 1 << 16)])
     def test_pieces_start_on_a_64_byte_boundary(self, n, size):
-        for piece in RandomStream(3).uniform_chunks(n, size):
+        for _, _, piece in uniform_grid(np.array([3], dtype=np.uint64), 0, n, size):
             assert piece.ctypes.data % 64 == 0
 
 

@@ -110,10 +110,11 @@ def test_every_public_name_has_a_user():
 
 
 def test_every_import_is_used():
-    # No linter runs on the package, so this catches what a refactor leaves
-    # behind.  __init__ imports in order to re-export, so it is exempt.
+    # No linter runs on the package or the scripts, so this catches what a
+    # refactor leaves behind.  __init__ imports in order to re-export, so it
+    # is exempt.
     unused = []
-    for module in sorted(SRC.glob("*.py")):
+    for module in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
         if module.name == "__init__.py":
             continue
         tree = ast.parse(module.read_text(encoding="utf-8"))
@@ -160,3 +161,14 @@ def test_randomization_demo_script_runs(tmp_path):
     rows = lines[2:lines.index("")]
     assert len(rows) == 10
     assert all(len(row.split()) == 9 for row in rows)
+    assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == (
+        "26f0a49a6836c2ac470e93253827661827c062cfe6a654c83ded72581d0a366a"
+    )
+
+
+def test_randomization_demo_rejects_seeds_outside_64_bits(tmp_path):
+    for seed in ("-1", str(1 << 64)):
+        run = run_script("randomization_demo.py", "10", seed, cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == f"seed must be an unsigned 64-bit integer, got {seed}\n"

@@ -59,6 +59,13 @@ class TestHealthySuite:
         assert [len(args[0]) for args in calls] == [8, 1, 1]
         assert derived == []
 
+    def test_sampled_checks_solve_each_eigenbasis_once_per_call(self, monkeypatch):
+        # the eight-row call: the path basis and 4 offsets x 2 orders; then
+        # each determinism run: the path basis and its one wave basis
+        solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
+        verify._sampled_checks(shots=200, seed=4)
+        assert len(solves) == 13
+
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
         scalar = (
             qalgebra.expectation,
