@@ -10,7 +10,10 @@ out 50/50, which is complementarity seen operationally.
 One sampler runs every such experiment: a row of :func:`sequential_counts`
 is one experiment with its own order, phase, offset and stream seed, and
 the rows are drawn as blocks of :func:`rng.uniform_grid`, keeping two +1
-counts per row.  :func:`sequential_experiment` is its one-row call.
+counts per row.  The draws stay 53-bit integers, one lane for the first
+draw of each shot and one for the second, and each row's Born odds become
+integer thresholds once (:func:`rng.draw_thresholds`), so a shot costs two
+integer comparisons.  :func:`sequential_experiment` is its one-row call.
 """
 
 from __future__ import annotations
@@ -27,19 +30,23 @@ from .qalgebra import (
     StateVector,
     binary_eigensystem,
 )
-from .rng import RandomStream, uniform_grid
+from .rng import RandomStream, draw_thresholds, uniform_grid
 
 #: Upper 1% critical value of the chi-square distribution with one degree
 #: of freedom; the acceptance threshold for the 50/50 uniformity test.
 CHI2_CRITICAL_1PCT = 6.635
 
-#: Shots per block of the sampler.  A block draws at most 2^16 uniforms
-#: into two 512 KB buffers, which stay in a core's L2 cache: the whole
-#: rows of max(1, CHUNK_SHOTS // shots) streams, or one piece of a row of
-#: more shots.  On a Xeon with 2 MB of L2 per core, blocks of 2^16 and
-#: 2^17 shots ran slower, and blocks of 2^12 shots paid more in per-block
-#: overhead.  Packing short rows into one block took `sample` over 2001
-#: phases x 2 orders x 1000 shots from 0.35 to 0.13 s on a 2-vCPU VM.
+#: Shots per block of the sampler.  A block draws at most 2^16 integers,
+#: two lanes of CHUNK_SHOTS, into two 512 KB buffers, which stay in a
+#: core's L2 cache: the whole rows of max(1, CHUNK_SHOTS // shots)
+#: streams, or one piece of a row of more shots.  On a Xeon with 2 MB of
+#: L2 per core, blocks of 2^16 and 2^17 shots ran slower, and blocks of
+#: 2^12 shots paid more in per-block overhead.  Packing short rows into
+#: one block took `sample` over 2001 phases x 2 orders x 1000 shots from
+#: 0.35 to 0.13 s on a 2-vCPU VM.  Comparing the integer lanes against
+#: integer thresholds, with no conversion to doubles and no per-shot
+#: select of the second odds, took its 3 phases x 2 orders x 4e6 shots
+#: from ~350 to ~180 ms of sampling there, ~480 to ~245 us a block.
 CHUNK_SHOTS = 1 << 15
 
 
@@ -110,7 +117,9 @@ def sequential_counts(
     each row reproduces a literal measure-then-measure loop bit for bit.
 
     The rows are drawn as blocks of :func:`rng.uniform_grid`, of at most
-    CHUNK_SHOTS shots each, so memory does not grow with shots.  Each
+    CHUNK_SHOTS shots each in two lanes, so memory does not grow with
+    shots; the odds are compared as :func:`rng.draw_thresholds`, which
+    decides every draw exactly as comparing its double would.  Each
     row's first-outcome odds come from its state of
     :func:`balanced_amplitudes` through np.vdot, as :func:`measure` gets
     them; the second-outcome odds depend only on the order, phi0 and which
@@ -128,7 +137,8 @@ def sequential_counts(
     phi0s = np.asarray(phi0s, dtype=np.float64)
     amps = balanced_amplitudes(phis)
     # a row whose order is neither member nor value keeps NaN odds
-    p_first, p_after_plus, p_after_minus = np.full((3, len(amps)), np.nan)
+    odds = np.full((3, len(amps)), np.nan)
+    p_first, p_after_plus, p_after_minus = odds
     path = binary_eigensystem(path_operator())
     for order in MeasurementOrder:
         rows = np.flatnonzero((order_col == order) | (order_col == order.value))
@@ -146,15 +156,22 @@ def sequential_counts(
     unmatched = np.flatnonzero(np.isnan(p_first))
     if unmatched.size:
         raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")
-    n_first = np.zeros(p_first.size, dtype=np.int64)
+    k_first, k_plus, k_minus = draw_thresholds(odds)
+    # The second outcome is +1 below the lower after-odds threshold whatever
+    # the first was, and below the higher one after the first outcome whose
+    # odds are the higher.  Mutually unbiased bases make the two odds equal
+    # up to rounding, so most rows have no band between them at all.
+    k_low, k_high = np.minimum(k_plus, k_minus), np.maximum(k_plus, k_minus)
+    banded, plus_is_higher = k_low != k_high, k_plus > k_minus
+    n_first = np.zeros(len(k_first), dtype=np.int64)
     n_second = np.zeros_like(n_first)
-    for lo, hi, draws in uniform_grid(seeds, counter, 2 * shots, 2 * CHUNK_SHOTS):
-        first_plus = draws[:, 0::2] < p_first[lo:hi, None]
-        # The odds array stays unnamed: a name would keep it alive into the
-        # next block and raise peak memory by its 256 KB.
-        second_plus = draws[:, 1::2] < np.where(
-            first_plus, p_after_plus[lo:hi, None], p_after_minus[lo:hi, None]
-        )
+    for lo, hi, k in uniform_grid(seeds, counter, shots, CHUNK_SHOTS, 2):
+        first_plus = k[:, 0] < k_first[lo:hi, None]
+        second_plus = k[:, 1] < k_low[lo:hi, None]
+        if banded[lo:hi].any():
+            second_plus |= (k[:, 1] < k_high[lo:hi, None]) & (
+                first_plus == plus_is_higher[lo:hi, None]
+            )
         if hi - lo == 1:
             # the flat count takes ~4 us per block, the axis form ~25 us
             n_first[lo] += np.count_nonzero(first_plus)

@@ -6,11 +6,15 @@ value is an avalanche mix of seed + (k+1) * GOLDEN, a pure function of
 batch is bit-identical to drawing one value at a time, and runs with the
 same seed reproduce the same stream exactly.
 
+A draw is the double k * 2^-53 of the 53-bit integer k = raw >> 11.
 Because a draw is a pure function of (seed, counter), many streams can be
 drawn at once: :func:`uniform_grid` evaluates a block of rows as one
-(rows, draws) array, with the same bits as each row's own stream.  A
-batch of one stream (:meth:`RandomStream.uniforms`) is its one-row,
-one-block case.
+(rows, lanes, draws) array of those integers, with the same bits as each
+row's own stream, dealt round-robin into `lanes` lanes so that the j-th
+draw of every tuple is contiguous.  A batch of one stream
+(:meth:`RandomStream.uniforms`) is its one-row, one-lane, one-block case.
+:func:`draw_thresholds` turns probabilities into integer thresholds, so a
+caller compares the integers and never converts them to doubles.
 """
 
 from __future__ import annotations
@@ -64,16 +68,20 @@ def _aligned_empty(m: int) -> np.ndarray:
 
 
 def uniform_grid(
-    seeds: np.ndarray, counter: int, n: int, size: int
+    seeds: np.ndarray, counter: int, n: int, size: int, lanes: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Draws counter+1 .. counter+n of each stream in the uint64 array
-    `seeds`, as blocks of at most `size` draws.
+    """The next n tuples of `lanes` draws of each stream in the uint64
+    array `seeds`, as blocks of at most `size` tuples, in 53-bit integers.
 
-    Yields (lo, hi, draws), where draws is a (hi - lo, c) array of the next
-    c doubles in [0, 1) of streams lo .. hi-1, bit-identical to each
-    stream's own batch.  A block holds max(1, size // n) whole rows; a row
-    of more than `size` draws is a block of its own, yielded in pieces of
-    `size` columns (the last may be shorter).
+    Yields (lo, hi, k), where k is a (hi - lo, lanes, c) uint64 array of
+    the next c tuples of streams lo .. hi-1: k[r, j, s] is k = raw >> 11 of
+    stream position counter + lanes * (done + s) + j + 1 of stream lo + r,
+    where done counts the tuples of earlier pieces of the row; its draw is
+    k * 2^-53, bit-identical to the stream's own batch.  So lane j holds
+    the j-th draw of each tuple, contiguous in memory.  A block holds
+    max(1, size // n) whole rows; a row of more than `size` tuples is a
+    block of its own, yielded in pieces of `size` tuples (the last may be
+    shorter).
 
     Every block is computed in place in the same two uint64 buffers,
     allocated once per call, so a block is valid only until the next is
@@ -85,19 +93,25 @@ def uniform_grid(
         return
     cols = min(n, size)
     per_block = min(len(seeds), max(1, size // n))
-    z = _aligned_empty(per_block * cols)
-    steps = np.arange(1, cols + 1, dtype=np.uint64)
+    z = _aligned_empty(per_block * lanes * cols)
+    # Lane j of tuple s is position lanes * s + j + 1 of a piece: one step
+    # per tuple plus one per lane, each times GOLDEN, added in one pass.  A
+    # (lanes, cols) table built by transposing an arange would free a
+    # 512 KB temporary, after which the C heap kept the two buffers' pages
+    # and `verify --shots` peaked ~0.5 MB higher.
+    steps = np.arange(0, lanes * cols, lanes, dtype=np.uint64)
     steps *= _GOLDEN_U64
-    t = _aligned_empty(per_block * cols)
+    lane_steps = np.arange(1, lanes + 1, dtype=np.uint64) * _GOLDEN_U64
+    t = _aligned_empty(per_block * lanes * cols)
     for lo in range(0, len(seeds), per_block):
         hi = min(lo + per_block, len(seeds))
         for done in range(0, n, cols):
             c = min(cols, n - done)
-            zb = z[:(hi - lo) * c].reshape(hi - lo, c)
-            tb = t[:(hi - lo) * c].reshape(hi - lo, c)
-            # seed + (counter + done + k) * GOLDEN for k = 1..c, wrapping mod 2^64
-            offset = np.uint64((counter + done) * _GOLDEN & _MASK64)
-            np.add(steps[:c], (seeds[lo:hi] + offset)[:, None], out=zb)
+            zb = z[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
+            tb = t[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
+            # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod 2^64
+            offset = np.uint64((counter + lanes * done) * _GOLDEN & _MASK64)
+            np.add((seeds[lo:hi] + offset)[:, None, None] + lane_steps[:, None], steps[:c], out=zb)
             np.right_shift(zb, np.uint64(30), out=tb)
             zb ^= tb
             zb *= _MIX_A_U64
@@ -107,7 +121,18 @@ def uniform_grid(
             np.right_shift(zb, np.uint64(31), out=tb)
             zb ^= tb
             zb >>= np.uint64(11)
-            yield lo, hi, np.multiply(zb, _U53, out=tb.view(np.float64))
+            yield lo, hi, zb
+
+
+def draw_thresholds(p) -> np.ndarray:
+    """The uint64 thresholds K = ceil(p * 2^53) of the probabilities `p`.
+
+    For every 53-bit integer k of :func:`uniform_grid`, k < K exactly when
+    its draw k * 2^-53 < p: both products by 2^53 are exact, and k is an
+    integer.  This holds for p above 1 too (K > 2^53 - 1, so every k is
+    below it), as a squared overlap may round to just over 1.
+    """
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
 class RandomStream:
@@ -144,9 +169,10 @@ class RandomStream:
             raise InvariantViolation(f"batch size must be non-negative, got {n!r}")
         if n == 0:
             return np.empty(0)
-        _, _, draws = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n))
+        _, _, k = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n, 1))
         self.counter += n
-        return draws[0]
+        # in place, so a batch allocates no third array of n entries
+        return np.multiply(k[0, 0], _U53, out=k[0, 0].view(np.float64))
 
     def derive(self, index: int) -> "RandomStream":
         """Child stream for row `index`: :func:`child_seeds` of one row."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from support import count_calls
-from twopath import qalgebra
+from twopath import measurement, qalgebra, rng
 from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
     CHUNK_SHOTS,
@@ -321,6 +321,116 @@ class TestRows:
         orders, phis, phi0s, seeds = self.rows(4)
         with pytest.raises(InvariantViolation, match="order must be pw or wp, got 'qq'"):
             sequential_counts(orders[:3] + ["qq"], phis, phi0s, 10, seeds)
+
+
+def reference_thresholds(p):
+    """ceil(p * 2^53) in exact Python integers."""
+    return math.ceil(math.ldexp(float(p), 53))
+
+
+class TestBand:
+    """The second outcome's two after-odds differ by rounding at some
+    offsets, so a one-k band between their thresholds takes the higher one
+    only after the matching first outcome.  A real draw lands in it with
+    probability 2^-53, so these tests feed the sampler crafted draws."""
+
+    PHI = 0.3
+
+    def crafted_rows(self, rows):
+        """For (order, phi0) rows: the crafted (rows, 2, 7) draws, the
+        thresholds of each row's after-odds, and the counts of the
+        double-domain rule u2 < where(first_plus, pa, pb)."""
+        draws, thresholds, want = [], [], []
+        for order, phi0 in rows:
+            vecs1, (pa, pb) = reference_odds(order, phi0)
+            p1 = abs(np.vdot(vecs1[:, 0], balanced_state(self.PHI).amplitudes)) ** 2
+            ka, kb = reference_thresholds(pa), reference_thresholds(pb)
+            low, high = min(ka, kb), max(ka, kb)
+            # each first outcome, then second draws below, in and above the
+            # band; more in the band after -1, so taking the wrong outcome's
+            # threshold there moves the count
+            first = [0] * 3 + [2**53 - 1] * 4
+            second = [low - 1, low, high, low - 1, low, low, high]
+            draws.append([first, second])
+            thresholds.append((ka, kb))
+            u1, u2 = (np.array(lane) * 2.0**-53 for lane in (first, second))
+            first_plus = u1 < p1
+            assert first_plus.tolist() == [True] * 3 + [False] * 4
+            second_plus = u2 < np.where(first_plus, pa, pb)
+            want.append((int(np.count_nonzero(first_plus)), int(np.count_nonzero(second_plus))))
+        return np.array(draws, dtype=np.uint64), thresholds, want
+
+    def count(self, monkeypatch, rows, draws, pieces):
+        """sequential_counts over `rows` with the grid kernel yielding
+        draws[lo:hi, :, start:stop] for each (lo, hi, start, stop) piece."""
+        def crafted(seeds, counter, n, size, lanes):
+            assert (len(seeds), lanes, n) == (len(draws), 2, draws.shape[2])
+            for lo, hi, start, stop in pieces:
+                yield lo, hi, draws[lo:hi, :, start:stop]
+
+        monkeypatch.setattr(measurement, "uniform_grid", crafted)
+        orders, phi0s = zip(*rows)
+        seeds = np.zeros(len(rows), dtype=np.uint64)
+        n_first, n_second = sequential_counts(orders, [self.PHI] * len(rows), phi0s,
+                                              draws.shape[2], seeds)
+        return list(zip(n_first.tolist(), n_second.tolist()))
+
+    def test_packed_block(self, monkeypatch):
+        rows = [(order, phi0) for phi0 in (2.9, 0.6, -2.97) for order in MeasurementOrder]
+        draws, thresholds, want = self.crafted_rows(rows)
+        # 2.9 and -2.97 give a band, 0.6 none
+        assert [abs(ka - kb) for ka, kb in thresholds] == [1, 1, 0, 0, 1, 1]
+        # the band decides the count: the lower threshold alone gives 2
+        assert [n2 for _, n2 in want] == [4, 4, 2, 2, 4, 4]
+        assert self.count(monkeypatch, rows, draws, [(0, len(rows), 0, 7)]) == want
+
+    def test_row_in_pieces(self, monkeypatch):
+        rows = [(MeasurementOrder.W_THEN_P, 2.9)]
+        draws, _, want = self.crafted_rows(rows)
+        # the same shots again in a second order, so pieces cut across the pattern
+        draws = np.concatenate([draws, draws[:, :, ::-1]], axis=2)
+        want = [(2 * want[0][0], 2 * want[0][1])]
+        pieces = [(0, 1, start, min(start + 5, 14)) for start in range(0, 14, 5)]
+        assert self.count(monkeypatch, rows, draws, pieces) == want
+
+
+class TestLaneFaults:
+    """Faults in the lane layout of the grid kernel make the sampler
+    disagree with the float oracle on rows that cross CHUNK_SHOTS."""
+
+    SEED = 99
+    SHOTS = CHUNK_SHOTS + 1
+
+    @staticmethod
+    def swapped_lanes(*args):
+        for lo, hi, k in rng.uniform_grid(*args):
+            yield lo, hi, k[:, ::-1]
+
+    @staticmethod
+    def counter_reuse(seeds, counter, n, size, lanes):
+        # each piece starts at counter + done, not counter + lanes * done
+        for done in range(0, n, size):
+            yield from rng.uniform_grid(seeds, counter + done, min(size, n - done), size, lanes)
+
+    def mismatches(self):
+        rows = [(order, phi) for phi in (0.4, -2.0) for order in MeasurementOrder]
+        orders, phis = zip(*rows)
+        seeds = child_seeds(self.SEED, np.arange(len(rows), dtype=np.uint64))
+        n_first, n_second = sequential_counts(orders, phis, [0.6] * len(rows), self.SHOTS, seeds)
+        parent = RandomStream(self.SEED)
+        return [
+            row for row, (order, phi) in enumerate(rows)
+            if (n_first[row], n_second[row])
+            != reference_counts(order, phi, 0.6, self.SHOTS, parent.derive(row))
+        ]
+
+    def test_correct_kernel_agrees(self):
+        assert self.mismatches() == []
+
+    @pytest.mark.parametrize("fault", ["swapped_lanes", "counter_reuse"])
+    def test_fault_is_caught(self, monkeypatch, fault):
+        monkeypatch.setattr(measurement, "uniform_grid", getattr(self, fault))
+        assert self.mismatches()
 
 
 class TestUniformityTest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twopath.qalgebra import InvariantViolation
-from twopath.rng import RandomStream, child_seeds, mix64, uniform_grid
+from twopath.rng import RandomStream, child_seeds, draw_thresholds, mix64, uniform_grid
 
 # Raw 64-bit outputs of the published algorithm for seed 1234567,
 # cross-checked against an independent transcription of its reference
@@ -82,13 +82,14 @@ class TestBatching:
 
 
 class TestUniformChunks:
-    """One stream's draws as pieces of :func:`uniform_grid` with one seed."""
+    """One stream's draws as pieces of :func:`uniform_grid` with one seed
+    and one lane."""
 
     def test_pieces_equal_the_scalar_stream(self):
         # starts mid-stream, ends on a short piece, and wraps mod 2^64
         seed = (1 << 64) - 1
         seeds = np.array([seed], dtype=np.uint64)
-        pieces = [draws[0].tolist() for _, _, draws in uniform_grid(seeds, 1, 25, 10)]
+        pieces = [(k[0, 0] * 2.0**-53).tolist() for _, _, k in uniform_grid(seeds, 1, 25, 10, 1)]
         assert [len(piece) for piece in pieces] == [10, 10, 5]
         assert sum(pieces, []) == reference_scalar_stream(seed, 26)[1:]
         a = RandomStream(seed)
@@ -97,12 +98,12 @@ class TestUniformChunks:
         assert a.counter == 26
 
     def test_pieces_reuse_one_buffer(self):
-        (_, _, first), (_, _, second) = uniform_grid(np.array([3], dtype=np.uint64), 0, 20, 10)
+        (_, _, first), (_, _, second) = uniform_grid(np.array([3], dtype=np.uint64), 0, 20, 10, 1)
         assert np.shares_memory(first, second)
 
     @pytest.mark.parametrize("n, size", [(1, 1), (25, 10), (1000, 1000), (70_000, 1 << 16)])
     def test_pieces_start_on_a_64_byte_boundary(self, n, size):
-        for _, _, piece in uniform_grid(np.array([3], dtype=np.uint64), 0, n, size):
+        for _, _, piece in uniform_grid(np.array([3], dtype=np.uint64), 0, n, size, 1):
             assert piece.ctypes.data % 64 == 0
 
 
@@ -125,25 +126,71 @@ class TestUniformGrid:
         seeds = np.array(self.SEEDS, dtype=np.uint64)
         got = {lo: [] for lo in range(len(seeds))}
         shapes = []
-        for lo, hi, draws in uniform_grid(seeds, 3, n, size):
-            shapes.append((lo, hi, draws.shape[1]))
-            assert draws.shape[0] == hi - lo
-            assert draws.ctypes.data % 64 == 0
+        for lo, hi, k in uniform_grid(seeds, 3, n, size, 1):
+            shapes.append((lo, hi, k.shape[2]))
+            assert k.shape[:2] == (hi - lo, 1)
+            assert k.dtype == np.uint64
+            assert k.ctypes.data % 64 == 0
             for row in range(lo, hi):
-                got[row] += draws[row - lo].tolist()
+                got[row] += (k[row - lo, 0] * 2.0**-53).tolist()
         assert shapes == blocks
         for row, seed in enumerate(self.SEEDS):
             assert got[row] == reference_scalar_stream(seed, 3 + n)[3:]
 
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize("n, size", [(7, 16), (25, 10)])
+    def test_lanes_deal_each_stream_round_robin(self, lanes, n, size):
+        # lane j of tuple s is position counter + lanes * s + j + 1, also in
+        # the pieces of a row longer than a block
+        seeds = np.array(self.SEEDS, dtype=np.uint64)
+        got = {lo: [] for lo in range(len(seeds))}
+        for lo, hi, k in uniform_grid(seeds, 3, n, size, lanes):
+            assert k.shape[:2] == (hi - lo, lanes)
+            assert k.strides[2] == k.itemsize  # a lane is contiguous
+            for row in range(lo, hi):
+                got[row] += (k[row - lo].T.ravel() * 2.0**-53).tolist()
+        for row, seed in enumerate(self.SEEDS):
+            assert got[row] == reference_scalar_stream(seed, 3 + lanes * n)[3:]
+
     def test_blocks_reuse_one_buffer(self):
         seeds = np.arange(10, dtype=np.uint64)
-        blocks = [draws for _, _, draws in uniform_grid(seeds, 0, 4, 8)]
+        blocks = [k for _, _, k in uniform_grid(seeds, 0, 4, 8, 1)]
         assert len(blocks) == 5
-        assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
+        assert all(np.shares_memory(k, blocks[0]) for k in blocks)
 
     def test_nothing_to_draw(self):
-        assert list(uniform_grid(np.arange(3, dtype=np.uint64), 0, 0, 8)) == []
-        assert list(uniform_grid(np.empty(0, dtype=np.uint64), 0, 4, 8)) == []
+        assert list(uniform_grid(np.arange(3, dtype=np.uint64), 0, 0, 8, 2)) == []
+        assert list(uniform_grid(np.empty(0, dtype=np.uint64), 0, 4, 8, 2)) == []
+
+
+def threshold_mismatches(thresholds, below):
+    """The (p, k) pairs where `below(k, K)` on the thresholds K of p
+    disagrees with the draw's own comparison k * 2^-53 < p."""
+    probabilities = [
+        0.0, 5e-324, 2.0**-53, 0.3, float.fromhex("0x1.ffffffffffffep-2"), 0.5,
+        1 - 2.0**-53, 1.0, 1 + 2.0**-52,
+    ]
+    mismatches = []
+    for p, big_k in zip(probabilities, thresholds(np.array(probabilities)).tolist()):
+        for k in (0, big_k - 1, big_k, big_k + 1, 2**53 - 1):
+            if not 0 <= k < 2**53:
+                continue
+            if bool(below(np.uint64(k), np.uint64(big_k))) != (k * 2.0**-53 < p):
+                mismatches.append((p, k))
+    return mismatches
+
+
+class TestDrawThresholds:
+    def test_integer_comparison_equals_the_draw_comparison(self):
+        assert threshold_mismatches(draw_thresholds, lambda k, big_k: k < big_k) == []
+        # p just above 1, as a rounded squared overlap may be: every draw is below
+        assert draw_thresholds(np.array([1 + 2.0**-52])).tolist() == [2**53 + 2]
+        # the same check catches a rounding down and an inclusive comparison
+        def floored(p):
+            return np.floor(np.ldexp(p, 53)).astype(np.uint64)
+
+        assert (5e-324, 0) in threshold_mismatches(floored, lambda k, big_k: k < big_k)
+        assert threshold_mismatches(draw_thresholds, lambda k, big_k: k <= big_k)
 
 
 class TestRange:
