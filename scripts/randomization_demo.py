@@ -20,6 +20,7 @@ from twopath.measurement import (
     sequential_counts,
     uniformity_test,
 )
+from twopath.qalgebra import InvariantViolation, require_seed
 from twopath.rng import child_seeds
 
 
@@ -27,8 +28,10 @@ def main() -> int:
     shots = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 42
     phi0 = 0.0
-    if not 0 <= seed < 1 << 64:  # child_seeds would wrap it silently
-        raise SystemExit(f"seed must be an unsigned 64-bit integer, got {seed}")
+    try:
+        require_seed(seed)
+    except InvariantViolation as exc:
+        raise SystemExit(str(exc))
 
     print(f"shots per setting: {shots}, seed: {seed}, setup offset: {phi0}")
     print(

@@ -26,7 +26,7 @@ from .measurement import (
     sequential_counts,
     uniformity_test,
 )
-from .qalgebra import InvariantViolation
+from .qalgebra import InvariantViolation, require_finite_angle, require_seed
 from .rng import child_seeds
 from .verify import format_report, run_verification
 
@@ -65,11 +65,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
-        raise InvariantViolation(f"seed must fit in 64 unsigned bits, got {seed}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters shared by the scan and sample commands."""
@@ -93,19 +88,19 @@ class RunConfig:
                 f"steps must fit one float64 array (numpy allows at most {max_steps} "
                 f"entries), got {self.steps}"
             )
+        for name in ("phi0", "phi_start", "phi_end"):
+            require_finite_angle(getattr(self, name), name)
         if self.phi_start > self.phi_end:
             raise InvariantViolation(
                 f"phi range is inverted: {self.phi_start} > {self.phi_end}"
             )
-        if not (math.isfinite(self.phi0) and math.isfinite(self.phi_start) and math.isfinite(self.phi_end)):
-            raise InvariantViolation("angles must be finite")
-        if not math.isfinite(self.phi_end - self.phi_start):
+        if self.phi_end - self.phi_start == math.inf:  # finite, ordered ends can only overflow
             raise InvariantViolation(
                 f"phi range {self.phi_start} to {self.phi_end} is wider than a double can hold"
             )
         if self.shots < 1:
             raise InvariantViolation(f"shots must be >= 1, got {self.shots}")
-        _check_seed(self.seed)
+        require_seed(self.seed)
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
 
@@ -153,16 +148,10 @@ def cmd_sample(config: RunConfig) -> str:
     return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows)
 
 
-_GNUPLOT_SCAN = """set datafile separator ','
+_GNUPLOT = """set datafile separator ','
 set key autotitle columnhead
 set xlabel 'phi (rad)'
-plot '{path}' using 1:2 with lines, '' using 1:6 with lines
-"""
-
-_GNUPLOT_SAMPLE = """set datafile separator ','
-set key autotitle columnhead
-set xlabel 'phi (rad)'
-plot '{path}' using 1:6 with points
+plot '{path}' {plot}
 """
 
 
@@ -224,8 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            # the seed is validated even when no Monte Carlo check uses it
-            _check_seed(args.seed)
             report = run_verification(shots=args.shots, seed=args.seed)
             _emit(format_report(report) + "\n", None)
             return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
@@ -240,12 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.gnuplot and args.out is None:
             parser.error("--gnuplot requires --out")
         if args.command == "scan":
-            text, template = cmd_scan(config), _GNUPLOT_SCAN
+            text, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
         else:
-            text, template = cmd_sample(config), _GNUPLOT_SAMPLE
+            text, plot = cmd_sample(config), "using 1:6 with points"
         _emit(text, args.out)
         if args.gnuplot:
-            _emit(template.format(path=args.out), args.out + ".gp")
+            _emit(_GNUPLOT.format(path=args.out, plot=plot), args.out + ".gp")
         return EXIT_OK
     except SystemExit as exc:  # argparse signals usage errors and --help
         return int(exc.code or 0)

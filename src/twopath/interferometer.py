@@ -56,14 +56,15 @@ def path_operator() -> Observable:
 
 def phase_shifter(phi: float) -> UnitaryGate:
     """Relative-phase gate diag(e^{-i phi/2}, e^{+i phi/2})."""
-    phi = require_finite_angle(phi, "phi")
-    half = 0.5 * phi
-    return UnitaryGate(
-        np.array(
-            [[cmath.exp(-1j * half), 0.0], [0.0, cmath.exp(1j * half)]],
-            dtype=np.complex128,
-        )
-    )
+    return UnitaryGate(_shifter_matrices(require_finite_angle(phi, "phi")))
+
+
+def _shifter_matrices(phis) -> np.ndarray:
+    """:func:`phase_shifter`'s matrix for a finite phi, or an (N, 2, 2) stack for N of them."""
+    half = 0.5 * np.asarray(phis, dtype=np.float64)
+    matrices = np.zeros(half.shape + (2, 2), dtype=np.complex128)
+    matrices[..., 0, 0], matrices[..., 1, 1] = np.exp(-1j * half), np.exp(1j * half)
+    return matrices
 
 
 def beam_splitter() -> UnitaryGate:

@@ -133,6 +133,8 @@ def sequential_counts(
     if len(set(lengths)) > 1:
         raise InvariantViolation("need one order, phi, phi0 and seed per row, got %d orders, "
                                  "%d phis, %d phi0s and %d seeds" % lengths)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        raise InvariantViolation("seeds must be a uint64 array, as rng.child_seeds returns")
     order_col = np.asarray(orders, dtype=object)
     phi0s = np.asarray(phi0s, dtype=np.float64)
     amps = balanced_amplitudes(phis)

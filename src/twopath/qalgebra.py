@@ -5,19 +5,20 @@ around validated numpy arrays; all operations are pure functions.
 Constructors reject invalid input instead of repairing it; use
 :func:`normalized` when renormalization is actually wanted.
 
-Each value is checked where it enters the library.  The three
-value types share one construction check and add only their own norm,
-Hermiticity or unitarity test.  :class:`EigenBasis` is the one form of a
-+1/-1 observable's eigenbasis; :func:`binary_eigensystem` solves for it.
-:func:`expectations` validates an (N, 2) batch of state rows once and
-gives each row the scalar result bit for bit.  The private row kernels
-under it trust rows the library built, and take one 2x2 matrix for every
-row or an (N, 2, 2) stack, one per row.
+Each value is checked where it enters the library, a stream seed by
+:func:`require_seed`.  The three value types share one construction check
+and add only their own norm, Hermiticity or unitarity test.
+:class:`EigenBasis` is the one form of a +1/-1 observable's eigenbasis;
+:func:`binary_eigensystem` solves for it.  :func:`expectations` validates an
+(N, 2) batch of state rows once and gives each row the scalar result bit for
+bit.  The private row kernels under it trust rows the library built, and
+take one 2x2 matrix for every row or an (N, 2, 2) stack, one per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,17 @@ def require_finite_angle(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise InvariantViolation(f"{name} must be a finite angle, got {value!r}")
+    return value
+
+
+def require_seed(seed) -> int:
+    """`seed` as an int, if it is an unsigned 64-bit integer; a float or a string is not."""
+    try:
+        value = operator.index(seed)
+    except TypeError:  # a float or a string: no index, so out of range
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return value
 
 

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qalgebra import InvariantViolation
+from .qalgebra import InvariantViolation, require_seed
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,11 +50,11 @@ def mix64(z):
 def child_seeds(seed: int, rows):
     """Seeds of the child streams of `seed` for row indices `rows`.
 
-    `rows` is a non-negative Python int or a uint64 array of them; the
-    result has the same form.  The double avalanche mix decorrelates each
-    child from the parent and from its siblings.
+    `seed` must pass :func:`qalgebra.require_seed`; `rows` is a non-negative
+    int or a uint64 array of them, and the result has the same form.  The
+    double avalanche mix decorrelates children from parent and siblings.
     """
-    return mix64(mix64(seed) ^ ((rows + 1) * _GOLDEN & _MASK64))
+    return mix64(mix64(require_seed(seed)) ^ ((rows + 1) * _GOLDEN & _MASK64))
 
 
 def _aligned_empty(m: int) -> np.ndarray:
@@ -136,7 +136,8 @@ def draw_thresholds(p) -> np.ndarray:
 
 
 class RandomStream:
-    """Deterministic uniform stream addressed by (seed, counter).
+    """Deterministic uniform stream addressed by (seed, counter), where the
+    seed must pass :func:`qalgebra.require_seed`.
 
     `uniform` draws one double in [0, 1); `uniforms` draws a batch as one
     block of :func:`uniform_grid` and is bit-identical to the same number
@@ -149,12 +150,7 @@ class RandomStream:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed <= _MASK64:
-            raise InvariantViolation(
-                f"seed must be an unsigned 64-bit integer, got {seed!r}"
-            )
-        self.seed = seed
+        self.seed = require_seed(seed)
         self.counter = 0
 
     def uniform(self) -> float:

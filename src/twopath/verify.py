@@ -42,6 +42,7 @@ from .qalgebra import (
     _matrix_elements,
     _moments,
     _pauli_sum,
+    require_seed,
     require_states,
 )
 from .rng import RandomStream, child_seeds
@@ -111,6 +112,7 @@ def run_verification(
     The wave basis feeds every check on the basis or its assembled W except
     the closed-form one, which checks the library's own derivation.
     """
+    seed = require_seed(seed)
     splitter = beam_splitter_override or ifm.beam_splitter()
     offsets = []
     for phi0 in map(float, _PHI0_GRID):
@@ -233,10 +235,9 @@ def _pipeline_checks(b: np.ndarray) -> list[CheckResult]:
     With the library's splitter the fringe is cos(phi) with unit contrast.
     """
     grid = np.linspace(-math.pi, math.pi, 129)
-    shifters = np.zeros((grid.size, 2, 2), dtype=np.complex128)
-    shifters[:, 0, 0], shifters[:, 1, 1] = np.exp(-0.5j * grid), np.exp(0.5j * grid)
     opened = require_states(_apply_rows(b, KET_LOWER.amplitudes[None]))
-    closed = require_states(_apply_rows(b, require_states(_apply_rows(shifters, opened))))
+    shifted = require_states(_apply_rows(ifm._shifter_matrices(grid), opened))
+    closed = require_states(_apply_rows(b, shifted))
     fringe = _matrix_elements(SIGMA_Z.matrix, closed).real
     return [
         _check("pipeline_unit_visibility", abs(1.0 - float(np.max(np.abs(fringe)))),

@@ -7,12 +7,14 @@ unrelated code path.  `pauli_decompose`, `general_bound_rhs` and
 tests compare against them, so they live here.
 """
 
+import cmath
 import math
 import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
+from twopath import rng
 from twopath.complementarity import canonical_phase
 from twopath.qalgebra import (
     InvariantViolation,
@@ -83,6 +85,12 @@ def overlap_sq_oracle(u, v) -> float:
     for i in range(2):
         total += complex(u[i]).conjugate() * complex(v[i])
     return abs(total) ** 2
+
+
+def shifter_oracle(phi: float) -> np.ndarray:
+    """diag(e^{-i phi/2}, e^{+i phi/2}), entry by entry with cmath."""
+    half = 0.5 * phi
+    return np.array([[cmath.exp(-1j * half), 0j], [0j, cmath.exp(1j * half)]])
 
 
 def pauli_decompose(obs: Observable) -> tuple[float, float, float, float]:
@@ -168,3 +176,9 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def swapped_lanes(*args):
+    """The grid kernel with its two lanes swapped: a sampler fault."""
+    for lo, hi, k in rng.uniform_grid(*args):
+        yield lo, hi, k[:, ::-1]

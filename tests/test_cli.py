@@ -266,7 +266,19 @@ class TestExitCodes:
         for argv in (["verify"], ["verify", "--shots", "100"], sample):
             for seed in (-5, 1 << 64):
                 assert main(argv + ["--seed", str(seed)]) == 2
-                assert "seed" in capsys.readouterr().err
+                assert capsys.readouterr().err == (
+                    f"twopath: seed must be an unsigned 64-bit integer, got {seed}\n"
+                )
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--phi0", "nan", "phi0"), ("--from", "nan", "phi_start"), ("--to", "inf", "phi_end"),
+         ("--from", "inf", "phi_start"), ("--to", "-inf", "phi_end")],
+    )
+    def test_usage_error_names_the_non_finite_angle(self, flag, value, name, capsys):
+        # named before the range is compared, so an infinite end is not "inverted"
+        assert main(["scan", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"twopath: {name} must be a finite angle, got {value}\n"
 
     def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
         def exhausted(config):
@@ -351,6 +363,20 @@ class TestGnuplot:
         script = tmp_path / "scan.csv.gp"
         assert script.exists()
         assert str(out) in script.read_text()
+
+    @pytest.mark.parametrize("argv, plot", [
+        (["scan", "--steps", "5"], "using 1:2 with lines, '' using 1:6 with lines"),
+        (["sample", "--steps", "2", "--shots", "10"], "using 1:6 with points"),
+    ], ids=["scan", "sample"])
+    def test_script_bytes(self, tmp_path, argv, plot):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out), "--gnuplot"]) == 0
+        assert (tmp_path / "run.csv.gp").read_bytes() == (
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set xlabel 'phi (rad)'\n"
+            f"plot '{out}' {plot}\n"
+        ).encode("utf-8")
 
 
 class TestRunConfig:

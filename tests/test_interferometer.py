@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import angles, pauli_decompose
+from support import angles, pauli_decompose, shifter_oracle
+from twopath import interferometer
 from twopath.complementarity import derive_wave_eigenbasis
 from twopath.interferometer import (
     balanced_amplitudes,
@@ -72,6 +73,21 @@ class TestPhaseShifter:
     def test_rejects_non_finite(self):
         with pytest.raises(InvariantViolation, match="finite"):
             phase_shifter(math.inf)
+
+    # signed zeros, a huge phase, the smallest subnormal, then random phases
+    PHASES = np.concatenate([
+        [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324],
+        np.random.default_rng(15).uniform(-20.0, 20.0, 2000),
+    ])
+
+    def test_matrix_equals_the_cmath_construction_bit_for_bit(self):
+        for phi in self.PHASES.tolist():
+            assert phase_shifter(phi).matrix.tobytes() == shifter_oracle(phi).tobytes()
+
+    def test_stack_equals_the_cmath_construction_bit_for_bit(self):
+        # the stack verify's pipeline checks apply, one matrix per phase
+        stack = interferometer._shifter_matrices(self.PHASES)
+        assert stack.tobytes() == np.array([shifter_oracle(phi) for phi in self.PHASES.tolist()]).tobytes()
 
 
 class TestBeamSplitter:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import count_calls
+from support import count_calls, swapped_lanes
 from twopath import measurement, qalgebra, rng
 from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
@@ -317,6 +317,13 @@ class TestRows:
         with pytest.raises(InvariantViolation, match="phi0 must be a finite angle, got nan"):
             sequential_counts(orders, phis, phi0s[:3] + [math.nan], 10, seeds)
 
+    @pytest.mark.parametrize(
+        "seeds", [[5], np.array([5], dtype=np.int64), np.array([5.0])], ids=["list", "int64", "float64"]
+    )
+    def test_seeds_must_be_a_uint64_array(self, seeds):
+        with pytest.raises(InvariantViolation, match=r"uint64 array, as rng\.child_seeds"):
+            sequential_counts(["pw"], [0.1], [0.0], 10, seeds)
+
     def test_unknown_order_is_rejected(self):
         orders, phis, phi0s, seeds = self.rows(4)
         with pytest.raises(InvariantViolation, match="order must be pw or wp, got 'qq'"):
@@ -401,10 +408,7 @@ class TestLaneFaults:
     SEED = 99
     SHOTS = CHUNK_SHOTS + 1
 
-    @staticmethod
-    def swapped_lanes(*args):
-        for lo, hi, k in rng.uniform_grid(*args):
-            yield lo, hi, k[:, ::-1]
+    swapped_lanes = staticmethod(swapped_lanes)
 
     @staticmethod
     def counter_reuse(seeds, counter, n, size, lanes):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from twopath.qalgebra import InvariantViolation
+from twopath.cli import RunConfig
+from twopath.qalgebra import InvariantViolation, require_seed
 from twopath.rng import RandomStream, child_seeds, draw_thresholds, mix64, uniform_grid
+from twopath.verify import run_verification
 
 # Raw 64-bit outputs of the published algorithm for seed 1234567,
 # cross-checked against an independent transcription of its reference
@@ -232,6 +234,32 @@ class TestDerive:
     def test_rejects_negative_index(self):
         with pytest.raises(InvariantViolation, match="non-negative"):
             RandomStream(42).derive(-1)
+
+
+SEED_ENTRIES = {
+    "RandomStream": RandomStream,
+    "child_seeds": lambda seed: child_seeds(seed, np.arange(3, dtype=np.uint64)),
+    "run_verification": lambda seed: run_verification(seed=seed),
+    "run_verification-shots": lambda seed: run_verification(shots=100, seed=seed),
+    "RunConfig": lambda seed: RunConfig(seed=seed),
+}
+
+
+class TestSeedRule:
+    """Every entry that takes a seed applies qalgebra.require_seed."""
+
+    # -1 and 2**64 + 5 would alias 2**64 - 1 and 5 under the mask
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5, 1.5, "7"])
+    @pytest.mark.parametrize("entry", SEED_ENTRIES)
+    def test_every_entry_rejects_with_one_message(self, entry, seed):
+        with pytest.raises(InvariantViolation) as raised:
+            SEED_ENTRIES[entry](seed)
+        assert str(raised.value) == f"seed must be an unsigned 64-bit integer, got {seed!r}"
+
+    def test_integer_types_are_read_as_ints(self):
+        for seed in (np.uint64(5), np.int64(5)):
+            assert require_seed(seed) == int(seed)
+            assert type(require_seed(seed)) is int
 
 
 class TestValidation:

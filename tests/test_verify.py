@@ -4,10 +4,13 @@ import ast
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from support import count_calls, perturbed_splitter
-from twopath import complementarity, interferometer, measurement, qalgebra, uncertainty, verify
+from support import count_calls, perturbed_splitter, swapped_lanes
+from test_golden import GOLDEN
+from twopath import complementarity, interferometer, measurement, qalgebra, rng, uncertainty, verify
+from twopath.cli import main
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
 
@@ -131,6 +134,35 @@ class TestFaultInjection:
             line.startswith("FAIL") and "beam_splitter_conjugation" in line
             for line in text.splitlines()
         )
+
+
+class TestSamplerFaults:
+    """Sampler faults against the named Monte Carlo checks."""
+
+    SAMPLED = ("second_outcome_uniform_pw", "first_variance_convergence_pw",
+               "second_outcome_uniform_wp", "first_variance_convergence_wp")
+
+    def test_threshold_bias_fails_the_sampled_checks_by_name(self, monkeypatch):
+        # every Born odds of every row raised by 0.005: 30 of seeds 1-30 fail each check
+        thresholds = measurement.draw_thresholds
+        monkeypatch.setattr(measurement, "draw_thresholds",
+                            lambda p: thresholds(np.minimum(p + 0.005, 1.0)))
+        passed = {c.name: c.passed for c in verify._sampled_checks(200_000, 1)}
+        assert passed == {**dict.fromkeys(self.SAMPLED, False), "sampling_determinism": True}
+
+    @pytest.mark.parametrize("fault", ["swapped_lanes", "one_seed"])
+    def test_blind_spots_move_the_golden_digest(self, monkeypatch, capsys, fault):
+        # each row's draws stay i.i.d. uniform, so every named check still
+        # passes; only the pinned report bytes show the fault
+        if fault == "swapped_lanes":
+            monkeypatch.setattr(measurement, "uniform_grid", swapped_lanes)
+        else:
+            monkeypatch.setattr(verify, "child_seeds",
+                                lambda seed, rows: np.full_like(rows, rng.child_seeds(seed, 0)))
+        argv = ["verify", "--shots", "200000", "--seed", "1"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest != dict((tuple(a), d) for a, d in GOLDEN)[tuple(argv)]
 
 
 class TestReportBytes:
