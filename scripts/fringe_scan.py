@@ -24,9 +24,9 @@ def main() -> int:
 
     config = RunConfig(phi0=phi0, phi_start=-math.pi, phi_end=math.pi, steps=721)
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(cmd_scan(config))
+        fh.writelines(cmd_scan(config))
 
-    grid = config.grid()
+    grid = np.concatenate(list(config.grid()))
     scan = interference_scan(phi0, grid)
     fringe = np.array([math.cos(phi - phi0) for phi in grid])
     worst_gap = float(np.max(np.abs(scan.gap)))

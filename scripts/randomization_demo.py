@@ -24,10 +24,23 @@ from twopath.qalgebra import InvariantViolation, require_seed
 from twopath.rng import child_seeds
 
 
+def int_arg(index: int, name: str, default: int) -> int:
+    """The integer at sys.argv[index], or the default when it is not given."""
+    if len(sys.argv) <= index:
+        return default
+    try:
+        return int(sys.argv[index])
+    except ValueError:
+        raise SystemExit(f"{name} must be an integer, got {sys.argv[index]!r}")
+
+
 def main() -> int:
-    shots = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 42
+    # Both arguments are checked before the first line is printed.
+    shots = int_arg(1, "shots", 200_000)
+    seed = int_arg(2, "seed", 42)
     phi0 = 0.0
+    if shots < 1:
+        raise SystemExit(f"shots must be >= 1, got {shots}")
     try:
         require_seed(seed)
     except InvariantViolation as exc:

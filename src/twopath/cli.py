@@ -15,10 +15,12 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .output import emit
 from .interferometer import interference_scan
 from .measurement import (
     MeasurementOrder,
@@ -58,6 +60,13 @@ SAMPLE_COLUMNS = (
 #: and the chi-square pass flag as 1 or 0.
 SCAN_ROW = ",".join(["%.17g"] * len(SCAN_COLUMNS))
 SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
+
+#: Grid points per block, and CSV lines per formatted chunk.  ``scan`` and
+#: ``sample`` build, evaluate, format and write one block before they start
+#: the next, so their memory does not grow with --steps.  A grid of up to
+#: this many phases, both orders of a 2001-point sample among them, stays
+#: one sampler call.
+BLOCK_POINTS = 2048
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,48 +113,82 @@ class RunConfig:
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
 
-    def grid(self) -> np.ndarray:
-        """The ``steps`` phases from ``phi_start`` to ``phi_end`` inclusive."""
-        return np.linspace(self.phi_start, self.phi_end, self.steps)
+    def grid(self) -> Iterator[np.ndarray]:
+        """The ``steps`` phases from ``phi_start`` to ``phi_end`` inclusive,
+        in blocks of at most BLOCK_POINTS.
+
+        Each point is computed as np.linspace computes it: its index times
+        the step, plus the start, with numpy's branch for a step that
+        underflows to zero, and the last point set to the end.  So the
+        blocks, joined, are np.linspace's array byte for byte.
+        """
+        start, stop, div = self.phi_start, self.phi_end, self.steps - 1
+        delta = stop - start
+        step = delta / div if div else delta  # one point: 0 * delta, as numpy
+        for lo in range(0, self.steps, BLOCK_POINTS):
+            block = np.arange(lo, min(lo + BLOCK_POINTS, self.steps), dtype=np.float64)
+            if step == 0 and div:
+                block /= div
+                block *= delta
+            else:
+                block *= step
+            block += start
+            if div and lo + block.size == self.steps:
+                block[-1] = stop
+            yield block
 
 
-def _csv(header: tuple[str, ...], row_template: str, rows: Iterable[tuple]) -> str:
-    """The header line, then ``row_template % row`` for each row, LF-terminated."""
-    return "\n".join([",".join(header), *(row_template % row for row in rows)]) + "\n"
+def _csv_chunks(row_template: str, n: int, rows: Iterable[tuple]) -> Iterator[str]:
+    """``n`` rows as LF-terminated lines, in chunks of at most BLOCK_POINTS
+    lines, each made by one ``%`` over the values of its rows."""
+    rows = iter(rows)
+    for lo in range(0, n, BLOCK_POINTS):
+        k = min(BLOCK_POINTS, n - lo)
+        yield ((row_template + "\n") * k) % tuple(chain.from_iterable(islice(rows, k)))
 
 
-def cmd_scan(config: RunConfig) -> str:
+def cmd_scan(config: RunConfig) -> Iterator[str]:
     """Analytic scan: interference expectations plus uncertainty columns.
 
-    The whole grid is evaluated as columns by one interference scan.
+    Yields the CSV text in chunks: the header line, then the lines of each
+    grid block, evaluated as columns by one interference scan.  A product
+    below its bound raises in its block, after the chunks of the blocks
+    before it.
     """
-    scan = interference_scan(config.phi0, config.grid())
-    return _csv(SCAN_COLUMNS, SCAN_ROW, zip(*(c.tolist() for c in scan)))
+    yield ",".join(SCAN_COLUMNS) + "\n"
+    for phis in config.grid():
+        scan = interference_scan(config.phi0, phis)
+        yield from _csv_chunks(SCAN_ROW, phis.size, zip(*(c.tolist() for c in scan)))
 
 
-def cmd_sample(config: RunConfig) -> str:
+def cmd_sample(config: RunConfig) -> Iterator[str]:
     """Monte Carlo sequential measurements over the grid, both orders.
 
     The rows run over the grid and, within each phase, over the orders.
     Each is one experiment on the child stream of the seed for its index,
-    so its values do not depend on the rows before it.  One sampler call
-    draws every row's two +1 counts, from which its CSV line is formatted.
+    so its values do not depend on the rows before it, nor on the block
+    that holds it.  Yields the CSV text in chunks: the header line, then
+    the lines of each grid block, formatted from one sampler call, which
+    draws every row's two +1 counts.
     """
     values = [order.value for order in MeasurementOrder] if config.order == "both" else [config.order]
-    grid = config.grid()
-    phis = np.repeat(grid, len(values))
-    orders = np.tile(np.array(values, dtype=object), grid.size)
-    seeds = child_seeds(config.seed, np.arange(phis.size, dtype=np.uint64))
     shots, phi0 = config.shots, config.phi0
-    n_first, n_second = sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
-    # The columns are read lazily: lists of them raised the peak RSS of
-    # 4002 rows by ~0.15 MB.
-    rows = (
-        (phi, phi0, order, shots, *outcome_moments(n1, shots), *outcome_moments(n2, shots),
-         n2, shots - n2, *uniformity_test((n2, shots - n2)))
-        for phi, order, n1, n2 in zip(map(float, phis), orders, map(int, n_first), map(int, n_second))
-    )
-    return _csv(SAMPLE_COLUMNS, SAMPLE_ROW, rows)
+    yield ",".join(SAMPLE_COLUMNS) + "\n"
+    first_row = 0
+    for grid in config.grid():
+        phis = np.repeat(grid, len(values))
+        orders = np.tile(np.array(values, dtype=object), grid.size)
+        seeds = child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
+        first_row += phis.size
+        n_first, n_second = sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
+        # The columns are read lazily: lists of them raised the peak RSS of
+        # 4002 rows by ~0.15 MB.
+        rows = (
+            (phi, phi0, order, shots, *outcome_moments(n1, shots), *outcome_moments(n2, shots),
+             n2, shots - n2, *uniformity_test((n2, shots - n2)))
+            for phi, order, n1, n2 in zip(map(float, phis), orders, map(int, n_first), map(int, n_second))
+        )
+        yield from _csv_chunks(SAMPLE_ROW, phis.size, rows)
 
 
 _GNUPLOT = """set datafile separator ','
@@ -153,15 +196,6 @@ set key autotitle columnhead
 set xlabel 'phi (rad)'
 plot '{path}' {plot}
 """
-
-
-def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to stdout, or to a new file at ``path`` with LF line ends."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify":
             report = run_verification(shots=args.shots, seed=args.seed)
-            _emit(format_report(report) + "\n", None)
+            emit([format_report(report) + "\n"], None)
             return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
         half_turn = 180.0 if args.degrees else math.pi
@@ -227,21 +261,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.gnuplot and args.out is None:
             parser.error("--gnuplot requires --out")
         if args.command == "scan":
-            text, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
+            chunks, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
         else:
-            text, plot = cmd_sample(config), "using 1:6 with points"
-        _emit(text, args.out)
+            chunks, plot = cmd_sample(config), "using 1:6 with points"
+        emit(chunks, args.out)
         if args.gnuplot:
-            _emit(_GNUPLOT.format(path=args.out, plot=plot), args.out + ".gp")
+            emit([_GNUPLOT.format(path=args.out, plot=plot)], args.out + ".gp")
         return EXIT_OK
     except SystemExit as exc:  # argparse signals usage errors and --help
         return int(exc.code or 0)
     except InvariantViolation as exc:
         code, message = EXIT_USAGE, str(exc)
     except MemoryError as exc:
-        # The whole grid and every CSV row are held in memory; a grid too
-        # large for it is a usage error, not a failed verification.
-        code, message = EXIT_USAGE, f"not enough memory for this run, use fewer --steps ({exc})"
+        # scan and sample hold one block of the grid at a time, so this is a
+        # backstop: a run that does not fit in memory is a usage error, not
+        # a failed verification.
+        code, message = EXIT_USAGE, f"not enough memory for this run ({exc})"
     except OSError as exc:
         code, message = EXIT_IO, f"cannot write output: {exc}"
     sys.stderr.write(f"twopath: {message}\n")

@@ -142,6 +142,21 @@ def interference_scan(phi0: float, grid) -> ScanResult:
     product of spreads below its bound by more than TOL.var raises
     InvariantViolation naming the first such phi.
     """
+    scan = _scan_columns(phi0, grid)
+    below = np.flatnonzero(scan.gap < -TOL.var)
+    if below.size:
+        k = below[0]
+        product = scan.delta_p[k] * scan.delta_w[k]
+        raise InvariantViolation(
+            f"uncertainty product {float(product)!r} fell below its bound "
+            f"{float(scan.bound[k])!r} at phi = {float(scan.phi[k])!r}"
+        )
+    return scan
+
+
+def _scan_columns(phi0: float, grid) -> ScanResult:
+    """:func:`interference_scan` without its check of the bound, so a caller
+    that reports a violated bound, as ``verify`` does, can read the columns."""
     wave, path = wave_operator(phi0), path_operator()
     phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
@@ -151,13 +166,4 @@ def interference_scan(phi0: float, grid) -> ScanResult:
     p_expect, p_var = _moments(path.matrix, states)
     delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
     bound = _half_commutator(path.matrix, wave.matrix, states)
-    product = delta_p * delta_w
-    gap = product - bound
-    below = np.flatnonzero(gap < -TOL.var)
-    if below.size:
-        k = below[0]
-        raise InvariantViolation(
-            f"uncertainty product {float(product[k])!r} fell below its bound "
-            f"{float(bound[k])!r} at phi = {float(phis[k])!r}"
-        )
-    return ScanResult(phis, w_expect, p_expect, delta_p, delta_w, bound, gap)
+    return ScanResult(phis, w_expect, p_expect, delta_p, delta_w, bound, delta_p * delta_w - bound)

@@ -188,17 +188,21 @@ def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
 
 
 def _uncertainty_checks() -> list[CheckResult]:
-    """Fringe law, spreads, saturation and sensitivity on the 5 x 41 grid."""
+    """Fringe law, spreads, saturation and sensitivity on the 5 x 41 grid.
+
+    The scans do not check the Robertson bound, so a product below it fails
+    ``uncertainty_product_saturation`` by name instead of raising.
+    """
     phi0s = [float(phi0) for phi0 in _PHI0_GRID[::4]]
     phis = [float(phi) for phi in _PHI_GRID]
     n = len(phis)
     # One scan per offset: the grid, then the wave eigenstates phi0 + k pi.
-    scans = [ifm.interference_scan(phi0, phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)])
+    scans = [ifm._scan_columns(phi0, phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)])
              for phi0 in phi0s]
     # One scan for every central difference: each centre - step, then + step.
     step = 1e-5
     centres = np.linspace(-math.pi, math.pi, 9)
-    w = ifm.interference_scan(0.0, np.column_stack([centres - step, centres + step]).ravel()).w_expect
+    w = ifm._scan_columns(0.0, np.column_stack([centres - step, centres + step]).ravel()).w_expect
     slopes = (w[1::2] - w[0::2]) / (2 * step)
     return [
         _check("interference_cosine_law",

@@ -161,20 +161,25 @@ def perturbed_splitter(epsilon: float = 1e-3) -> UnitaryGate:
     return UnitaryGate(np.array([[c, s], [-s, c]], dtype=np.complex128))
 
 
+def patch_everywhere(monkeypatch, fn, replacement) -> None:
+    """Replace fn wherever a twopath module binds it (its own module and
+    every ``from ... import`` of it)."""
+    for name, module in list(sys.modules.items()):
+        if name == "twopath" or name.startswith("twopath."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, fn) -> list:
-    """Record the arguments of every call to fn, wherever a twopath module
-    binds it (its own module and every ``from ... import`` of it)."""
+    """Record the arguments of every call to fn, wherever a twopath module binds it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "twopath" or name.startswith("twopath."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    patch_everywhere(monkeypatch, fn, counted)
     return calls
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from support import count_calls
+from support import count_calls, patch_everywhere
 import twopath
-from twopath import cli, interferometer, measurement, qalgebra, rng, uncertainty
+from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import uniformity_test
@@ -87,13 +90,13 @@ class TestScan:
         counts = []
         for steps in (10, 1000):
             built.clear()
-            cmd_scan(RunConfig(phi0=0.6, steps=steps))
+            "".join(cmd_scan(RunConfig(phi0=0.6, steps=steps)))
             counts.append(len(built))
         assert counts[0] == counts[1]
 
     def test_grid_states_are_built_once(self, monkeypatch):
         calls = count_calls(monkeypatch, interferometer._balanced_rows)
-        cmd_scan(RunConfig(phi0=0.6, steps=361))
+        "".join(cmd_scan(RunConfig(phi0=0.6, steps=361)))
         assert [len(args[0]) for args in calls] == [361]
 
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
@@ -104,7 +107,7 @@ class TestScan:
             uncertainty.duality_report,
         )
         calls = [count_calls(monkeypatch, fn) for fn in scalar]
-        cmd_scan(RunConfig(phi0=0.6, phi_start=-3.14159, phi_end=3.14159, steps=20001))
+        "".join(cmd_scan(RunConfig(phi0=0.6, phi_start=-3.14159, phi_end=3.14159, steps=20001)))
         assert [len(c) for c in calls] == [0, 0, 0, 0]
 
 
@@ -154,7 +157,7 @@ class TestSample:
         # a fresh offset per run, so no earlier run has solved its observables
         for steps, phi0 in ((3, 0.3141), (9, 0.2718)):
             solves.clear()
-            cmd_sample(RunConfig(phi0=phi0, steps=steps, shots=10, order="both"))
+            "".join(cmd_sample(RunConfig(phi0=phi0, steps=steps, shots=10, order="both")))
             counts.append(len(solves))
         # the path basis once, and the wave basis once per order
         assert counts == [3, 3]
@@ -176,7 +179,7 @@ class TestSample:
                 yield lo, hi, draws
 
         monkeypatch.setattr(measurement, "uniform_grid", recorded)
-        cmd_sample(RunConfig(phi0=0.6, steps=2001, shots=1000, order="both"))
+        "".join(cmd_sample(RunConfig(phi0=0.6, steps=2001, shots=1000, order="both")))
         assert [len(args[0]) for args in amplitudes] == [4002]
         assert (states, derived) == ([], [])
         # 4002 rows of 2000 draws, 32 rows to a block
@@ -206,7 +209,7 @@ class TestSample:
             phi0=0.0, phi_start=math.pi / 2, phi_end=math.pi / 2,
             steps=1, shots=1_000_000, seed=1, order="wp",
         )
-        _, rows = parse_csv(cmd_sample(config))
+        _, rows = parse_csv("".join(cmd_sample(config)))
         first_variance = float(rows[0][5])
         assert abs(first_variance - 1.0) <= variance_window(0.0, 1_000_000)
 
@@ -240,6 +243,19 @@ class TestVerifyCommand:
             line.startswith("FAIL") and "beam_splitter_conjugation" in line
             for line in out.splitlines()
         )
+
+
+    def test_broken_bound_is_a_failed_check_not_a_usage_error(self, capsys, monkeypatch):
+        # a commutator term 10% too large puts the product below its bound,
+        # which the two Robertson checks report by name
+        half_commutator = qalgebra._half_commutator
+        patch_everywhere(monkeypatch, half_commutator, lambda *args: 1.1 * half_commutator(*args))
+        assert main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+        assert failed == {"uncertainty_product_saturation", "robertson_inequality"}
+        assert out.splitlines()[-1] == "19/21 checks passed"
 
 
 class TestExitCodes:
@@ -340,20 +356,24 @@ class TestExitCodes:
 
 class TestOneWriter:
     def test_only_emit_opens_or_writes_output(self):
-        # every output byte leaves through _emit; the one other write is
-        # main's error message on stderr
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        emit = next(n for n in tree.body if getattr(n, "name", None) == "_emit")
-        in_emit = {id(n) for n in ast.walk(emit)}
-        inside, outside = [], []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and (
-                getattr(node.func, "id", None) in ("open", "print")
-                or getattr(node.func, "attr", None) == "write"
-            ):
-                (inside if id(node) in in_emit else outside).append(ast.unparse(node.func))
-        assert sorted(inside) == ["fh.write", "open", "sys.stdout.write"]
-        assert outside == ["sys.stderr.write"]
+        # every output byte leaves through output.emit; the one other write
+        # is main's error message on stderr
+        def output_calls(module):
+            """(calls inside ``emit``, calls elsewhere) that open or write."""
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            emit = [n for n in tree.body if getattr(n, "name", None) == "emit"]
+            in_emit = {id(n) for e in emit for n in ast.walk(e)}
+            inside, outside = [], []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in ("open", "print")
+                    or getattr(node.func, "attr", None) == "write"
+                ):
+                    (inside if id(node) in in_emit else outside).append(ast.unparse(node.func))
+            return sorted(inside), outside
+
+        assert output_calls(output) == (["fh.write", "open", "sys.stdout.write"], [])
+        assert output_calls(cli) == ([], ["sys.stderr.write"])
 
 
 class TestGnuplot:
@@ -382,7 +402,7 @@ class TestGnuplot:
 class TestRunConfig:
     def test_grid_is_inclusive_linspace(self):
         config = RunConfig(phi_start=0.0, phi_end=math.pi, steps=3)
-        np.testing.assert_allclose(config.grid(), [0.0, math.pi / 2, math.pi])
+        np.testing.assert_allclose(np.concatenate(list(config.grid())), [0.0, math.pi / 2, math.pi])
 
     def test_validation(self):
         with pytest.raises(InvariantViolation):
@@ -395,15 +415,155 @@ class TestRunConfig:
             RunConfig(order="sideways")
 
     def test_cmd_scan_accepts_config_directly(self):
-        text = cmd_scan(RunConfig(phi0=0.0, phi_start=0.0, phi_end=0.0, steps=1))
+        text = "".join(cmd_scan(RunConfig(phi0=0.0, phi_start=0.0, phi_end=0.0, steps=1)))
         header, rows = parse_csv(text)
         assert len(rows) == 1
         assert abs(float(rows[0][1]) - 1.0) < 1e-12
 
     def test_cmd_sample_accepts_config_directly(self):
-        text = cmd_sample(
+        text = "".join(cmd_sample(
             RunConfig(phi_start=0.5, phi_end=0.5, steps=1, shots=500, seed=1, order="pw")
-        )
+        ))
         _, rows = parse_csv(text)
         assert len(rows) == 1
         assert int(rows[0][3]) == 500
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# One argv per CSV shape; --steps is appended.
+STREAMED = {
+    "scan": ["scan", "--phi0", "0.6"],
+    "scan-equal-ends": ["scan", "--from", "0.5", "--to", "0.5"],
+    "sample-both": ["sample", "--phi0", "0.6", "--shots", "20", "--seed", "7"],
+    "sample-pw": ["sample", "--shots", "20", "--order", "pw"],
+    "sample-equal-ends": ["sample", "--from", "0.5", "--to", "0.5", "--shots", "20"],
+}
+
+
+class TestStreaming:
+    """scan and sample in blocks of BLOCK_POINTS grid points, shrunk here."""
+
+    @given(ends=st.lists(finite, min_size=2, max_size=2).map(sorted),
+           steps=st.integers(1, 40), block=st.sampled_from([1, 2, 7]))
+    @example(ends=[-1e300, 1e300], steps=15, block=7)
+    @example(ends=[0.0, 5e-324], steps=9, block=2)
+    @example(ends=[5e-324, 5e-324], steps=3, block=2)
+    @example(ends=[0.5, 0.5], steps=8, block=7)
+    @example(ends=[-0.0, 0.0], steps=1, block=1)
+    def test_grid_blocks_join_to_linspace_bytes(self, ends, steps, block):
+        start, stop = ends
+        assume(stop - start < math.inf)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK_POINTS", block)
+            blocks = list(RunConfig(phi_start=start, phi_end=stop, steps=steps).grid())
+        assert [b.size for b in blocks] == [min(block, steps - lo) for lo in range(0, steps, block)]
+        assert np.concatenate(blocks).tobytes() == np.linspace(start, stop, steps).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("name", list(STREAMED))
+    def test_blocks_do_not_change_the_bytes(self, name, block, capsys, monkeypatch):
+        whole_grid = cli.BLOCK_POINTS
+        for steps in sorted({1, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block}):
+            argv = STREAMED[name] + ["--steps", str(steps)]
+            outputs = []
+            for points in (whole_grid, block):  # one block, then many
+                monkeypatch.setattr(cli, "BLOCK_POINTS", points)
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[1] == outputs[0], argv
+
+    @pytest.mark.parametrize("argv, steps", [(["scan"], 500), (["sample", "--shots", "10"], 200)],
+                             ids=["scan", "sample"])
+    def test_peak_memory_is_flat_in_steps(self, argv, steps, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 7)
+        out = str(tmp_path / "run.csv")
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--steps", str(n), "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10 * steps)  # fills the interpreter's free lists first
+        small, large = peak_bytes(steps), peak_bytes(10 * steps)
+        # the whole output would add ~300 B per row
+        assert large < small + 128 * 1024
+
+    @pytest.mark.parametrize("command, kernel, argv", [
+        ("scan", "interference_scan", ["scan", "--steps", "5"]),
+        ("sample", "sequential_counts", ["sample", "--steps", "5", "--shots", "10"]),
+    ], ids=["scan", "sample"])
+    def test_fault_in_block_two(self, command, kernel, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 2)
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        calls = []
+        real = getattr(cli, kernel)
+
+        def faulty(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise InvariantViolation("fault in block 2")
+            return real(*args)
+
+        monkeypatch.setattr(cli, kernel, faulty)
+        # stdout: the header and block 1's lines, each complete
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "twopath: fault in block 2\n"
+        lines_per_block = 2 if command == "scan" else 4
+        assert out == "".join(whole.splitlines(keepends=True)[:1 + lines_per_block])
+        # --out: a new file is never made, an existing one keeps its bytes
+        existing = tmp_path / "old.csv"
+        existing.write_text("old\n")
+        for path in (tmp_path / "new.csv", existing):
+            calls.clear()
+            assert main(argv + ["--out", str(path)]) == 2
+            assert capsys.readouterr().err == "twopath: fault in block 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert existing.read_text() == "old\n"
+
+    @pytest.mark.parametrize("name", ["scan", "sample-both"])
+    def test_out_devnull_is_written_in_place(self, name):
+        assert main(STREAMED[name] + ["--steps", "3", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+    def test_out_symlink_replaces_its_target(self, tmp_path, capsys, monkeypatch):
+        # the file the link names is replaced as a whole, so a run that
+        # fails leaves it as it was
+        argv = ["scan", "--steps", "3"]
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+
+        def broken(phi0, phis):
+            raise InvariantViolation("fault after the header")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "interference_scan", broken)
+            assert main(argv + ["--out", str(link)]) == 2
+        assert target.read_text() == "old\n"
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_out_file_modes(self, tmp_path):
+        new, opened = tmp_path / "new.csv", tmp_path / "opened.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(["scan", "--steps", "3", "--out", str(new)]) == 0
+            open(opened, "w").close()
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o640
+        existing = tmp_path / "old.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        assert main(["scan", "--steps", "3", "--out", str(existing)]) == 0
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert existing.read_text().startswith("phi,")

@@ -253,7 +253,7 @@ class TestBlocks:
     def test_rows_equal_their_own_streams(self, shots, steps, order):
         phi0 = 0.6
         config = RunConfig(phi0=phi0, steps=steps, shots=shots, seed=self.SEED, order=order)
-        lines = cmd_sample(config).splitlines()[1:]
+        lines = "".join(cmd_sample(config)).splitlines()[1:]
         orders = list(MeasurementOrder) if order == "both" else [MeasurementOrder(order)]
         assert len(lines) == steps * len(orders)
         parent = RandomStream(self.SEED)

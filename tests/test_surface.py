@@ -172,3 +172,13 @@ def test_randomization_demo_rejects_seeds_outside_64_bits(tmp_path):
         assert run.returncode == 1
         assert run.stdout == ""
         assert run.stderr == f"seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
+def test_randomization_demo_rejects_bad_shots(tmp_path):
+    # checked, as the seed is, before anything is printed
+    for shots, message in (("0", "shots must be >= 1, got 0"),
+                           ("abc", "shots must be an integer, got 'abc'")):
+        run = run_script("randomization_demo.py", shots, "42", cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == message + "\n"

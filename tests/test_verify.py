@@ -40,7 +40,7 @@ class TestHealthySuite:
 
     def test_grids_make_no_per_point_reports(self, monkeypatch):
         reports = count_calls(monkeypatch, uncertainty.duality_report)
-        scans = count_calls(monkeypatch, interferometer.interference_scan)
+        scans = count_calls(monkeypatch, interferometer._scan_columns)
         assert run_verification().all_passed
         assert (len(reports), len(scans)) == (0, 6)
 
