@@ -23,7 +23,6 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     binary_eigensystem,
-    expectation,
     require_finite_angle,
 )
 from .tolerances import TOL
@@ -98,22 +97,3 @@ def is_complementary(basis_a: EigenBasis, basis_b: EigenBasis) -> Complementarit
             overlap_sq = float(abs(np.vdot(u.amplitudes, v.amplitudes)) ** 2)
             deviation = max(deviation, abs(overlap_sq - 0.5))
     return ComplementarityVerdict(max_deviation=deviation)
-
-
-def check_mutual_zero_expectation(
-    p_obs: Observable, basis_w: EigenBasis
-) -> tuple[float, float, float, float]:
-    """The four cross expectation values that complementarity forces to zero.
-
-    Returns (<w+|P|w+>, <w-|P|w->, <p+|W|p+>, <p-|W|p->) where W is
-    assembled from basis_w and p+/- are the eigenvectors of p_obs.  All
-    four vanish exactly when the pair is complementary.
-    """
-    basis_p = binary_eigensystem(p_obs)
-    w_obs = observable_from_eigensystem(basis_w)
-    return (
-        expectation(p_obs, basis_w.plus),
-        expectation(p_obs, basis_w.minus),
-        expectation(w_obs, basis_p.plus),
-        expectation(w_obs, basis_p.minus),
-    )

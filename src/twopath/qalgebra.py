@@ -2,8 +2,7 @@
 
 States, Hermitian observables, and unitaries are thin immutable wrappers
 around validated numpy arrays; all operations are pure functions.
-Constructors reject invalid input instead of repairing it; use
-:func:`normalized` when renormalization is actually wanted.
+Constructors reject invalid input instead of repairing it.
 
 Each value is checked where it enters the library, a stream seed by
 :func:`require_seed`.  The three value types share one construction check
@@ -241,11 +240,6 @@ def _half_commutator(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarr
     return 0.5 * np.hypot(element.real, element.imag)
 
 
-def commutator(a: Observable, b: Observable) -> np.ndarray:
-    """ab - ba; anti-Hermitian for Hermitian inputs."""
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
-
-
 def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:
     """c0 I + cx sx + cy sy + cz sz: one matrix for scalar coefficients, an
     (N, 2, 2) stack for (N, 1, 1) coefficient arrays."""
@@ -255,21 +249,6 @@ def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:
 def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
     """Hermitian operator c0 I + cx sx + cy sy + cz sz from real coefficients."""
     return Observable(_pauli_sum(c0, cx, cy, cz))
-
-
-def apply(gate: UnitaryGate, state: StateVector) -> StateVector:
-    """The state gate|state>."""
-    return StateVector(gate.matrix @ state.amplitudes)
-
-
-def normalized(values) -> StateVector:
-    """Explicitly renormalize a raw complex 2-vector into a StateVector."""
-    v = _checked_copy(values, (2,), "expected a complex 2-vector",
-                      "cannot normalize non-finite amplitudes")
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-150:
-        raise InvariantViolation("cannot normalize a (near-)zero vector")
-    return StateVector(v / norm)
 
 
 def states_equal(a: StateVector, b: StateVector) -> bool:

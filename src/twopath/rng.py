@@ -19,6 +19,7 @@ caller compares the integers and never converts them to doubles.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -50,11 +51,20 @@ def mix64(z):
 def child_seeds(seed: int, rows):
     """Seeds of the child streams of `seed` for row indices `rows`.
 
-    `seed` must pass :func:`qalgebra.require_seed`; `rows` is a non-negative
-    int or a uint64 array of them, and the result has the same form.  The
-    double avalanche mix decorrelates children from parent and siblings.
+    `seed` must pass :func:`qalgebra.require_seed`; `rows` is an int in
+    [0, 2^64) or a uint64 array of them, checked by its dtype alone, and
+    the result has the same form.  The double avalanche mix decorrelates
+    children from parent and siblings.
     """
-    return mix64(mix64(require_seed(seed)) ^ ((rows + 1) * _GOLDEN & _MASK64))
+    parent = mix64(require_seed(seed))
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.uint64:
+            raise InvariantViolation(f"row indices must be a non-negative uint64 array, got {rows.dtype}")
+    elif isinstance(rows, numbers.Integral) and 0 <= rows < 1 << 64:
+        rows = int(rows)
+    else:
+        raise InvariantViolation(f"row index must be a non-negative integer below 2**64, got {rows!r}")
+    return mix64(parent ^ ((rows + 1) * _GOLDEN & _MASK64))
 
 
 def _aligned_empty(m: int) -> np.ndarray:
@@ -142,9 +152,9 @@ class RandomStream:
     `uniform` draws one double in [0, 1); `uniforms` draws a batch as one
     block of :func:`uniform_grid` and is bit-identical to the same number
     of single draws, so a run drawn in batches sees the same bits as one
-    drawn value by value.  `derive` creates a decorrelated child stream
-    for an index; `sample` and `verify` give each output row its own
-    child, so a row's values do not depend on the rows before it.
+    drawn value by value.  :func:`child_seeds` gives the seeds of
+    decorrelated child streams; `sample` and `verify` give each output row
+    its own child, so a row's values do not depend on the rows before it.
     """
 
     __slots__ = ("seed", "counter")
@@ -169,12 +179,6 @@ class RandomStream:
         self.counter += n
         # in place, so a batch allocates no third array of n entries
         return np.multiply(k[0, 0], _U53, out=k[0, 0].view(np.float64))
-
-    def derive(self, index: int) -> "RandomStream":
-        """Child stream for row `index`: :func:`child_seeds` of one row."""
-        if index < 0:
-            raise InvariantViolation(f"row index must be non-negative, got {index!r}")
-        return RandomStream(child_seeds(self.seed, index))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self.counter})"

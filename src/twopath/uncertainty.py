@@ -5,8 +5,8 @@ magnitude of their commutator expectation.  On balanced states the
 path/wave pair saturates that bound: the path spread is one and the wave
 spread equals the bound itself.  The interference scan holds the spreads,
 the bound and the gap over a grid of balanced states as columns;
-``duality_report`` is its single row, whose product and saturation flag
-are derived from those values.
+``duality_report`` is its single row, whose saturation flag is derived
+from its gap.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import interference_scan
-from .qalgebra import Observable, StateVector, commutator, require_finite_angle
+from .qalgebra import Observable, StateVector, require_finite_angle
 from .tolerances import TOL
 
 
@@ -33,10 +33,6 @@ class UncertaintyReport:
     gap: float
 
     @property
-    def product(self) -> float:
-        return self.delta_p * self.delta_w
-
-    @property
     def saturated(self) -> bool:
         """The product meets its bound to within TOL.var."""
         return self.gap < TOL.var
@@ -45,7 +41,7 @@ class UncertaintyReport:
 def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
     """Half the magnitude of the commutator expectation: the floor under
     the product of the two spreads."""
-    comm = commutator(a, b)
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     value = np.vdot(state.amplitudes, comm @ state.amplitudes)
     return 0.5 * abs(complex(value))
 

@@ -3,8 +3,9 @@
 Each test prints exactly one ACCEPTANCE PASS/FAIL line (visible with
 pytest -s).  Random test points come from pinned seeds so every run is
 deterministic; the Monte Carlo criterion uses a seed chosen once so that
-all of its 1%-significance chi-square checks pass, which a fair coin
-would fail to do for roughly a quarter of seeds.
+all of its 1%-significance chi-square checks pass.  Over MC seeds 1-300
+its battery (pairs seed 20260808, 10^6 shots, 32 rows) failed for 79
+seeds (26.3%); independent 1% tests on 32 rows predict 1 - 0.99^32 = 27.5%.
 """
 
 import math
@@ -14,7 +15,6 @@ import numpy as np
 
 from twopath.cli import EXIT_VERIFY_FAILED
 from twopath.complementarity import (
-    check_mutual_zero_expectation,
     derive_wave_eigenbasis,
     observable_from_eigensystem,
     path_eigenbasis,
@@ -35,12 +35,12 @@ from twopath.qalgebra import (
     SIGMA_X,
     SIGMA_Z,
     StateVector,
-    apply,
+    binary_eigensystem,
     expectation,
     states_equal,
     variance,
 )
-from twopath.rng import RandomStream
+from twopath.rng import RandomStream, child_seeds
 from twopath.uncertainty import duality_report, robertson_bound
 from twopath.verify import format_report, run_verification, variance_window
 from support import perturbed_splitter, random_hermitian, random_state
@@ -76,10 +76,17 @@ def test_criterion_1_interference_law():
 def test_criterion_2_complementarity_residuals():
     with criterion("2. complementarity residuals vanish within 1e-12 (10^4 offsets)"):
         rng = np.random.default_rng(1002)
+        path = binary_eigensystem(SIGMA_Z)
         worst = 0.0
         for phi0 in rng.uniform(-math.pi, math.pi, size=10_000):
-            values = check_mutual_zero_expectation(
-                SIGMA_Z, derive_wave_eigenbasis(float(phi0))
+            wave = derive_wave_eigenbasis(float(phi0))
+            wave_obs = observable_from_eigensystem(wave)
+            # <w+|P|w+>, <w-|P|w->, <p+|W|p+>, <p-|W|p->
+            values = (
+                expectation(SIGMA_Z, wave.plus),
+                expectation(SIGMA_Z, wave.minus),
+                expectation(wave_obs, path.plus),
+                expectation(wave_obs, path.minus),
             )
             worst = max(worst, max(abs(v) for v in values))
         assert worst < 1e-12
@@ -188,9 +195,9 @@ def test_criterion_7_beam_splitter_identity():
         grid = np.linspace(-math.pi, math.pi, 2001)
         fringe = []
         for phi in grid:
-            state = apply(splitter, KET_LOWER)
-            state = apply(phase_shifter(float(phi)), state)
-            state = apply(splitter, state)
+            state = StateVector(splitter.matrix @ KET_LOWER.amplitudes)
+            state = StateVector(phase_shifter(float(phi)).matrix @ state.amplitudes)
+            state = StateVector(splitter.matrix @ state.amplitudes)
             fringe.append(expectation(SIGMA_Z, state))
         fringe = np.array(fringe)
         assert abs(float(np.max(fringe)) - 1.0) < 1e-9
@@ -210,7 +217,7 @@ def test_criterion_8_monte_carlo_randomization():
         row = 0
         for order in MeasurementOrder:
             for phi, phi0 in pairs:
-                stream = RandomStream(MC_SEED).derive(row)
+                stream = RandomStream(child_seeds(MC_SEED, row))
                 row += 1
                 stats = sequential_experiment(
                     order, float(phi), float(phi0), MC_SHOTS, stream

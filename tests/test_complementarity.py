@@ -12,7 +12,6 @@ from twopath import qalgebra
 from twopath.complementarity import (
     EigenBasis,
     canonical_phase,
-    check_mutual_zero_expectation,
     derive_wave_eigenbasis,
     is_complementary,
     observable_from_eigensystem,
@@ -20,7 +19,6 @@ from twopath.complementarity import (
 )
 from twopath.interferometer import wave_operator
 from twopath.qalgebra import (
-    IDENTITY,
     InvariantViolation,
     KET_LOWER,
     KET_UPPER,
@@ -224,28 +222,3 @@ class TestIsComplementary:
         backward = is_complementary(basis_b, basis_a)
         assert forward.complementary == backward.complementary
         assert abs(forward.max_deviation - backward.max_deviation) < 1e-12
-
-
-class TestCheckMutualZeroExpectation:
-    def test_wave_basis_gives_four_zeros(self):
-        values = check_mutual_zero_expectation(SIGMA_Z, derive_wave_eigenbasis(0.7))
-        assert max(abs(v) for v in values) < 1e-12
-
-    def test_path_basis_gives_eigenvalues(self):
-        values = check_mutual_zero_expectation(SIGMA_Z, path_eigenbasis())
-        assert values == pytest.approx((1.0, -1.0, 1.0, -1.0), abs=1e-12)
-
-    def test_sweep_residuals(self):
-        rng = np.random.default_rng(41)
-        for phi0 in rng.uniform(-math.pi, math.pi, size=64):
-            values = check_mutual_zero_expectation(
-                SIGMA_Z, derive_wave_eigenbasis(phi0)
-            )
-            assert max(abs(v) for v in values) < 1e-12
-
-    def test_rejects_wrong_spectrum(self):
-        doubled = pauli_compose(0.0, 0.0, 0.0, 2.0)  # eigenvalues +2/-2
-        with pytest.raises(InvariantViolation, match="eigenvalues"):
-            check_mutual_zero_expectation(doubled, derive_wave_eigenbasis(0.0))
-        with pytest.raises(InvariantViolation, match="eigenvalues"):
-            check_mutual_zero_expectation(IDENTITY, derive_wave_eigenbasis(0.0))

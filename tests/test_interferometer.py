@@ -25,10 +25,9 @@ from twopath.qalgebra import (
     KET_UPPER,
     SIGMA_X,
     SIGMA_Z,
-    apply,
+    StateVector,
     eig_hermitian,
     expectation,
-    normalized,
     states_equal,
     variance,
 )
@@ -62,12 +61,13 @@ class TestPhaseShifter:
     @given(a=angles, b=angles)
     def test_phases_add(self, a, b):
         # composition differs from the single shifter by a global phase only
-        composed = apply(phase_shifter(a), apply(phase_shifter(b), balanced_state(0.0)))
+        shifted = StateVector(phase_shifter(b).matrix @ balanced_state(0.0).amplitudes)
+        composed = StateVector(phase_shifter(a).matrix @ shifted.amplitudes)
         assert states_equal(composed, balanced_state(a + b))
 
     @given(phi=angles)
     def test_generates_balanced_family(self, phi):
-        shifted = apply(phase_shifter(phi), balanced_state(0.0))
+        shifted = StateVector(phase_shifter(phi).matrix @ balanced_state(0.0).amplitudes)
         assert states_equal(shifted, balanced_state(phi))
 
     def test_rejects_non_finite(self):
@@ -105,13 +105,13 @@ class TestBeamSplitter:
         np.testing.assert_allclose(b @ b.conj().T, np.eye(2), atol=1e-15)
 
     def test_lower_port_becomes_zero_phase_balanced_state(self):
-        out = apply(beam_splitter(), KET_LOWER)
+        out = StateVector(beam_splitter().matrix @ KET_LOWER.amplitudes)
         assert states_equal(out, balanced_state(0.0))
 
 
 class TestBalancedState:
     def test_zero_phase(self):
-        assert states_equal(balanced_state(0.0), normalized([1.0, 1.0]))
+        assert states_equal(balanced_state(0.0), StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0)))
 
     @given(phi=angles)
     def test_equal_arm_probabilities(self, phi):
@@ -205,7 +205,7 @@ class TestInterferenceScan:
         start = balanced_state(0.0)
         expected = []
         for phi in grid:
-            state = apply(phase_shifter(phi), start)
+            state = StateVector(phase_shifter(phi).matrix @ start.amplitudes)
             delta_p = math.sqrt(variance(path, state))
             delta_w = math.sqrt(variance(wave, state))
             bound = robertson_bound(path, wave, state)
@@ -227,9 +227,9 @@ class TestFullPipeline:
         splitter = beam_splitter()
         fringe = []
         for phi in grid:
-            state = apply(splitter, KET_LOWER)
-            state = apply(phase_shifter(float(phi)), state)
-            state = apply(splitter, state)
+            state = StateVector(splitter.matrix @ KET_LOWER.amplitudes)
+            state = StateVector(phase_shifter(float(phi)).matrix @ state.amplitudes)
+            state = StateVector(splitter.matrix @ state.amplitudes)
             fringe.append(expectation(SIGMA_Z, state))
         fringe = np.array(fringe)
         np.testing.assert_allclose(fringe, np.cos(grid), atol=1e-12)

@@ -256,13 +256,11 @@ class TestBlocks:
         lines = "".join(cmd_sample(config)).splitlines()[1:]
         orders = list(MeasurementOrder) if order == "both" else [MeasurementOrder(order)]
         assert len(lines) == steps * len(orders)
-        parent = RandomStream(self.SEED)
         for row, line in enumerate(lines):
             fields = line.split(",")
             phi = float(fields[0])
-            n1, n2 = reference_counts(
-                orders[row % len(orders)], phi, phi0, shots, parent.derive(row)
-            )
+            stream = RandomStream(child_seeds(self.SEED, row))
+            n1, n2 = reference_counts(orders[row % len(orders)], phi, phi0, shots, stream)
             assert int(fields[8]) == n2, row
             assert float(fields[4]) == (2 * n1 - shots) / shots, row
 
@@ -289,11 +287,10 @@ class TestRows:
         orders[5] = orders[5].value
         assert len(set(phi0s)) < len(phi0s) and len({*map(MeasurementOrder, orders)}) == 2
         n_first, n_second = sequential_counts(orders, phis, phi0s, shots, seeds)
-        parent = RandomStream(self.SEED)
         for row in range(40):
             want = reference_counts(
                 MeasurementOrder(orders[row]), float(phis[row]), phi0s[row], shots,
-                parent.derive(row),
+                RandomStream(child_seeds(self.SEED, row)),
             )
             assert (int(n_first[row]), int(n_second[row])) == want, row
 
@@ -421,11 +418,11 @@ class TestLaneFaults:
         orders, phis = zip(*rows)
         seeds = child_seeds(self.SEED, np.arange(len(rows), dtype=np.uint64))
         n_first, n_second = sequential_counts(orders, phis, [0.6] * len(rows), self.SHOTS, seeds)
-        parent = RandomStream(self.SEED)
         return [
             row for row, (order, phi) in enumerate(rows)
             if (n_first[row], n_second[row])
-            != reference_counts(order, phi, 0.6, self.SHOTS, parent.derive(row))
+            != reference_counts(order, phi, 0.6, self.SHOTS,
+                                RandomStream(child_seeds(self.SEED, row)))
         ]
 
     def test_correct_kernel_agrees(self):

@@ -33,17 +33,14 @@ from twopath.qalgebra import (
     KET_UPPER,
     Observable,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     EigenBasis,
     StateVector,
     UnitaryGate,
     binary_eigensystem,
-    commutator,
     eig_hermitian,
     expectation,
     expectations,
-    normalized,
     pauli_compose,
     require_states,
     states_equal,
@@ -95,15 +92,6 @@ class TestConstructors:
         with pytest.raises(InvariantViolation):
             StateVector(np.array([1.0 + 1e-5, 0.0]))
 
-    def test_normalized_helper(self):
-        state = normalized([3.0, 4.0j])
-        assert abs(abs(state.amplitudes[0]) - 0.6) < 1e-15
-        assert abs(abs(state.amplitudes[1]) - 0.8) < 1e-15
-
-    def test_normalized_rejects_zero_vector(self):
-        with pytest.raises(InvariantViolation, match="zero"):
-            normalized([0.0, 0.0])
-
     @pytest.mark.parametrize("build, values, message", [
         (StateVector, [1.0, 0.0, 0.0], "state must be a complex 2-vector, got shape (3,)"),
         (StateVector, [math.inf, 0.0], "state amplitudes must be finite (no NaN/Inf)"),
@@ -111,8 +99,6 @@ class TestConstructors:
         (Observable, [[1.0, math.nan], [math.nan, 1.0]], "observable entries must be finite (no NaN/Inf)"),
         (UnitaryGate, np.eye(3), "gate must be 2x2, got shape (3, 3)"),
         (UnitaryGate, [[math.inf, 0.0], [0.0, 1.0]], "gate entries must be finite (no NaN/Inf)"),
-        (normalized, [3.0, 4.0, 0.0], "expected a complex 2-vector, got shape (3,)"),
-        (normalized, [math.nan, 1.0], "cannot normalize non-finite amplitudes"),
     ])
     def test_shape_and_finiteness_messages(self, build, values, message):
         with pytest.raises(InvariantViolation, match=re.escape(message) + "$"):
@@ -167,7 +153,7 @@ class TestVariance:
         for k in (0, 1):
             assert variance(pauli_compose(0.3, 0.7, -0.2, 0.4), StateVector(vecs[:, k])) < 1e-10
         # a state well away from both eigenstates has strictly positive spread
-        mixed = normalized(vecs[:, 0] + vecs[:, 1])
+        mixed = StateVector((vecs[:, 0] + vecs[:, 1]) * INV_SQRT2)
         assert variance(pauli_compose(0.3, 0.7, -0.2, 0.4), mixed) > 1e-6
 
 
@@ -237,31 +223,6 @@ class TestCheckedOnce:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
     def test_balanced_rows_pass_the_state_check_at_any_finite_angle(self, phis):
         require_states(balanced_amplitudes(phis))
-
-
-class TestCommutator:
-    def test_sz_sx(self):
-        got = commutator(SIGMA_Z, SIGMA_X)
-        np.testing.assert_allclose(got, 2j * SIGMA_Y.matrix, atol=1e-15)
-
-    def test_sz_sy(self):
-        got = commutator(SIGMA_Z, SIGMA_Y)
-        np.testing.assert_allclose(got, -2j * SIGMA_X.matrix, atol=1e-15)
-
-    def test_self_commutator_vanishes(self):
-        np.testing.assert_array_equal(commutator(SIGMA_Z, SIGMA_Z), np.zeros((2, 2)))
-
-    @given(a=hermitians(), b=hermitians())
-    def test_matches_elementwise_oracle(self, a, b):
-        ab = matmul_oracle(a.matrix, b.matrix)
-        ba = matmul_oracle(b.matrix, a.matrix)
-        want = np.array(ab) - np.array(ba)
-        np.testing.assert_allclose(commutator(a, b), want, atol=1e-12)
-
-    @given(a=hermitians(), b=hermitians())
-    def test_anti_hermitian(self, a, b):
-        c = commutator(a, b)
-        np.testing.assert_allclose(c.conj().T, -c, atol=1e-12)
 
 
 class TestPauliDecompose:

@@ -208,32 +208,44 @@ class TestRange:
 
 
 class TestDerive:
+    """Child seeds: :func:`child_seeds` of one row or of a uint64 array."""
+
     def test_deterministic(self):
-        assert RandomStream(42).derive(3).seed == RandomStream(42).derive(3).seed
+        assert child_seeds(42, 3) == child_seeds(42, 3)
 
     def test_children_differ_from_parent_and_each_other(self):
-        parent = RandomStream(42)
-        seeds = {parent.seed}
+        seeds = {42}
         for i in range(50):
-            child = parent.derive(i)
-            assert child.seed not in seeds
-            assert child.counter == 0
-            seeds.add(child.seed)
+            child = child_seeds(42, i)
+            assert child not in seeds
+            seeds.add(child)
 
     def test_chains(self):
-        grandchild = RandomStream(42).derive(1).derive(2)
-        assert grandchild.seed != RandomStream(42).derive(1).seed
+        grandchild = child_seeds(child_seeds(42, 1), 2)
+        assert grandchild != child_seeds(42, 1)
 
     @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
     def test_equals_the_array_mix(self, seed):
         rows = np.arange(10_001, dtype=np.uint64)
-        parent = RandomStream(seed)
-        children = [parent.derive(i).seed for i in range(10_001)]
+        children = [child_seeds(seed, i) for i in range(10_001)]
         assert child_seeds(seed, rows).tolist() == children
 
     def test_rejects_negative_index(self):
+        # -1 would alias row 2**64 - 1 under the mask
         with pytest.raises(InvariantViolation, match="non-negative"):
-            RandomStream(42).derive(-1)
+            child_seeds(42, -1)
+
+    # 2**64 would alias row 0 under the mask; neither an int64 array nor a
+    # float is a uint64 row
+    @pytest.mark.parametrize("rows, message", [
+        (1 << 64, "row index must be a non-negative integer below 2**64, got 18446744073709551616"),
+        (1.5, "row index must be a non-negative integer below 2**64, got 1.5"),
+        (np.array([1, 2]), "row indices must be a non-negative uint64 array, got int64"),
+    ])
+    def test_rejects_rows_outside_uint64(self, rows, message):
+        with pytest.raises(InvariantViolation) as raised:
+            child_seeds(42, rows)
+        assert str(raised.value) == message
 
 
 SEED_ENTRIES = {

@@ -61,32 +61,34 @@ def test_readme_sketch_runs():
     assert public == imported | {"InvariantViolation"}
 
 
-def referenced_names(path: Path) -> set[str]:
-    """Every name a file uses, bare or as an attribute."""
-    names = set()
+def referenced_names(path: Path) -> tuple[set[str], set[str]]:
+    """The names a file uses bare, and those it uses as attributes (x.name)."""
+    bare, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return bare, attributes
 
 
 def public_definitions(module: Path):
-    """(dotted name, name) of each public function and class of a module,
-    and of each public method and property of its public classes."""
+    """(dotted name, name, is member) of each public function and class of a
+    module, and of each public method and property of its public classes."""
     for node in ast.parse(module.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module.stem}.{node.name}", node.name
+            yield f"{module.stem}.{node.name}", node.name, False
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{module.stem}.{node.name}.{member.name}", member.name
+                    yield f"{module.stem}.{node.name}.{member.name}", member.name, True
 
 
 def test_every_public_name_has_a_user():
     # A user is the package itself, a script, the benchmark, the acceptance
     # criteria or the README's prose and library sketch; a name only unit
-    # tests call is dead.
+    # tests call is dead.  A method or property is used only as an attribute
+    # (x.name) or in a README span: a local variable of the same name is not
+    # a use of it.
     modules = sorted(SRC.glob("*.py"))
     users = [
         *modules,
@@ -94,27 +96,35 @@ def test_every_public_name_has_a_user():
         *sorted((ROOT / "benchmarks").glob("*.py")),
         ROOT / "tests" / "test_acceptance.py",
     ]
-    used = set().union(*(referenced_names(path) for path in users))
-    # The sketch's comments name what its results hold (report.saturated).
+    bare, attributes = set(), set()
+    for path in users:
+        names, attrs = referenced_names(path)
+        bare |= names
+        attributes |= attrs
     spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
-    for text in (readme_sketch(), *spans):
-        used.update(re.findall(r"[A-Za-z_]\w*", text))
+    span_words = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    sketch = readme_sketch()
+    # The sketch's comments name what its results hold (report.saturated).
+    member_uses = attributes | span_words | set(re.findall(r"\.([A-Za-z_]\w*)", sketch))
+    used = bare | member_uses | set(re.findall(r"[A-Za-z_]\w*", sketch))
 
     unused = [
         dotted
         for module in modules
-        for dotted, name in public_definitions(module)
-        if name not in used
+        for dotted, name, member in public_definitions(module)
+        if name not in (member_uses if member else used)
     ]
     assert unused == [], f"public names with no user outside the unit tests: {unused}"
 
 
 def test_every_import_is_used():
-    # No linter runs on the package or the scripts, so this catches what a
-    # refactor leaves behind.  __init__ imports in order to re-export, so it
-    # is exempt.
+    # No linter runs on the package, the scripts or the tests, so this
+    # catches what a refactor leaves behind.  __init__ imports in order to
+    # re-export, so it is exempt.
     unused = []
-    for module in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
+    sources = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "tests").glob("*.py"))]
+    for module in sources:
         if module.name == "__init__.py":
             continue
         tree = ast.parse(module.read_text(encoding="utf-8"))
