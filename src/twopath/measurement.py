@@ -14,11 +14,21 @@ counts per row.  The draws stay 53-bit integers, one lane for the first
 draw of each shot and one for the second, and each row's Born odds become
 integer thresholds once (:func:`rng.draw_thresholds`), so a shot costs two
 integer comparisons.  :func:`sequential_experiment` is its one-row call.
+
+A call splits its rows into contiguous parts, one per usable CPU but no
+more parts than rows or than blocks of CHUNK_SHOTS shots, and draws each
+part on a thread of its own; numpy's uint64 ufuncs release the GIL while
+they mix.  Each part holds its own two block buffers and writes only its
+own rows' counts, and every row draws all of its shots from its own
+stream, so the counts do not depend on the number of parts.  A call of
+one row, or of fewer shots than one block, starts no thread.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +46,30 @@ from .rng import RandomStream, draw_thresholds, uniform_grid
 #: of freedom; the acceptance threshold for the 50/50 uniformity test.
 CHI2_CRITICAL_1PCT = 6.635
 
-#: Shots per block of the sampler.  A block draws at most 2^16 integers,
-#: two lanes of CHUNK_SHOTS, into two 512 KB buffers, which stay in a
-#: core's L2 cache: the whole rows of max(1, CHUNK_SHOTS // shots)
-#: streams, or one piece of a row of more shots.  On a Xeon with 2 MB of
-#: L2 per core, blocks of 2^16 and 2^17 shots ran slower, and blocks of
-#: 2^12 shots paid more in per-block overhead.  Packing short rows into
-#: one block took `sample` over 2001 phases x 2 orders x 1000 shots from
-#: 0.35 to 0.13 s on a 2-vCPU VM.  Comparing the integer lanes against
-#: integer thresholds, with no conversion to doubles and no per-shot
-#: select of the second odds, took its 3 phases x 2 orders x 4e6 shots
-#: from ~350 to ~180 ms of sampling there, ~480 to ~245 us a block.
-CHUNK_SHOTS = 1 << 15
+#: Shots per block of the sampler, in every part of a call.  A block
+#: draws at most 49152 integers, two lanes of CHUNK_SHOTS, into two 384 KB
+#: buffers, which with the 192 KB table of steps stay in a core's L2
+#: cache: the whole rows of max(1, CHUNK_SHOTS // shots) streams, or one
+#: piece of a row of more shots.  Each part holds its own buffers, so a
+#: call takes ~1 MB per part.  On a Xeon with 2 MB of L2 per core, blocks
+#: of 2^16 and 2^17 shots ran slower in one part, and blocks of 2^12
+#: shots paid more in per-block overhead.  Two parts need larger blocks
+#: than one: every numpy call hands the GIL over, and below ~20K shots a
+#: block the handover costs as much as the call.  `sample` over 3 phases
+#: x 2 orders x 4e6 shots, median of 21 runs on a 2-vCPU VM:
+#:
+#:   parts x shots per block   1 x 16384   1 x 24576   1 x 32768
+#:                             0.222 s     0.206 s     0.206 s
+#:                             2 x 16384   2 x 20480   2 x 24576   2 x 32768
+#:                             0.205 s     0.168 s     0.150 s     0.141 s
+#:
+#: 2 x 32768 peaked ~1.4 MB above one part of 32768, 2 x 24576 ~0.7 MB.
+#: Earlier on the same VM: packing short rows into one block took `sample`
+#: over 2001 phases x 2 orders x 1000 shots from 0.35 to 0.13 s, and
+#: comparing the integer lanes against integer thresholds, with no
+#: conversion to doubles and no per-shot select of the second odds, took
+#: the 4e6-shot run from ~350 to ~180 ms of sampling.
+CHUNK_SHOTS = 3 << 13
 
 
 class MeasurementOrder(enum.Enum):
@@ -99,6 +121,50 @@ def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
     return (2 * n_plus - shots) / shots, 4 * n_plus * (shots - n_plus) / shots**2
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_parts(count, parts) -> None:
+    """Run count(r0, r1, stop) for every (r0, r1) of `parts`: the first in
+    the calling thread, each other on a thread of its own.
+
+    A part that raises sets `stop`, which every part checks once per
+    block, so the others end early.  Every thread is joined before this
+    returns or raises, and the first exception of any part is raised
+    here, so none is left to ``threading.excepthook``.
+    """
+    stop = threading.Event()
+    errors = []
+
+    def run(r0, r1):
+        try:
+            count(r0, r1, stop)
+        except BaseException as exc:  # re-raised by the calling thread below
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for r0, r1 in parts[1:]:
+            thread = threading.Thread(target=run, args=(r0, r1))
+            thread.start()
+            threads.append(thread)
+        run(*parts[0])
+        for thread in threads:
+            thread.join()
+    except BaseException:  # a thread that would not start, or an interrupt while joining
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+
+
 def sequential_counts(
     orders,
     phis,
@@ -126,6 +192,12 @@ def sequential_counts(
     eigenvector the first projection selected.  So the path eigenbasis is
     solved once per call and the wave eigenbasis once per distinct
     (order, phi0), in one pass over that order's rows each.
+
+    The rows are counted in min(usable CPUs, rows, blocks) contiguous
+    parts, the first in the calling thread and each other on its own
+    thread (see the module docstring); a part that raises stops the
+    others at their next block, and its exception is raised here once
+    every thread has ended.
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
@@ -167,20 +239,30 @@ def sequential_counts(
     banded, plus_is_higher = k_low != k_high, k_plus > k_minus
     n_first = np.zeros(len(k_first), dtype=np.int64)
     n_second = np.zeros_like(n_first)
-    for lo, hi, k in uniform_grid(seeds, counter, shots, CHUNK_SHOTS, 2):
-        first_plus = k[:, 0] < k_first[lo:hi, None]
-        second_plus = k[:, 1] < k_low[lo:hi, None]
-        if banded[lo:hi].any():
-            second_plus |= (k[:, 1] < k_high[lo:hi, None]) & (
-                first_plus == plus_is_higher[lo:hi, None]
-            )
-        if hi - lo == 1:
-            # the flat count takes ~4 us per block, the axis form ~25 us
-            n_first[lo] += np.count_nonzero(first_plus)
-            n_second[lo] += np.count_nonzero(second_plus)
-        else:
-            n_first[lo:hi] = np.count_nonzero(first_plus, axis=1)
-            n_second[lo:hi] = np.count_nonzero(second_plus, axis=1)
+
+    def count(r0, r1, stop):
+        for lo, hi, k in uniform_grid(seeds[r0:r1], counter, shots, CHUNK_SHOTS, 2):
+            if stop.is_set():
+                return
+            lo, hi = r0 + lo, r0 + hi
+            first_plus = k[:, 0] < k_first[lo:hi, None]
+            second_plus = k[:, 1] < k_low[lo:hi, None]
+            if banded[lo:hi].any():
+                second_plus |= (k[:, 1] < k_high[lo:hi, None]) & (
+                    first_plus == plus_is_higher[lo:hi, None]
+                )
+            if hi - lo == 1:
+                # the flat count takes ~4 us per block, the axis form ~25 us
+                n_first[lo] += np.count_nonzero(first_plus)
+                n_second[lo] += np.count_nonzero(second_plus)
+            else:
+                n_first[lo:hi] = np.count_nonzero(first_plus, axis=1)
+                n_second[lo:hi] = np.count_nonzero(second_plus, axis=1)
+
+    n_rows = len(k_first)
+    parts = max(1, min(_usable_cpus(), n_rows, -(-n_rows * shots // CHUNK_SHOTS)))
+    bounds = [n_rows * part // parts for part in range(parts + 1)]
+    _run_parts(count, list(zip(bounds, bounds[1:])))
     return n_first, n_second
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from twopath import rng
+from twopath import measurement, rng
 from twopath.complementarity import canonical_phase
 from twopath.qalgebra import (
     InvariantViolation,
@@ -187,3 +187,43 @@ def swapped_lanes(*args):
     """The grid kernel with its two lanes swapped: a sampler fault."""
     for lo, hi, k in rng.uniform_grid(*args):
         yield lo, hi, k[:, ::-1]
+
+
+def force_parts(monkeypatch, parts: int) -> list:
+    """Make every sampler call split its rows as if `parts` CPUs were
+    usable; returns the number of parts each call then ran, in call order."""
+    ran = []
+    run_parts = measurement._run_parts
+
+    def recorded(count, bounds):
+        ran.append(len(bounds))
+        return run_parts(count, bounds)
+
+    monkeypatch.setattr(measurement, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(measurement, "_run_parts", recorded)
+    return ran
+
+
+def grid_failing(seed, exc, after: int, cap: int = 1000):
+    """The grid kernel, raising `exc` in place of block `after` of the call
+    whose first row draws from stream `seed`: one part of a sampler call.
+
+    Every other call ends after `cap` blocks, so that a part nothing stops
+    still ends.  Returns the kernel and a list that gets, per other call,
+    a one-item list of the blocks it has yielded.
+    """
+    drawn = []
+
+    def grid(seeds, *args):
+        failing, mine = seeds[0] == seed, [0]
+        if not failing:
+            drawn.append(mine)
+        for block, piece in enumerate(rng.uniform_grid(seeds, *args)):
+            if failing and block == after:
+                raise exc
+            if block == cap:
+                return
+            mine[0] += 1
+            yield piece
+
+    return grid, drawn

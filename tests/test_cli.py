@@ -1,26 +1,32 @@
 """Command-line contract: schemas, determinism, exit codes."""
 
 import ast
+import contextlib
+import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from support import count_calls, patch_everywhere
+from support import count_calls, force_parts, grid_failing, patch_everywhere
 import twopath
 from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import uniformity_test
 from twopath.qalgebra import InvariantViolation, StateVector, expectation
+from twopath.rng import child_seeds
 from twopath.verify import variance_window
 
 PI = str(math.pi)
@@ -164,21 +170,32 @@ class TestSample:
     def test_grid_is_sampled_in_one_pass(self, monkeypatch):
         amplitudes = count_calls(monkeypatch, interferometer.balanced_amplitudes)
         states = count_calls(monkeypatch, interferometer.balanced_state)
-        blocks = []
+        force_parts(monkeypatch, 2)
+        calls = []
         grid = rng.uniform_grid
 
-        def recorded(*args):
-            for lo, hi, draws in grid(*args):
+        def recorded(seeds, counter, n, size, lanes):
+            blocks, shots = [], np.zeros(len(seeds), dtype=np.int64)
+            calls.append((seeds, blocks, shots))
+            for lo, hi, draws in grid(seeds, counter, n, size, lanes):
                 blocks.append(draws)
+                shots[lo:hi] += draws.shape[2]
                 yield lo, hi, draws
 
         monkeypatch.setattr(measurement, "uniform_grid", recorded)
-        "".join(cmd_sample(RunConfig(phi0=0.6, steps=2001, shots=1000, order="both")))
+        config = RunConfig(phi0=0.6, steps=2001, shots=1000, order="both")
+        "".join(cmd_sample(config))
         assert [len(args[0]) for args in amplitudes] == [4002]
         assert states == []
-        # 4002 rows of 2000 draws, 32 rows to a block
-        assert len(blocks) == 126
-        assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
+        # one grid kernel call per part; each draws every block in place
+        assert len(calls) == 2
+        for seeds, blocks, shots in calls:
+            assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
+            assert (shots == 1000).all()
+        # and the parts cover the 4002 rows once
+        drawn = np.sort(np.concatenate([seeds for seeds, _, _ in calls]))
+        rows = np.arange(4002, dtype=np.uint64)
+        np.testing.assert_array_equal(drawn, np.sort(child_seeds(config.seed, rows)))
 
     def test_peak_memory_is_flat_in_shots(self, capsys):
         def peak_bytes(shots):
@@ -299,6 +316,34 @@ class TestExitCodes:
             assert main([command, "--steps", "3"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("twopath: ") and "2.98 GiB" in err
+
+    def test_out_of_memory_in_a_sampler_worker_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        # 6 rows in 2 parts of 3: the second part runs on a thread of its own
+        force_parts(monkeypatch, 2)
+        second_part = child_seeds(1, 3)
+        grid, _ = grid_failing(second_part, MemoryError("Unable to allocate 2.98 GiB"), after=1)
+        monkeypatch.setattr(measurement, "uniform_grid", grid)
+        threads = threading.active_count()
+        out = tmp_path / "x.csv"
+        argv = ["sample", "--steps", "3", "--shots", "40000", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == (
+            "twopath: not enough memory for this run (Unable to allocate 2.98 GiB)\n"
+        )
+        assert not out.exists()
+
+    def test_interrupted_verify_leaves_no_thread_drawing(self, monkeypatch):
+        # Ctrl-C in the calling thread's part of a run that would never end
+        force_parts(monkeypatch, 2)
+        first_row = child_seeds(1, 0)
+        grid, drawn = grid_failing(first_row, KeyboardInterrupt(), after=3)
+        monkeypatch.setattr(measurement, "uniform_grid", grid)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--shots", str(2**62), "--seed", "1"])
+        assert threading.active_count() == threads
+        assert len(drawn) == 1 and drawn[0][0] < 100
 
     def test_usage_error_steps_beyond_the_largest_grid(self, capsys):
         # 2**60 float64 entries overflow numpy's byte count; 2**63 its index
@@ -561,3 +606,76 @@ class TestStreaming:
         assert main(["scan", "--steps", "3", "--out", str(existing)]) == 0
         assert stat.S_IMODE(existing.stat().st_mode) == 0o604
         assert existing.read_text().startswith("phi,")
+
+
+# Per flag, values within its bounds and values beyond them.  Valid shots
+# and steps stay small, so each run takes milliseconds: a valid run of
+# 2**62 shots never ends, so none is drawn.
+ANGLES = st.sampled_from(["0", "0.6", "-3.5", "180", "1e-320", "1e308", "-1e308", "1.7e308"])
+FLAG_VALUES = {
+    "--phi0": (ANGLES, st.sampled_from(["nan", "inf", "-inf", "pi", ""])),
+    "--from": (ANGLES, st.sampled_from(["nan", "-inf", "1e309"])),
+    "--to": (ANGLES, st.sampled_from(["nan", "inf", "-1e309"])),
+    "--steps": (st.integers(1, 5).map(str),
+                st.sampled_from(["-1", "0", str(2**60), str(10**20), "1.5", "x"])),
+    "--shots": (st.integers(1, 50).map(str), st.sampled_from(["-1", "0", "1e3", "0x10", ""])),
+    "--seed": (st.sampled_from(["0", "7", str(2**64 - 1)]),
+               st.sampled_from(["-1", str(2**64), str(10**30), "x"])),
+    "--order": (st.sampled_from(["pw", "wp", "both"]), st.just("qq")),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A sample or verify argv with at most one flag beyond its bounds, and
+    the --out path under a fresh directory (None for stdout), which may
+    name a directory that does not exist."""
+    command = draw(st.sampled_from(["sample", "verify"]))
+    flags = list(FLAG_VALUES) if command == "sample" else ["--shots", "--seed"]
+    broken = draw(st.sampled_from([None, *flags]))
+    argv = [command]
+    for flag in flags:
+        valid, beyond = FLAG_VALUES[flag]
+        # sample's default of 100000 shots would make a slow example
+        if flag == broken or flag == "--shots" and command == "sample" or draw(st.booleans()):
+            argv.append(f"{flag}={draw(beyond if flag == broken else valid)}")
+    if command == "verify":
+        return argv, None
+    argv += [switch for switch in ("--degrees", "--gnuplot") if draw(st.booleans())]
+    return argv, draw(st.sampled_from([None, "out.csv", "missing/out.csv"]))
+
+
+class TestContract:
+    """Every argv ends in a documented exit code with its message, never
+    in a traceback, and leaves no thread behind."""
+
+    @settings(max_examples=80)
+    @given(case=argvs())
+    @example(case=(["sample", "--from=-1e308", "--to=1e308", "--shots=5"], None))
+    @example(case=(["sample", "--degrees", "--phi0=1e308", "--shots=5"], "out.csv"))
+    @example(case=(["sample", "--steps=1", "--shots=5", "--gnuplot"], "missing/out.csv"))
+    @example(case=(["sample", "--shots=5", "--gnuplot"], None))
+    @example(case=(["verify", "--shots=0"], None))
+    @example(case=(["verify", "--shots=1", "--seed=7"], None))
+    def test_exit_code_and_message(self, case):
+        argv, out = case
+        threads = threading.active_count()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if out is not None:
+                argv = argv + ["--out", os.path.join(tmp, out)]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        assert threading.active_count() == threads
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err == ""
+        elif code == 1:  # a failed check is reported on stdout
+            assert err == "" and "FAIL" in stdout.getvalue()
+        elif err.startswith("usage: twopath"):
+            assert code == 2
+            assert re.search(r"\ntwopath( sample| verify)?: error: [^\n]+\n\Z", err)
+        else:
+            assert re.fullmatch(r"twopath: [^\n]+\n", err)

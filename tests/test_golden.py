@@ -17,12 +17,15 @@ The last four are the argvs of the benchmark's workloads (scan-dense,
 sample-deep, sample-wide and verify-mc, the sampled ones at seed 1),
 whose bytes every refactor since the batched scan has kept; they were
 added unchanged, so the suite checks what had been compared by hand.
+The sampled digests hold whether the sampler runs its rows as one part
+or as two.
 """
 
 import hashlib
 
 import pytest
 
+from support import force_parts
 from twopath.cli import main
 
 GOLDEN = [
@@ -79,14 +82,27 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", GOLDEN, ids=[
-        "scan", "sample-both", "sample-wp",
-        "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify", "verify-mc",
-        "bench-scan-dense", "bench-sample-deep", "bench-sample-wide", "bench-verify-mc",
-    ],
-)
+IDS = [
+    "scan", "sample-both", "sample-wp",
+    "scan-wide-range", "scan-eigenstate", "scan-degrees", "verify", "verify-mc",
+    "bench-scan-dense", "bench-sample-deep", "bench-sample-wide", "bench-verify-mc",
+]
+SAMPLED = [i for i, (argv, _) in enumerate(GOLDEN) if argv[0] == "sample" or "--shots" in argv]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=IDS)
 def test_output_digest(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("argv, digest", [GOLDEN[i] for i in SAMPLED], ids=[IDS[i] for i in SAMPLED])
+def test_sampled_digest_at_any_part_count(argv, digest, parts, capsys, monkeypatch):
+    # the sampler splits its rows into one part per usable CPU; forced here
+    ran = force_parts(monkeypatch, parts)
+    test_output_digest(argv, digest, capsys)
+    # verify's one-row calls run as one part, and so do sample-wp's 4 rows
+    # of 1000 shots, less than one block
+    assert max(ran) == (1 if "wp" in argv else parts)

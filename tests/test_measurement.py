@@ -2,12 +2,15 @@
 
 import functools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from support import count_calls, swapped_lanes
+from support import count_calls, force_parts, grid_failing, swapped_lanes
 from twopath import measurement, qalgebra, rng
 from twopath.interferometer import balanced_state, path_operator, wave_operator
 from twopath.measurement import (
@@ -228,26 +231,37 @@ def reference_counts(order, phi, phi0, shots, stream):
 
 class TestBlocks:
     """The sampler draws many rows per block; every row must still see
-    exactly its own stream, at and around each block edge."""
+    exactly its own stream, at and around each block edge.  The rows run
+    as one part here, so the edges are where the comments put them;
+    TestParts splits them."""
 
     SEED = (1 << 64) - 1
+
+    @pytest.fixture(autouse=True)
+    def one_part(self, monkeypatch):
+        force_parts(monkeypatch, 1)
 
     @pytest.mark.parametrize(
         "shots, steps, order",
         [
-            # 32768 rows per block, then a last block of one row
+            # 24576 rows per block, then a last block of 8193
             (1, 32_769, "pw"),
-            # 4681 rows per block, then a partial last block of 319
+            # 3510 rows per block, then a partial last block of 1490
             (7, 2500, "both"),
-            # 32 rows per block, then a partial last block of 18
+            # 24 rows per block, then a partial last block of 2
             (1000, 50, "pw"),
             (1000, 50, "wp"),
             (1000, 25, "both"),
-            # one row per block from here on, in chunks past CHUNK_SHOTS
+            # one row per block from here on, in pieces of CHUNK_SHOTS shots:
+            # around one piece, then last pieces of 8191, 8192, 8193 and,
+            # after two whole pieces, 16391 shots
             (CHUNK_SHOTS - 1, 3, "both"),
             (CHUNK_SHOTS, 3, "both"),
             (CHUNK_SHOTS + 1, 3, "both"),
-            (2 * CHUNK_SHOTS + 7, 2, "both"),
+            (32_767, 3, "both"),
+            (32_768, 3, "both"),
+            (32_769, 3, "both"),
+            (65_543, 2, "both"),
         ],
     )
     def test_rows_equal_their_own_streams(self, shots, steps, order):
@@ -400,12 +414,19 @@ class TestBand:
 
 class TestLaneFaults:
     """Faults in the lane layout of the grid kernel make the sampler
-    disagree with the float oracle on rows that cross CHUNK_SHOTS."""
+    disagree with the float oracle on rows that cross CHUNK_SHOTS, whether
+    the rows run as one part or as two."""
 
     SEED = 99
     SHOTS = CHUNK_SHOTS + 1
 
     swapped_lanes = staticmethod(swapped_lanes)
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["1part", "2parts"])
+    def parts(self, request, monkeypatch):
+        ran = force_parts(monkeypatch, request.param)
+        yield
+        assert ran == [request.param]
 
     @staticmethod
     def counter_reuse(seeds, counter, n, size, lanes):
@@ -432,6 +453,121 @@ class TestLaneFaults:
     def test_fault_is_caught(self, monkeypatch, fault):
         monkeypatch.setattr(measurement, "uniform_grid", getattr(self, fault))
         assert self.mismatches()
+
+
+class TestParts:
+    """The rows of a call run as contiguous parts, one per usable CPU; the
+    counts must not depend on how many parts there are, and a part that
+    fails must end the whole call, leaving no thread behind."""
+
+    SEED = 31
+
+    def rows(self, count):
+        # banded offsets among them, as in TestBand
+        offsets = (0.6, 2.9, -2.97)
+        orders = [list(MeasurementOrder)[row % 2] for row in range(count)]
+        phis = np.linspace(-3.0, 3.0, count)
+        phi0s = [offsets[row % 3] for row in range(count)]
+        return orders, phis, phi0s, child_seeds(self.SEED, np.arange(count, dtype=np.uint64))
+
+    def counts(self, monkeypatch, parts, count, shots, counter):
+        ran = force_parts(monkeypatch, parts)
+        orders, phis, phi0s, seeds = self.rows(count)
+        threads = threading.active_count()
+        result = sequential_counts(orders, phis, phi0s, shots, seeds, counter)
+        assert threading.active_count() == threads
+        assert ran == [parts]
+        return result
+
+    @pytest.mark.parametrize("counter", [0, 12_345])
+    @pytest.mark.parametrize(
+        "count, shots",
+        [
+            # 7 rows that each cross CHUNK_SHOTS, which 2, 3 and 5 do not divide
+            (7, CHUNK_SHOTS + 3),
+            # 203 rows packed 24 to a block
+            (203, 1000),
+        ],
+    )
+    def test_counts_do_not_depend_on_the_part_count(self, monkeypatch, count, shots, counter):
+        want = self.counts(monkeypatch, 1, count, shots, counter)
+        if count == 7:
+            orders, phis, phi0s, seeds = self.rows(count)
+            for row in range(count):
+                stream = RandomStream(child_seeds(self.SEED, row))
+                stream.counter = counter
+                got = int(want[0][row]), int(want[1][row])
+                assert got == reference_counts(orders[row], phis[row], phi0s[row], shots, stream)
+        # more parts than cores, with the threads switching as often as they can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for parts in (2, 3, 5):
+                got = self.counts(monkeypatch, parts, count, shots, counter)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "count, shots, parts",
+        [
+            (1, 10 * CHUNK_SHOTS, 1),  # one row
+            (8, 2000, 1),  # fewer shots than one block
+            (6, 4_000_000, 2),  # sample-deep: 2 parts of 3 rows
+            (8, 200_000, 2),  # verify --shots 200000
+        ],
+    )
+    def test_part_count(self, monkeypatch, count, shots, parts):
+        ran = force_parts(monkeypatch, 2)
+        seeds = child_seeds(self.SEED, np.arange(count, dtype=np.uint64))
+        # the counts are not needed: a grid kernel that draws nothing
+        monkeypatch.setattr(measurement, "uniform_grid", lambda *args: iter(()))
+        sequential_counts(["pw"] * count, [0.1] * count, [0.6] * count, shots, seeds)
+        assert ran == [parts]
+
+    def test_usable_cpus_is_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert measurement._usable_cpus() == len(os.sched_getaffinity(0))
+        assert measurement._usable_cpus() >= 1
+
+    def fail(self, monkeypatch, exc, failing_row):
+        """sequential_counts over 4 rows of 2^62 shots in 2 parts, the part
+        that starts at `failing_row` raising `exc` in place of its block 3:
+        the other part must stop long before its grid kernel's cap."""
+        force_parts(monkeypatch, 2)
+        orders, phis, phi0s, seeds = self.rows(4)
+        grid, drawn = grid_failing(seeds[failing_row], exc, after=3)
+        monkeypatch.setattr(measurement, "uniform_grid", grid)
+        threads = threading.active_count()
+        with pytest.raises(type(exc)) as raised:
+            sequential_counts(orders, phis, phi0s, 1 << 62, seeds)
+        assert threading.active_count() == threads
+        assert len(drawn) == 1 and drawn[0][0] < 100
+        return raised.value
+
+    def test_a_failing_worker_ends_the_call(self, monkeypatch):
+        exc = MemoryError("worker")
+        assert self.fail(monkeypatch, exc, 2) is exc
+
+    def test_an_interrupted_caller_stops_the_workers(self, monkeypatch):
+        exc = KeyboardInterrupt()
+        assert self.fail(monkeypatch, exc, 0) is exc
+
+    def test_an_assert_in_a_worker_fails_the_call(self, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def crafted(*args):
+            assert threading.current_thread() is threading.main_thread(), "drawn in a worker"
+            yield from rng.uniform_grid(*args)
+
+        force_parts(monkeypatch, 2)
+        monkeypatch.setattr(measurement, "uniform_grid", crafted)
+        orders, phis, phi0s, seeds = self.rows(4)
+        with pytest.raises(AssertionError, match="drawn in a worker"):
+            sequential_counts(orders, phis, phi0s, CHUNK_SHOTS, seeds)
+        assert hooked == []
 
 
 class TestUniformityTest:
