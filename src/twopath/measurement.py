@@ -135,7 +135,9 @@ def _run_parts(count, parts) -> None:
     A part that raises sets `stop`, which every part checks once per
     block, so the others end early.  Every thread is joined before this
     returns or raises, and the first exception of any part is raised
-    here, so none is left to ``threading.excepthook``.
+    here, so none is left to ``threading.excepthook``; an interrupt of
+    the calling thread's own part (KeyboardInterrupt, SystemExit) is
+    raised in its place, so that it is never lost to a part's failure.
     """
     stop = threading.Event()
     errors = []
@@ -146,14 +148,16 @@ def _run_parts(count, parts) -> None:
         except BaseException as exc:  # re-raised by the calling thread below
             errors.append(exc)
             stop.set()
+            return exc
+        return None
 
-    threads = []
+    threads, own = [], None
     try:
         for r0, r1 in parts[1:]:
             thread = threading.Thread(target=run, args=(r0, r1))
             thread.start()
             threads.append(thread)
-        run(*parts[0])
+        own = run(*parts[0])
         for thread in threads:
             thread.join()
     except BaseException:  # a thread that would not start, or an interrupt while joining
@@ -161,6 +165,8 @@ def _run_parts(count, parts) -> None:
         for thread in threads:
             thread.join()
         raise
+    if own is not None and not isinstance(own, Exception):
+        raise own
     if errors:
         raise errors[0]
 

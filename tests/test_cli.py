@@ -24,7 +24,7 @@ import twopath
 from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
-from twopath.measurement import uniformity_test
+from twopath.measurement import CHUNK_SHOTS, uniformity_test
 from twopath.qalgebra import InvariantViolation, StateVector, expectation
 from twopath.rng import child_seeds
 from twopath.verify import variance_window
@@ -187,9 +187,11 @@ class TestSample:
         "".join(cmd_sample(config))
         assert [len(args[0]) for args in amplitudes] == [4002]
         assert states == []
-        # one grid kernel call per part; each draws every block in place
+        # one grid kernel call per part; each draws every block in place,
+        # as many whole rows to a block as fit: 84 blocks for 2001 rows
         assert len(calls) == 2
         for seeds, blocks, shots in calls:
+            assert len(blocks) == -(-len(seeds) // (CHUNK_SHOTS // 1000))
             assert all(np.shares_memory(draws, blocks[0]) for draws in blocks)
             assert (shots == 1000).all()
         # and the parts cover the 4002 rows once

@@ -554,6 +554,29 @@ class TestParts:
         exc = KeyboardInterrupt()
         assert self.fail(monkeypatch, exc, 0) is exc
 
+    def test_an_interrupt_outranks_a_failed_worker(self, monkeypatch):
+        # the worker raises first, then the caller is interrupted: Ctrl-C
+        # must still reach the caller as KeyboardInterrupt
+        force_parts(monkeypatch, 2)
+        orders, phis, phi0s, seeds = self.rows(4)
+        worker, failed = [], threading.Event()
+
+        def grid(part_seeds, *args):
+            if part_seeds[0] != seeds[0]:
+                worker.append(threading.current_thread())
+                failed.set()
+                raise MemoryError("worker")
+            assert failed.wait(10)
+            worker[0].join(10)
+            raise KeyboardInterrupt
+            yield
+
+        monkeypatch.setattr(measurement, "uniform_grid", grid)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            sequential_counts(orders, phis, phi0s, 1 << 62, seeds)
+        assert threading.active_count() == threads
+
     def test_an_assert_in_a_worker_fails_the_call(self, monkeypatch):
         hooked = []
         monkeypatch.setattr(threading, "excepthook", hooked.append)
