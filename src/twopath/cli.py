@@ -131,7 +131,8 @@ class RunConfig:
                 block /= div
                 block *= delta
             else:
-                block *= step
+                with np.errstate(over="ignore"):  # only the last point, set to stop below
+                    block *= step
             block += start
             if div and lo + block.size == self.steps:
                 block[-1] = stop

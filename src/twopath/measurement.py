@@ -133,11 +133,12 @@ def _run_parts(count, parts) -> None:
     the calling thread, each other on a thread of its own.
 
     A part that raises sets `stop`, which every part checks once per
-    block, so the others end early.  Every thread is joined before this
-    returns or raises, and the first exception of any part is raised
-    here, so none is left to ``threading.excepthook``; an interrupt of
-    the calling thread's own part (KeyboardInterrupt, SystemExit) is
-    raised in its place, so that it is never lost to a part's failure.
+    block, so the others end early; so does an interrupt while the
+    calling thread waits for them.  Every started thread is joined before
+    this returns or raises, so no exception is left to
+    ``threading.excepthook``.  If the calling thread's own part raises (an
+    interrupt included), that exception is raised; otherwise the first
+    exception of the other parts is.
     """
     stop = threading.Event()
     errors = []
@@ -148,25 +149,21 @@ def _run_parts(count, parts) -> None:
         except BaseException as exc:  # re-raised by the calling thread below
             errors.append(exc)
             stop.set()
-            return exc
-        return None
 
-    threads, own = [], None
+    threads = []
     try:
         for r0, r1 in parts[1:]:
             thread = threading.Thread(target=run, args=(r0, r1))
             thread.start()
             threads.append(thread)
-        own = run(*parts[0])
+        count(*parts[0], stop)
         for thread in threads:
             thread.join()
-    except BaseException:  # a thread that would not start, or an interrupt while joining
+    except BaseException:  # the caller's part, a thread that would not start, or an interrupt
         stop.set()
         for thread in threads:
             thread.join()
         raise
-    if own is not None and not isinstance(own, Exception):
-        raise own
     if errors:
         raise errors[0]
 
@@ -202,8 +199,8 @@ def sequential_counts(
     The rows are counted in min(usable CPUs, rows, blocks) contiguous
     parts, the first in the calling thread and each other on its own
     thread (see the module docstring); a part that raises stops the
-    others at their next block, and its exception is raised here once
-    every thread has ended.
+    others at their next block; once every thread has ended, the calling
+    thread's own exception is raised here, else the others' first.
     """
     if shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")

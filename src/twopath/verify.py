@@ -11,9 +11,10 @@ pipeline, operators and Robertson, then the Monte Carlo checks when shots
 are given.  Each grid is evaluated once per run, as rows through the
 stacked kernels of ``qalgebra``: the wave eigenstates and W at the 17
 offsets, the 129 pipeline phases, the 512 Robertson triples, the 5 x 41
-scan grid and the nine finite-difference slopes.  The eight Monte Carlo
-rows, four (phi, phi0) pairs under each order, are one sampler call, in
-which row r draws from child stream r of the seed.  The override
+scan grid and the nine finite-difference slopes.  The ten Monte Carlo
+rows are one sampler call: the run that sampling_determinism draws twice,
+on the seed's own stream, first and last, and between them four (phi,
+phi0) pairs under each order on child streams 0-7.  The override
 arguments exist so tests can inject a faulty component and watch the
 matching check fail by name.
 """
@@ -305,18 +306,24 @@ def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     orders = list(meas.MeasurementOrder)
     pairs = (2 * math.pi * RandomStream(seed).uniforms(8) - math.pi).reshape(4, 2)
-    # Eight rows, each pair under each order, order-major: row r is one
-    # experiment on child stream r of the seed.
-    phis, phi0s = np.tile(pairs, (len(orders), 1)).T
-    counts = meas.sequential_counts([order for order in orders for _ in pairs], phis, phi0s,
-                                    shots, child_seeds(seed, np.arange(phis.size, dtype=np.uint64)))
-    n_first, n_second = (c.reshape(len(orders), len(pairs)).tolist() for c in counts)
+    # The determinism run (path first, phi 0.7, phi0 0.1, the seed's own
+    # stream) first and last, so that two parts draw it if the call has two
+    # or more; between them each pair under each order, order-major.
+    run = (0.7, 0.1)
+    phis, phi0s = np.vstack([run, np.tile(pairs, (len(orders), 1)), run]).T
+    seeds = child_seeds(seed, np.arange(phis.size - 2, dtype=np.uint64))
+    pw = meas.MeasurementOrder.P_THEN_W
+    counts = meas.sequential_counts([pw, *(order for order in orders for _ in pairs), pw],
+                                    phis, phi0s, shots,
+                                    np.concatenate([np.uint64([seed]), seeds, np.uint64([seed])]))
+    same = all(c[0] == c[-1] for c in counts)
+    n_first, n_second = (c[1:-1].reshape(len(orders), len(pairs)).tolist() for c in counts)
     for order, firsts, seconds in zip(orders, n_first, n_second):
         worst_chi2 = worst_var = 0.0
         for (phi, phi0), n1, n2 in zip(pairs.tolist(), firsts, seconds):
             chi2, _ = meas.uniformity_test((n2, shots - n2))
             worst_chi2 = max(worst_chi2, chi2)
-            if order is meas.MeasurementOrder.P_THEN_W:
+            if order is pw:
                 mean, target_var = 0.0, 1.0
             else:
                 mean = math.cos(phi - phi0)
@@ -328,14 +335,7 @@ def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
                              "chi-square of second-measurement counts vs 50/50"))
         checks.append(_check(f"first_variance_convergence_{tag}", worst_var, TOL.window,
                              f"first-measurement variance within {_WINDOW_SIGMAS:g} standard errors"))
-
-    stats_a = meas.sequential_experiment(
-        meas.MeasurementOrder.P_THEN_W, 0.7, 0.1, shots, RandomStream(seed)
-    )
-    stats_b = meas.sequential_experiment(
-        meas.MeasurementOrder.P_THEN_W, 0.7, 0.1, shots, RandomStream(seed)
-    )
-    checks.append(_check("sampling_determinism", 0.0 if stats_a == stats_b else 1.0,
+    checks.append(_check("sampling_determinism", 0.0 if same else 1.0,
                          TOL.flag, "same seed reproduces identical statistics"))
     return checks
 

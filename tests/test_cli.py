@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -336,9 +337,10 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_interrupted_verify_leaves_no_thread_drawing(self, monkeypatch):
-        # Ctrl-C in the calling thread's part of a run that would never end
+        # Ctrl-C in the calling thread's part of a run that would never end;
+        # its first row is the determinism run, on the seed's own stream
         force_parts(monkeypatch, 2)
-        first_row = child_seeds(1, 0)
+        first_row = 1
         grid, drawn = grid_failing(first_row, KeyboardInterrupt(), after=3)
         monkeypatch.setattr(measurement, "uniform_grid", grid)
         threads = threading.active_count()
@@ -368,6 +370,22 @@ class TestExitCodes:
             assert run.stderr == (
                 "twopath: phi range -1e+308 to 1.7e+308 is wider than a double can hold\n"
             )
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["scan"], "28fb97695811c10602176acf35cff3844aff8a7fc59bade68a1a33aafc46f714"),
+        (["sample", "--shots", "10"],
+         "b6ceb4648b793753b05af4ba661248120cd393c14017d06796ca47812efbf965"),
+    ], ids=["scan", "sample"])
+    def test_widest_range_prints_no_warning(self, argv, digest):
+        # the last point's index times the step overflows, as in
+        # np.linspace, before the point is set to the end
+        src = Path(twopath.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "twopath.cli", *argv,
+                "--from", "0", "--to", "1.7976931348623157e308", "--steps", "37"]
+        run = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert hashlib.sha256(run.stdout).hexdigest() == digest
 
     def test_io_error_unwritable_path(self, capsys):
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3
@@ -488,6 +506,7 @@ class TestStreaming:
     @given(ends=st.lists(finite, min_size=2, max_size=2).map(sorted),
            steps=st.integers(1, 40), block=st.sampled_from([1, 2, 7]))
     @example(ends=[-1e300, 1e300], steps=15, block=7)
+    @example(ends=[0.0, 1.7976931348623157e308], steps=37, block=7)  # the last point overflows
     @example(ends=[0.0, 5e-324], steps=9, block=2)
     @example(ends=[5e-324, 5e-324], steps=3, block=2)
     @example(ends=[0.5, 0.5], steps=8, block=7)
@@ -499,7 +518,9 @@ class TestStreaming:
             patch.setattr(cli, "BLOCK_POINTS", block)
             blocks = list(RunConfig(phi_start=start, phi_end=stop, steps=steps).grid())
         assert [b.size for b in blocks] == [min(block, steps - lo) for lo in range(0, steps, block)]
-        assert np.concatenate(blocks).tobytes() == np.linspace(start, stop, steps).tobytes()
+        with np.errstate(over="ignore"):  # as in grid(), only the last point, set to stop
+            want = np.linspace(start, stop, steps)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     @pytest.mark.parametrize("name", list(STREAMED))

@@ -103,6 +103,5 @@ def test_sampled_digest_at_any_part_count(argv, digest, parts, capsys, monkeypat
     # the sampler splits its rows into one part per usable CPU; forced here
     ran = force_parts(monkeypatch, parts)
     test_output_digest(argv, digest, capsys)
-    # verify's one-row calls run as one part, and so do sample-wp's 4 rows
-    # of 1000 shots, less than one block
+    # sample-wp's 4 rows of 1000 shots, less than one block, run as one part
     assert max(ran) == (1 if "wp" in argv else parts)

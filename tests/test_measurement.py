@@ -515,7 +515,7 @@ class TestParts:
             (1, 10 * CHUNK_SHOTS, 1),  # one row
             (8, 2000, 1),  # fewer shots than one block
             (6, 4_000_000, 2),  # sample-deep: 2 parts of 3 rows
-            (8, 200_000, 2),  # verify --shots 200000
+            (8, 200_000, 2),  # 8 rows of 200000 shots: 2 parts of 4
         ],
     )
     def test_part_count(self, monkeypatch, count, shots, parts):

@@ -2,12 +2,13 @@
 
 import ast
 import hashlib
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from support import count_calls, perturbed_splitter, swapped_lanes
+from support import count_calls, force_parts, perturbed_splitter, swapped_lanes
 from test_golden import GOLDEN
 from twopath import interferometer, measurement, qalgebra, rng, uncertainty, verify
 from twopath.cli import main
@@ -51,17 +52,19 @@ class TestHealthySuite:
         assert len(waves) == 6
 
     def test_sampled_rows_are_drawn_in_one_call(self, monkeypatch):
-        # the eight (phi, phi0, order) rows, then the two determinism runs
+        # the eight (phi, phi0, order) rows between the two determinism runs
         calls = count_calls(monkeypatch, measurement.sequential_counts)
+        runs = count_calls(monkeypatch, measurement.sequential_experiment)
         verify._sampled_checks(shots=200, seed=4)
-        assert [len(args[0]) for args in calls] == [8, 1, 1]
+        assert [len(args[0]) for args in calls] == [10]
+        assert runs == []
 
     def test_sampled_checks_solve_each_eigenbasis_once_per_call(self, monkeypatch):
-        # the eight-row call: the path basis and 4 offsets x 2 orders; then
-        # each determinism run: the path basis and its one wave basis
+        # the path basis once; the wave basis at the 4 offsets and the
+        # determinism run's 0.1 under pw, and at the 4 offsets under wp
         solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
         verify._sampled_checks(shots=200, seed=4)
-        assert len(solves) == 13
+        assert len(solves) == 10
 
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
         scalar = (
@@ -141,6 +144,22 @@ class TestSamplerFaults:
                             lambda p: thresholds(np.minimum(p + 0.005, 1.0)))
         passed = {c.name: c.passed for c in verify._sampled_checks(200_000, 1)}
         assert passed == {**dict.fromkeys(self.SAMPLED, False), "sampling_determinism": True}
+
+    def test_late_worker_fails_determinism_by_name(self, monkeypatch):
+        # the parts on worker threads draw from 1000 shots past their rows'
+        # start; the check rows stay i.i.d. uniform, but the two determinism
+        # runs, first and last of the call, are drawn by different parts
+        force_parts(monkeypatch, 2)
+        grid = measurement.uniform_grid
+
+        def late(seeds, counter, *args):
+            if threading.current_thread() is not threading.main_thread():
+                counter += 2000
+            return grid(seeds, counter, *args)
+
+        monkeypatch.setattr(measurement, "uniform_grid", late)
+        failed = {c.name for c in verify._sampled_checks(200_000, 1) if not c.passed}
+        assert failed == {"sampling_determinism"}
 
     @pytest.mark.parametrize("fault", ["swapped_lanes", "one_seed"])
     def test_blind_spots_move_the_golden_digest(self, monkeypatch, capsys, fault):
