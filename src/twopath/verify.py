@@ -1,29 +1,28 @@
 """Named self-checks over every analytic claim the package makes.
 
-Each check reports a residual and a limit; a check passes when the
-residual stays below the limit.  Every limit is a named field of
-``tolerances.TOL`` (or the chi-square critical value), never a literal.
-The suite is deterministic: sampled test points come from fixed grids or
-a fixed-seed stream.
+Each check's name, limit and detail are declared once, in ``_CHECKS``.  A
+check passes when its residual is below its limit, so a NaN fails.  Every
+limit is a named field of ``tolerances.TOL`` (or the chi-square critical
+value), never a literal.  The suite is deterministic: sampled test points
+come from fixed grids or a fixed-seed stream.
 
-The checks run in groups: splitter, complementarity, uncertainty,
-pipeline, operators and Robertson, then the Monte Carlo checks when shots
-are given.  Each grid is evaluated once per run, as rows through the
-stacked kernels of ``qalgebra``: the wave eigenstates and W at the 17
-offsets, the 129 pipeline phases, the 512 Robertson triples, the 5 x 41
-scan grid and the nine finite-difference slopes.  The ten Monte Carlo
-rows are one sampler call: the run that sampling_determinism draws twice,
-on the seed's own stream, first and last, and between them four (phi,
-phi0) pairs under each order on child streams 0-7.  The override
-arguments exist so tests can inject a faulty component and watch the
-matching check fail by name.
+The checks run in the table's groups, the Monte Carlo one only when shots
+are given.  A group yields one residual per row; one that raises
+InvariantViolation fails each of its checks by name.  Each grid is
+evaluated once per run, as rows through the stacked kernels of
+``qalgebra``: the wave eigenstates and W at the 17 offsets, the 129
+pipeline phases, the 512 Robertson triples, the 5 x 41 scan grid and the
+nine finite-difference slopes.  The ten Monte Carlo rows are one sampler
+call: the run that sampling_determinism draws twice, on the seed's own
+stream, first and last, and between them four (phi, phi0) pairs under
+each order on child streams 0-7.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .qalgebra import (
     KET_UPPER,
     SIGMA_X,
     SIGMA_Z,
-    Observable,
+    InvariantViolation,
     UnitaryGate,
     _apply_rows,
     _half_commutator,
@@ -50,7 +49,6 @@ from .rng import RandomStream, child_seeds
 from .tolerances import TOL
 
 _PHI0_GRID = np.linspace(-math.pi, math.pi, 17)
-_PHI_GRID = np.linspace(-math.pi, math.pi, 41)
 
 
 @dataclass(frozen=True)
@@ -81,22 +79,78 @@ class _Offset(NamedTuple):
     phi0: float
     derived: comp.EigenBasis  # the library's derivation, even under an override
     basis: comp.EigenBasis  # the wave basis under test
-    assembled: Observable  # W assembled from basis
+
+
+#: Every named check, in report order, as (name, limit, detail) rows per
+#: group.  A detail's {sigmas:g} reads _WINDOW_SIGMAS at run time.
+_CHECKS: dict[str, tuple[tuple[str, float, str], ...]] = {
+    "splitter": (
+        ("beam_splitter_unitarity", TOL.unit, "B B' = I"),
+        ("beam_splitter_conjugation", TOL.identity, "B' sz B = sx"),
+        ("lower_port_splits_evenly", TOL.identity, "|<upper|B|lower>|^2 = 1/2"),
+    ),
+    "complementarity": (
+        ("path_blind_on_wave_eigenstates", TOL.comp, "<w|P|w> = 0 for both wave eigenstates"),
+        ("wave_blind_on_path_eigenstates", TOL.comp, "<p|W|p> = 0 for both arms"),
+        ("path_wave_mutually_unbiased", TOL.comp, "all cross overlaps squared = 1/2"),
+        ("wave_eigenbasis_closed_form", TOL.identity, "derived basis matches its closed form"),
+        ("wave_operator_pauli_form", TOL.identity, "assembled W = cos(phi0) sx + sin(phi0) sy"),
+    ),
+    "uncertainty": (
+        ("interference_cosine_law", TOL.identity, "<W> = cos(phi - phi0) on the balanced manifold"),
+        ("balanced_states_hide_path", TOL.identity, "<P> = 0 along every scan"),
+        ("path_spread_unity", TOL.identity, "delta_p = 1"),
+        ("wave_spread_sine", TOL.identity, "delta_w = |sin(phi - phi0)|"),
+        ("uncertainty_product_saturation", TOL.var,
+         "delta_p * delta_w = robertson bound on balanced states"),
+        ("bound_vanishes_at_wave_eigenstates", TOL.identity,
+         "bound and delta_w vanish at phi = phi0 + k pi"),
+        ("sensitivity_matches_wave_spread", TOL.identity, "|d<W>/dphi| = delta_w"),
+        ("sensitivity_finite_difference", TOL.finite_diff,
+         "slope of the scan matches the analytic sensitivity"),
+    ),
+    "pipeline": (
+        ("pipeline_unit_visibility", TOL.contrast, "full-pipeline fringe reaches unit contrast"),
+        ("pipeline_fringe_shape", TOL.identity,
+         "fringe is cos(phi) under the library's splitter convention"),
+    ),
+    "operators": (
+        ("wave_operator_periodicity", TOL.period, "W(phi0 + 2 pi) = W(phi0)"),
+        ("variance_vanishes_on_eigenstates", TOL.var, "eigenstates of W have zero spread"),
+    ),
+    "robertson": (
+        ("robertson_inequality", TOL.var, "var(a) var(b) >= bound^2 on random triples"),
+    ),
+    "sampled": (
+        ("second_outcome_uniform_pw", meas.CHI2_CRITICAL_1PCT,
+         "chi-square of second-measurement counts vs 50/50"),
+        ("first_variance_convergence_pw", TOL.window,
+         "first-measurement variance within {sigmas:g} standard errors"),
+        ("second_outcome_uniform_wp", meas.CHI2_CRITICAL_1PCT,
+         "chi-square of second-measurement counts vs 50/50"),
+        ("first_variance_convergence_wp", TOL.window,
+         "first-measurement variance within {sigmas:g} standard errors"),
+        ("sampling_determinism", TOL.flag, "same seed reproduces identical statistics"),
+    ),
+}
 
 
 def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or zero if none is positive."""
-    return max([0.0, *residuals])
+    """The largest residual, zero if none is positive, NaN if any is NaN."""
+    return float(np.max([0.0, *residuals]))
 
 
-def _check(name: str, residual: float, limit: float, detail: str = "") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=residual < limit,
-        residual=float(residual),
-        limit=float(limit),
-        detail=detail,
-    )
+def _run_group(group: str, residuals: Callable[..., Iterator[float]], *args) -> list[CheckResult]:
+    """The group's rows of _CHECKS with its residuals, or all failed if it raises."""
+    rows, note = _CHECKS[group], ""
+    try:
+        values = [float(value) for value in residuals(*args)]
+    except InvariantViolation as exc:
+        values, note = [math.inf] * len(rows), f" (group raised InvariantViolation: {exc})"
+    return [
+        CheckResult(name, value < limit, value, limit, detail.format(sigmas=_WINDOW_SIGMAS) + note)
+        for (name, limit, detail), value in zip(rows, values, strict=True)
+    ]
 
 
 def run_verification(
@@ -114,67 +168,48 @@ def run_verification(
     the closed-form one, which checks the library's own derivation.
     """
     seed = require_seed(seed)
+    if shots is not None and shots < 1:
+        raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
     splitter = beam_splitter_override or ifm.beam_splitter()
     offsets = []
     for phi0 in map(float, _PHI0_GRID):
         derived = comp.derive_wave_eigenbasis(phi0)
-        basis = wave_basis_override or derived
-        offsets.append(_Offset(phi0, derived, basis, comp.observable_from_eigensystem(basis)))
+        offsets.append(_Offset(phi0, derived, wave_basis_override or derived))
     # The wave eigenstates as rows, plus then minus per offset, and each row's W.
     rows = np.array([v.amplitudes for o in offsets for v in (o.basis.plus, o.basis.minus)])
-    waves = np.repeat([o.assembled.matrix for o in offsets], 2, axis=0)
+    waves = np.repeat([comp.observable_from_eigensystem(o.basis).matrix for o in offsets], 2, axis=0)
 
     checks = [
-        *_splitter_checks(splitter.matrix),
-        *_complementarity_checks(offsets, rows, waves),
-        *_uncertainty_checks(),
-        *_pipeline_checks(splitter.matrix),
-        *_operator_checks(rows, waves),
-        _robertson_check(),
+        *_run_group("splitter", _splitter_residuals, splitter.matrix),
+        *_run_group("complementarity", _complementarity_residuals, offsets, rows, waves),
+        *_run_group("uncertainty", _uncertainty_residuals),
+        *_run_group("pipeline", _pipeline_residuals, splitter.matrix),
+        *_run_group("operators", _operator_residuals, rows, waves),
+        *_run_group("robertson", _robertson_residuals),
     ]
     if shots is not None:
-        checks.extend(_sampled_checks(shots, seed))
+        checks.extend(_run_group("sampled", _sampled_residuals, shots, seed))
     return VerificationReport(checks=tuple(checks))
 
 
-def _splitter_checks(b: np.ndarray) -> list[CheckResult]:
+def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
     """The splitter is unitary, turns sz into sx and splits the lower port evenly."""
     p_upper = abs(np.vdot(KET_UPPER.amplitudes, b @ KET_LOWER.amplitudes)) ** 2
-    return [
-        _check("beam_splitter_unitarity", np.max(np.abs(b @ b.conj().T - np.eye(2))),
-               TOL.unit, "B B' = I"),
-        _check("beam_splitter_conjugation",
-               np.max(np.abs(b.conj().T @ SIGMA_Z.matrix @ b - SIGMA_X.matrix)),
-               TOL.identity, "B' sz B = sx"),
-        _check("lower_port_splits_evenly", abs(p_upper - 0.5),
-               TOL.identity, "|<upper|B|lower>|^2 = 1/2"),
-    ]
+    yield np.max(np.abs(b @ b.conj().T - np.eye(2)))
+    yield np.max(np.abs(b.conj().T @ SIGMA_Z.matrix @ b - SIGMA_X.matrix))
+    yield abs(p_upper - 0.5)
 
 
-def _complementarity_checks(offsets: list[_Offset], rows: np.ndarray,
-                            waves: np.ndarray) -> list[CheckResult]:
+def _complementarity_residuals(offsets: list[_Offset], rows: np.ndarray,
+                               waves: np.ndarray) -> Iterator[float]:
     """Path and wave bases are mutually unbiased, and W has its Pauli form."""
     path_basis = comp.path_eigenbasis()
     arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(offsets), 1))
-    return [
-        _check("path_blind_on_wave_eigenstates",
-               _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real)),
-               TOL.comp, "<w|P|w> = 0 for both wave eigenstates"),
-        _check("wave_blind_on_path_eigenstates",
-               _worst(np.abs(_matrix_elements(waves, arms).real)),
-               TOL.comp, "<p|W|p> = 0 for both arms"),
-        _check("path_wave_mutually_unbiased",
-               _worst(comp.is_complementary(path_basis, o.basis).max_deviation
-                      for o in offsets),
-               TOL.comp, "all cross overlaps squared = 1/2"),
-        _check("wave_eigenbasis_closed_form",
-               _worst(_closed_form_miss(o.phi0, o.derived) for o in offsets),
-               TOL.identity, "derived basis matches its closed form"),
-        _check("wave_operator_pauli_form",
-               np.max(np.abs(np.array([o.assembled.matrix for o in offsets])
-                             - ifm._wave_matrices([o.phi0 for o in offsets]))),
-               TOL.identity, "assembled W = cos(phi0) sx + sin(phi0) sy"),
-    ]
+    yield _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real))
+    yield _worst(np.abs(_matrix_elements(waves, arms).real))
+    yield _worst(comp.is_complementary(path_basis, o.basis).max_deviation for o in offsets)
+    yield _worst(_closed_form_miss(o.phi0, o.derived) for o in offsets)
+    yield np.max(np.abs(waves[::2] - ifm._wave_matrices(_PHI0_GRID)))
 
 
 def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
@@ -188,14 +223,14 @@ def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
     )
 
 
-def _uncertainty_checks() -> list[CheckResult]:
+def _uncertainty_residuals() -> Iterator[float]:
     """Fringe law, spreads, saturation and sensitivity on the 5 x 41 grid.
 
     The scans do not check the Robertson bound, so a product below it fails
     ``uncertainty_product_saturation`` by name instead of raising.
     """
     phi0s = [float(phi0) for phi0 in _PHI0_GRID[::4]]
-    phis = [float(phi) for phi in _PHI_GRID]
+    phis = np.linspace(-math.pi, math.pi, 41).tolist()
     n = len(phis)
     # One scan per offset: the grid, then the wave eigenstates phi0 + k pi.
     scans = [ifm._scan_columns(phi0, phis + [phi0 + k * math.pi for k in (-2, -1, 0, 1, 2)])
@@ -205,36 +240,21 @@ def _uncertainty_checks() -> list[CheckResult]:
     centres = np.linspace(-math.pi, math.pi, 9)
     w = ifm._scan_columns(0.0, np.column_stack([centres - step, centres + step]).ravel()).w_expect
     slopes = (w[1::2] - w[0::2]) / (2 * step)
-    return [
-        _check("interference_cosine_law",
-               _worst(abs(w - math.cos(phi - phi0))
-                      for phi0, s in zip(phi0s, scans) for phi, w in zip(phis, s.w_expect)),
-               TOL.identity, "<W> = cos(phi - phi0) on the balanced manifold"),
-        _check("balanced_states_hide_path", _worst(abs(p) for s in scans for p in s.p_expect[:n]),
-               TOL.identity, "<P> = 0 along every scan"),
-        _check("path_spread_unity", _worst(abs(d - 1.0) for s in scans for d in s.delta_p[:n]),
-               TOL.identity, "delta_p = 1"),
-        _check("wave_spread_sine",
-               _worst(abs(d - abs(math.sin(phi - phi0)))
-                      for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w)),
-               TOL.identity, "delta_w = |sin(phi - phi0)|"),
-        _check("uncertainty_product_saturation", _worst(abs(g) for s in scans for g in s.gap[:n]),
-               TOL.var, "delta_p * delta_w = robertson bound on balanced states"),
-        _check("bound_vanishes_at_wave_eigenstates",
-               _worst(max(b, d) for s in scans for b, d in zip(s.bound[n:], s.delta_w[n:])),
-               TOL.identity, "bound and delta_w vanish at phi = phi0 + k pi"),
-        _check("sensitivity_matches_wave_spread",
-               _worst(abs(unc.sensitivity(phi, phi0) - d)
-                      for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w)),
-               TOL.identity, "|d<W>/dphi| = delta_w"),
-        _check("sensitivity_finite_difference",
-               _worst(abs(abs(slope) - unc.sensitivity(phi, 0.0))
-                      for phi, slope in zip(centres.tolist(), slopes)),
-               TOL.finite_diff, "slope of the scan matches the analytic sensitivity"),
-    ]
+    yield _worst(abs(w - math.cos(phi - phi0))
+                 for phi0, s in zip(phi0s, scans) for phi, w in zip(phis, s.w_expect))
+    yield _worst(abs(p) for s in scans for p in s.p_expect[:n])
+    yield _worst(abs(d - 1.0) for s in scans for d in s.delta_p[:n])
+    yield _worst(abs(d - abs(math.sin(phi - phi0)))
+                 for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w))
+    yield _worst(abs(g) for s in scans for g in s.gap[:n])
+    yield _worst(m for s in scans for m in np.maximum(s.bound[n:], s.delta_w[n:]))
+    yield _worst(abs(unc.sensitivity(phi, phi0) - d)
+                 for phi0, s in zip(phi0s, scans) for phi, d in zip(phis, s.delta_w))
+    yield _worst(abs(abs(slope) - unc.sensitivity(phi, 0.0))
+                 for phi, slope in zip(centres.tolist(), slopes))
 
 
-def _pipeline_checks(b: np.ndarray) -> list[CheckResult]:
+def _pipeline_residuals(b: np.ndarray) -> Iterator[float]:
     """Splitter, shifter, splitter, then a path measurement.
 
     With the library's splitter the fringe is cos(phi) with unit contrast.
@@ -244,27 +264,18 @@ def _pipeline_checks(b: np.ndarray) -> list[CheckResult]:
     shifted = require_states(_apply_rows(ifm._shifter_matrices(grid), opened))
     closed = require_states(_apply_rows(b, shifted))
     fringe = _matrix_elements(SIGMA_Z.matrix, closed).real
-    return [
-        _check("pipeline_unit_visibility", abs(1.0 - float(np.max(np.abs(fringe)))),
-               TOL.contrast, "full-pipeline fringe reaches unit contrast"),
-        _check("pipeline_fringe_shape", np.max(np.abs(fringe - np.cos(grid))),
-               TOL.identity, "fringe is cos(phi) under the library's splitter convention"),
-    ]
+    yield abs(1.0 - float(np.max(np.abs(fringe))))
+    yield np.max(np.abs(fringe - np.cos(grid)))
 
 
-def _operator_checks(rows: np.ndarray, waves: np.ndarray) -> list[CheckResult]:
+def _operator_residuals(rows: np.ndarray, waves: np.ndarray) -> Iterator[float]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
-    return [
-        _check("wave_operator_periodicity",
-               np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
-                             - ifm._wave_matrices(_PHI0_GRID))),
-               TOL.period, "W(phi0 + 2 pi) = W(phi0)"),
-        _check("variance_vanishes_on_eigenstates", _worst(_moments(waves, rows)[1]),
-               TOL.var, "eigenstates of W have zero spread"),
-    ]
+    yield np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
+                        - ifm._wave_matrices(_PHI0_GRID)))
+    yield _worst(_moments(waves, rows)[1])
 
 
-def _robertson_check() -> CheckResult:
+def _robertson_residuals() -> Iterator[float]:
     """Robertson inequality on deterministic pseudo-random triples."""
     # 512 rows of 10 draws (Pauli coefficients of a and b, theta, xi) in one
     # batch: by counter addressing, 512 successive batches of 10 give the same.
@@ -274,8 +285,7 @@ def _robertson_check() -> CheckResult:
     half, xi = 0.5 * (math.pi * raw[8]), 2 * math.pi * raw[9]
     states = require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)]))
     excess = _half_commutator(a, b, states) ** 2 - _moments(a, states)[1] * _moments(b, states)[1]
-    return _check("robertson_inequality", _worst(excess),
-                  TOL.var, "var(a) var(b) >= bound^2 on random triples")
+    yield _worst(excess)
 
 
 #: Half-width of the variance acceptance window, in standard errors.
@@ -301,9 +311,8 @@ def variance_window(mean: float, shots: int) -> float:
     return max(window, 1e-30)
 
 
-def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
+def _sampled_residuals(shots: int, seed: int) -> Iterator[float]:
     """Monte Carlo checks: randomization and convergence at finite shots."""
-    checks: list[CheckResult] = []
     orders = list(meas.MeasurementOrder)
     pairs = (2 * math.pi * RandomStream(seed).uniforms(8) - math.pi).reshape(4, 2)
     # The determinism run (path first, phi 0.7, phi0 0.1, the seed's own
@@ -319,25 +328,16 @@ def _sampled_checks(shots: int, seed: int) -> list[CheckResult]:
     same = all(c[0] == c[-1] for c in counts)
     n_first, n_second = (c[1:-1].reshape(len(orders), len(pairs)).tolist() for c in counts)
     for order, firsts, seconds in zip(orders, n_first, n_second):
-        worst_chi2 = worst_var = 0.0
+        chi2s, misses = [], []
         for (phi, phi0), n1, n2 in zip(pairs.tolist(), firsts, seconds):
-            chi2, _ = meas.uniformity_test((n2, shots - n2))
-            worst_chi2 = max(worst_chi2, chi2)
-            if order is pw:
-                mean, target_var = 0.0, 1.0
-            else:
-                mean = math.cos(phi - phi0)
-                target_var = math.sin(phi - phi0) ** 2
+            chi2s.append(meas.uniformity_test((n2, shots - n2))[0])
+            mean = 0.0 if order is pw else math.cos(phi - phi0)
+            target_var = 1.0 if order is pw else math.sin(phi - phi0) ** 2
             first_variance = meas.outcome_moments(n1, shots)[1]
-            worst_var = max(worst_var, abs(first_variance - target_var) / variance_window(mean, shots))
-        tag = order.value
-        checks.append(_check(f"second_outcome_uniform_{tag}", worst_chi2, meas.CHI2_CRITICAL_1PCT,
-                             "chi-square of second-measurement counts vs 50/50"))
-        checks.append(_check(f"first_variance_convergence_{tag}", worst_var, TOL.window,
-                             f"first-measurement variance within {_WINDOW_SIGMAS:g} standard errors"))
-    checks.append(_check("sampling_determinism", 0.0 if same else 1.0,
-                         TOL.flag, "same seed reproduces identical statistics"))
-    return checks
+            misses.append(abs(first_variance - target_var) / variance_window(mean, shots))
+        yield _worst(chi2s)
+        yield _worst(misses)
+    yield 0.0 if same else 1.0
 
 
 def format_report(report: VerificationReport) -> str:

@@ -283,6 +283,12 @@ class TestExitCodes:
         assert main(["scan", "--steps", "0"]) == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_usage_error_verify_shots_below_one(self, shots, capsys):
+        # rejected before any check group runs, so it is not a FAIL report
+        assert main(["verify", "--shots", shots]) == 2
+        assert capsys.readouterr() == ("", f"twopath: shots must be >= 1, got {shots}\n")
+
     def test_usage_error_inverted_range(self, capsys):
         assert main(["scan", "--from", "2", "--to", "1"]) == 2
 

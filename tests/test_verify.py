@@ -8,12 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import count_calls, force_parts, perturbed_splitter, swapped_lanes
+from support import count_calls, force_parts, patch_everywhere, perturbed_splitter, swapped_lanes
 from test_golden import GOLDEN
 from twopath import interferometer, measurement, qalgebra, rng, uncertainty, verify
 from twopath.cli import main
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
+
+
+def sampled_checks(shots, seed):
+    """The Monte Carlo group's checks alone, as run_verification builds them."""
+    return verify._run_group("sampled", verify._sampled_residuals, shots, seed)
+
+
+def table_names(*groups):
+    return [name for group in groups for name, _, _ in verify._CHECKS[group]]
 
 
 class TestHealthySuite:
@@ -23,21 +32,11 @@ class TestHealthySuite:
         assert report.failures == ()
 
     def test_expected_checks_present(self):
-        names = {c.name for c in run_verification().checks}
-        expected = {
-            "beam_splitter_conjugation",
-            "path_blind_on_wave_eigenstates",
-            "wave_blind_on_path_eigenstates",
-            "path_wave_mutually_unbiased",
-            "wave_eigenbasis_closed_form",
-            "wave_operator_pauli_form",
-            "interference_cosine_law",
-            "uncertainty_product_saturation",
-            "bound_vanishes_at_wave_eigenstates",
-            "pipeline_unit_visibility",
-            "robertson_inequality",
-        }
-        assert expected <= names
+        # the report holds every row of the table, in order, and nothing else
+        analytic = table_names(*(group for group in verify._CHECKS if group != "sampled"))
+        assert [c.name for c in run_verification().checks] == analytic
+        assert [c.name for c in run_verification(shots=200).checks] == analytic + table_names("sampled")
+        assert (len(analytic), len(set(table_names(*verify._CHECKS)))) == (21, 26)
 
     def test_grids_make_no_per_point_reports(self, monkeypatch):
         reports = count_calls(monkeypatch, uncertainty.duality_report)
@@ -55,7 +54,7 @@ class TestHealthySuite:
         # the eight (phi, phi0, order) rows between the two determinism runs
         calls = count_calls(monkeypatch, measurement.sequential_counts)
         runs = count_calls(monkeypatch, measurement.sequential_experiment)
-        verify._sampled_checks(shots=200, seed=4)
+        sampled_checks(shots=200, seed=4)
         assert [len(args[0]) for args in calls] == [10]
         assert runs == []
 
@@ -63,7 +62,7 @@ class TestHealthySuite:
         # the path basis once; the wave basis at the 4 offsets and the
         # determinism run's 0.1 under pw, and at the 4 offsets under wp
         solves = count_calls(monkeypatch, qalgebra.binary_eigensystem)
-        verify._sampled_checks(shots=200, seed=4)
+        sampled_checks(shots=200, seed=4)
         assert len(solves) == 10
 
     def test_makes_no_scalar_algebra_calls(self, monkeypatch):
@@ -93,7 +92,7 @@ class TestHealthySuite:
 
     def test_variance_detail_names_the_window_width(self, monkeypatch):
         monkeypatch.setattr(verify, "_WINDOW_SIGMAS", 3.0)
-        details = {c.name: c.detail for c in verify._sampled_checks(shots=200, seed=1)}
+        details = {c.name: c.detail for c in sampled_checks(shots=200, seed=1)}
         for tag in ("pw", "wp"):
             assert "within 3 standard errors" in details[f"first_variance_convergence_{tag}"]
 
@@ -131,18 +130,80 @@ class TestFaultInjection:
         )
 
 
+def nan_in_row_zero(column):
+    column = np.array(column)
+    column[0] = np.nan
+    return column
+
+
+#: A fault per component, as (function, its faulty version, the checks it fails).
+COMPONENT_FAULTS = {
+    "shifter-x1.01": (interferometer._shifter_matrices, lambda f: lambda phis: 1.01 * f(phis),
+                      {"pipeline_unit_visibility", "pipeline_fringe_shape"}),
+    "wave-not-hermitian": (interferometer._wave_matrices,
+                           lambda f: lambda phi0s: f(phi0s) + [[0.0, 0.1], [0.0, 0.0]],
+                           {"interference_cosine_law", "balanced_states_hide_path", "path_spread_unity",
+                            "wave_spread_sine", "uncertainty_product_saturation",
+                            "bound_vanishes_at_wave_eigenstates", "sensitivity_matches_wave_spread",
+                            "sensitivity_finite_difference", "wave_operator_pauli_form"}),
+    "variance-nan": (qalgebra._moments, lambda f: lambda *a: (f(*a)[0], nan_in_row_zero(f(*a)[1])),
+                     {"path_spread_unity", "wave_spread_sine", "uncertainty_product_saturation",
+                      "sensitivity_matches_wave_spread", "variance_vanishes_on_eigenstates",
+                      "robertson_inequality"}),
+    "commutator-nan": (qalgebra._half_commutator, lambda f: lambda *a: nan_in_row_zero(f(*a)),
+                       {"uncertainty_product_saturation", "robertson_inequality"}),
+    "w-expect-nan": (interferometer._scan_columns,
+                     lambda f: lambda *a: f(*a)._replace(w_expect=nan_in_row_zero(f(*a).w_expect)),
+                     {"interference_cosine_law", "sensitivity_finite_difference"}),
+    "matrix-elements-nan": (qalgebra._matrix_elements, lambda f: lambda *a: nan_in_row_zero(f(*a)),
+                            {"path_blind_on_wave_eigenstates", "wave_blind_on_path_eigenstates",
+                             "uncertainty_product_saturation", "pipeline_unit_visibility",
+                             "pipeline_fringe_shape", "robertson_inequality"}),
+}
+
+
+class TestComponentFaults:
+    """A broken component fails its checks by name, with exit 1; a group
+    that raises fails each of its checks, and a NaN residual fails too."""
+
+    @pytest.mark.parametrize("fn, fault, failing", COMPONENT_FAULTS.values(), ids=COMPONENT_FAULTS)
+    def test_fault_fails_its_checks_by_name(self, fn, fault, failing, capsys, monkeypatch):
+        patch_everywhere(monkeypatch, fn, fault(fn))
+        assert main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")} == failing
+        assert out.splitlines()[-1] == f"{21 - len(failing)}/21 checks passed"
+
+    def test_raising_group_names_the_exception(self, monkeypatch):
+        fn, fault, _ = COMPONENT_FAULTS["shifter-x1.01"]
+        patch_everywhere(monkeypatch, fn, fault(fn))
+        failed = run_verification().failures
+        assert [c.residual for c in failed] == [float("inf")] * 2
+        assert all("raised InvariantViolation: state 0 is not normalized" in c.detail for c in failed)
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt, SystemExit])
+    def test_only_invariant_violations_become_fail_lines(self, monkeypatch, exc):
+        def broken(*args):
+            raise exc
+            yield
+
+        monkeypatch.setattr(verify, "_pipeline_residuals", broken)
+        with pytest.raises(exc):
+            run_verification()
+
+
 class TestSamplerFaults:
     """Sampler faults against the named Monte Carlo checks."""
 
-    SAMPLED = ("second_outcome_uniform_pw", "first_variance_convergence_pw",
-               "second_outcome_uniform_wp", "first_variance_convergence_wp")
+    SAMPLED = tuple(name for name in table_names("sampled") if name != "sampling_determinism")
 
     def test_threshold_bias_fails_the_sampled_checks_by_name(self, monkeypatch):
         # every Born odds of every row raised by 0.005: 30 of seeds 1-30 fail each check
         thresholds = measurement.draw_thresholds
         monkeypatch.setattr(measurement, "draw_thresholds",
                             lambda p: thresholds(np.minimum(p + 0.005, 1.0)))
-        passed = {c.name: c.passed for c in verify._sampled_checks(200_000, 1)}
+        passed = {c.name: c.passed for c in sampled_checks(200_000, 1)}
         assert passed == {**dict.fromkeys(self.SAMPLED, False), "sampling_determinism": True}
 
     def test_late_worker_fails_determinism_by_name(self, monkeypatch):
@@ -158,7 +219,7 @@ class TestSamplerFaults:
             return grid(seeds, counter, *args)
 
         monkeypatch.setattr(measurement, "uniform_grid", late)
-        failed = {c.name for c in verify._sampled_checks(200_000, 1) if not c.passed}
+        failed = {c.name for c in sampled_checks(200_000, 1) if not c.passed}
         assert failed == {"sampling_determinism"}
 
     @pytest.mark.parametrize("fault", ["swapped_lanes", "one_seed"])
@@ -196,15 +257,13 @@ class TestReportBytes:
 class TestNamedLimits:
     def test_no_check_limit_is_a_numeric_literal(self):
         tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
-        limits = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check":
-                keywords = {k.arg: k.value for k in node.keywords}
-                limits.append(node.args[2] if len(node.args) > 2 else keywords["limit"])
-        assert len(limits) >= 20
+        (table,) = [node.value for node in tree.body
+                    if isinstance(node, ast.AnnAssign) and node.target.id == "_CHECKS"]
+        limits = [row.elts[1] for group in table.values for row in group.elts]
+        assert len(limits) == len(table_names(*verify._CHECKS)) == 26
         for limit in limits:
             if isinstance(limit, ast.UnaryOp):
                 limit = limit.operand
             assert not (
                 isinstance(limit, ast.Constant) and isinstance(limit.value, (int, float))
-            ), f"line {limit.lineno}: _check limit {ast.unparse(limit)} is a literal"
+            ), f"line {limit.lineno}: check limit {ast.unparse(limit)} is a literal"
