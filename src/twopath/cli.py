@@ -5,6 +5,9 @@ Subcommands:
   sample   sequential measurement Monte Carlo (CSV), deterministic per seed
   verify   run the named invariant suite, one PASS/FAIL line per check
 
+Every double in either CSV reads as "%.17g" prints it: sample's rows are
+made by "%", scan's, all doubles, by output.format_rows in numpy.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (any subcommand whose --out file or stdout, say on a full disk, cannot be written).
 """
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .output import emit
+from .output import emit, format_rows
 from .interferometer import interference_scan
 from .measurement import (
     MeasurementOrder,
@@ -56,9 +59,8 @@ SAMPLE_COLUMNS = (
     "chi2_pass",
 )
 
-#: Row templates: "%.17g" round-trips a double exactly, %d prints counts
-#: and the chi-square pass flag as 1 or 0.
-SCAN_ROW = ",".join(["%.17g"] * len(SCAN_COLUMNS))
+#: The sample row template: "%.17g" round-trips a double exactly, %d
+#: prints counts and the chi-square pass flag as 1 or 0.
 SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
 
 #: Grid points per block, and CSV lines per formatted chunk.  ``scan`` and
@@ -139,27 +141,26 @@ class RunConfig:
             yield block
 
 
-def _csv_chunks(row_template: str, n: int, rows: Iterable[tuple]) -> Iterator[str]:
-    """``n`` rows as LF-terminated lines, in chunks of at most BLOCK_POINTS
-    lines, each made by one ``%`` over the values of its rows."""
+def _csv_chunks(n: int, rows: Iterable[tuple]) -> Iterator[str]:
+    """``n`` sample rows as LF-terminated lines, in chunks of at most
+    BLOCK_POINTS lines, each made by one ``%`` over the values of its rows."""
     rows = iter(rows)
     for lo in range(0, n, BLOCK_POINTS):
         k = min(BLOCK_POINTS, n - lo)
-        yield ((row_template + "\n") * k) % tuple(chain.from_iterable(islice(rows, k)))
+        yield ((SAMPLE_ROW + "\n") * k) % tuple(chain.from_iterable(islice(rows, k)))
 
 
 def cmd_scan(config: RunConfig) -> Iterator[str]:
     """Analytic scan: interference expectations plus uncertainty columns.
 
-    Yields the CSV text in chunks: the header line, then the lines of each
-    grid block, evaluated as columns by one interference scan.  A product
-    below its bound raises in its block, after the chunks of the blocks
-    before it.
+    Yields the CSV text in chunks: the header line, then one chunk per grid
+    block, evaluated as columns by one interference scan and printed by
+    one format_rows call.  A product below its bound raises in its block,
+    after the chunks of the blocks before it.
     """
     yield ",".join(SCAN_COLUMNS) + "\n"
     for phis in config.grid():
-        scan = interference_scan(config.phi0, phis)
-        yield from _csv_chunks(SCAN_ROW, phis.size, zip(*(c.tolist() for c in scan)))
+        yield format_rows(np.column_stack(interference_scan(config.phi0, phis)))
 
 
 def cmd_sample(config: RunConfig) -> Iterator[str]:
@@ -189,7 +190,7 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
              n2, shots - n2, *uniformity_test((n2, shots - n2)))
             for phi, order, n1, n2 in zip(map(float, phis), orders, map(int, n_first), map(int, n_second))
         )
-        yield from _csv_chunks(SAMPLE_ROW, phis.size, rows)
+        yield from _csv_chunks(phis.size, rows)
 
 
 _GNUPLOT = """set datafile separator ','

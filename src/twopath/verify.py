@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .rng import RandomStream, child_seeds
 from .tolerances import TOL
 
 _PHI0_GRID = np.linspace(-math.pi, math.pi, 17)
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,49 @@ def _worst(residuals: Iterable[float]) -> float:
 
 
 def _run_group(group: str, residuals: Callable[..., Iterator[float]], *args) -> list[CheckResult]:
-    """The group's rows of _CHECKS with its residuals, or all failed if it raises."""
+    """The group's rows of _CHECKS with its residuals, or all failed if it
+    raises, or if the setup of one of its arguments raised."""
     rows, note = _CHECKS[group], ""
     try:
+        for arg in args:
+            if isinstance(arg, InvariantViolation):
+                raise arg
         values = [float(value) for value in residuals(*args)]
     except InvariantViolation as exc:
-        values, note = [math.inf] * len(rows), f" (group raised InvariantViolation: {exc})"
+        source = "setup" if any(arg is exc for arg in args) else "group"
+        values, note = [math.inf] * len(rows), f" ({source} raised InvariantViolation: {exc})"
     return [
         CheckResult(name, value < limit, value, limit, detail.format(sigmas=_WINDOW_SIGMAS) + note)
         for (name, limit, detail), value in zip(rows, values, strict=True)
     ]
+
+
+def _setup(build: Callable[..., _T], *args) -> _T | InvariantViolation:
+    """What ``build(*args)`` returns, or the InvariantViolation it raises:
+    each group that reads it then fails its checks by name."""
+    try:
+        return build(*args)
+    except InvariantViolation as exc:
+        return exc
+
+
+class _WaveBases(NamedTuple):
+    """The wave basis at each of the 17 offsets, with its eigenstates as
+    rows, plus then minus per offset, and each row's W."""
+
+    offsets: list[_Offset]
+    rows: np.ndarray
+    waves: np.ndarray
+
+
+def _wave_bases(override: comp.EigenBasis | None) -> _WaveBases:
+    offsets = []
+    for phi0 in map(float, _PHI0_GRID):
+        derived = comp.derive_wave_eigenbasis(phi0)
+        offsets.append(_Offset(phi0, derived, override or derived))
+    rows = np.array([v.amplitudes for o in offsets for v in (o.basis.plus, o.basis.minus)])
+    waves = np.repeat([comp.observable_from_eigensystem(o.basis).matrix for o in offsets], 2, axis=0)
+    return _WaveBases(offsets, rows, waves)
 
 
 def run_verification(
@@ -165,26 +199,21 @@ def run_verification(
     under test for the library's own; they are fault-injection hooks, not
     configuration.  The splitter feeds the splitter and pipeline checks.
     The wave basis feeds every check on the basis or its assembled W except
-    the closed-form one, which checks the library's own derivation.
+    the closed-form one, which checks the library's own derivation.  Both
+    are built once, before the groups; if a build raises, the groups that
+    read it fail.
     """
     seed = require_seed(seed)
     if shots is not None and shots < 1:
         raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
-    splitter = beam_splitter_override or ifm.beam_splitter()
-    offsets = []
-    for phi0 in map(float, _PHI0_GRID):
-        derived = comp.derive_wave_eigenbasis(phi0)
-        offsets.append(_Offset(phi0, derived, wave_basis_override or derived))
-    # The wave eigenstates as rows, plus then minus per offset, and each row's W.
-    rows = np.array([v.amplitudes for o in offsets for v in (o.basis.plus, o.basis.minus)])
-    waves = np.repeat([comp.observable_from_eigensystem(o.basis).matrix for o in offsets], 2, axis=0)
-
+    splitter = _setup(lambda: (beam_splitter_override or ifm.beam_splitter()).matrix)
+    bases = _setup(_wave_bases, wave_basis_override)
     checks = [
-        *_run_group("splitter", _splitter_residuals, splitter.matrix),
-        *_run_group("complementarity", _complementarity_residuals, offsets, rows, waves),
+        *_run_group("splitter", _splitter_residuals, splitter),
+        *_run_group("complementarity", _complementarity_residuals, bases),
         *_run_group("uncertainty", _uncertainty_residuals),
-        *_run_group("pipeline", _pipeline_residuals, splitter.matrix),
-        *_run_group("operators", _operator_residuals, rows, waves),
+        *_run_group("pipeline", _pipeline_residuals, splitter),
+        *_run_group("operators", _operator_residuals, bases),
         *_run_group("robertson", _robertson_residuals),
     ]
     if shots is not None:
@@ -200,9 +229,9 @@ def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
     yield abs(p_upper - 0.5)
 
 
-def _complementarity_residuals(offsets: list[_Offset], rows: np.ndarray,
-                               waves: np.ndarray) -> Iterator[float]:
+def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
     """Path and wave bases are mutually unbiased, and W has its Pauli form."""
+    offsets, rows, waves = bases
     path_basis = comp.path_eigenbasis()
     arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(offsets), 1))
     yield _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real))
@@ -268,11 +297,11 @@ def _pipeline_residuals(b: np.ndarray) -> Iterator[float]:
     yield np.max(np.abs(fringe - np.cos(grid)))
 
 
-def _operator_residuals(rows: np.ndarray, waves: np.ndarray) -> Iterator[float]:
+def _operator_residuals(bases: _WaveBases) -> Iterator[float]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
     yield np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
                         - ifm._wave_matrices(_PHI0_GRID)))
-    yield _worst(_moments(waves, rows)[1])
+    yield _worst(_moments(bases.waves, bases.rows)[1])
 
 
 def _robertson_residuals() -> Iterator[float]:

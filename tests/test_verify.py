@@ -2,7 +2,10 @@
 
 import ast
 import hashlib
+import itertools
+import math
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from support import count_calls, force_parts, patch_everywhere, perturbed_splitter, swapped_lanes
 from test_golden import GOLDEN
-from twopath import interferometer, measurement, qalgebra, rng, uncertainty, verify
+from twopath import complementarity, interferometer, measurement, qalgebra, rng, uncertainty, verify
 from twopath.cli import main
 from twopath.complementarity import path_eigenbasis
 from twopath.verify import format_report, run_verification
@@ -136,7 +139,9 @@ def nan_in_row_zero(column):
     return column
 
 
-#: A fault per component, as (function, its faulty version, the checks it fails).
+#: A fault per component, as (target, its faulty version, the checks it
+#: fails).  A function target is patched wherever a twopath module binds
+#: it; a (module, name) target only there.
 COMPONENT_FAULTS = {
     "shifter-x1.01": (interferometer._shifter_matrices, lambda f: lambda phis: 1.01 * f(phis),
                       {"pipeline_unit_visibility", "pipeline_fringe_shape"}),
@@ -146,6 +151,28 @@ COMPONENT_FAULTS = {
                             "wave_spread_sine", "uncertainty_product_saturation",
                             "bound_vanishes_at_wave_eigenstates", "sensitivity_matches_wave_spread",
                             "sensitivity_finite_difference", "wave_operator_pauli_form"}),
+    # W read at phi0 / 2, so its period is 4 pi
+    "wave-half-angle": (interferometer._wave_matrices, lambda f: lambda phi0s: f(np.asarray(phi0s) / 2),
+                        {"wave_operator_periodicity", "interference_cosine_law", "wave_spread_sine",
+                         "bound_vanishes_at_wave_eigenstates", "sensitivity_matches_wave_spread",
+                         "wave_operator_pauli_form"}),
+    # the constraint solve inside derive_wave_eigenbasis, its one caller,
+    # gives moduli^2 0.51 and 0.49: still normalized and orthogonal
+    "derive-moduli": ((np.linalg, "solve"), lambda f: lambda a, b: f(a, b) + [0.01, -0.01],
+                      {"wave_eigenbasis_closed_form", "path_blind_on_wave_eigenstates",
+                       "wave_blind_on_path_eigenstates", "path_wave_mutually_unbiased",
+                       "wave_operator_pauli_form"}),
+    # the shared set-up raises: each group that reads the offsets fails
+    "derived-state-x1.01": ((complementarity, "StateVector"),
+                            lambda cls: lambda amps: cls(1.01 * np.asarray(amps)),
+                            {"path_blind_on_wave_eigenstates", "wave_blind_on_path_eigenstates",
+                             "path_wave_mutually_unbiased", "wave_eigenbasis_closed_form",
+                             "wave_operator_pauli_form", "wave_operator_periodicity",
+                             "variance_vanishes_on_eigenstates"}),
+    # and each group that reads the splitter
+    "splitter-not-unitary": (interferometer.beam_splitter, lambda f: lambda: qalgebra.UnitaryGate(1.01 * f().matrix),
+                             {"beam_splitter_unitarity", "beam_splitter_conjugation", "lower_port_splits_evenly",
+                              "pipeline_unit_visibility", "pipeline_fringe_shape"}),
     "variance-nan": (qalgebra._moments, lambda f: lambda *a: (f(*a)[0], nan_in_row_zero(f(*a)[1])),
                      {"path_spread_unity", "wave_spread_sine", "uncertainty_product_saturation",
                       "sensitivity_matches_wave_spread", "variance_vanishes_on_eigenstates",
@@ -162,25 +189,45 @@ COMPONENT_FAULTS = {
 }
 
 
+def install_fault(monkeypatch, name):
+    target, fault, _ = COMPONENT_FAULTS[name]
+    if isinstance(target, tuple):
+        module, attr = target
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    else:
+        patch_everywhere(monkeypatch, target, fault(target))
+
+
 class TestComponentFaults:
     """A broken component fails its checks by name, with exit 1; a group
-    that raises fails each of its checks, and a NaN residual fails too."""
+    that raises, or whose shared set-up raises, fails each of its checks,
+    and a NaN residual fails too."""
 
-    @pytest.mark.parametrize("fn, fault, failing", COMPONENT_FAULTS.values(), ids=COMPONENT_FAULTS)
-    def test_fault_fails_its_checks_by_name(self, fn, fault, failing, capsys, monkeypatch):
-        patch_everywhere(monkeypatch, fn, fault(fn))
+    @pytest.mark.parametrize("name", COMPONENT_FAULTS)
+    def test_fault_fails_its_checks_by_name(self, name, capsys, monkeypatch):
+        install_fault(monkeypatch, name)
         assert main(["verify"]) == 1
         out, err = capsys.readouterr()
+        failing = COMPONENT_FAULTS[name][2]
         assert err == ""
         assert {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")} == failing
         assert out.splitlines()[-1] == f"{21 - len(failing)}/21 checks passed"
 
+    def test_the_faults_together_fail_every_analytic_check(self):
+        analytic = table_names(*(group for group in verify._CHECKS if group != "sampled"))
+        assert set().union(*(failing for _, _, failing in COMPONENT_FAULTS.values())) == set(analytic)
+
     def test_raising_group_names_the_exception(self, monkeypatch):
-        fn, fault, _ = COMPONENT_FAULTS["shifter-x1.01"]
-        patch_everywhere(monkeypatch, fn, fault(fn))
+        install_fault(monkeypatch, "shifter-x1.01")
         failed = run_verification().failures
         assert [c.residual for c in failed] == [float("inf")] * 2
-        assert all("raised InvariantViolation: state 0 is not normalized" in c.detail for c in failed)
+        assert all("group raised InvariantViolation: state 0 is not normalized" in c.detail for c in failed)
+
+    def test_raising_setup_names_the_exception(self, monkeypatch):
+        install_fault(monkeypatch, "splitter-not-unitary")
+        failed = run_verification().failures
+        assert [c.residual for c in failed] == [float("inf")] * 5
+        assert all("setup raised InvariantViolation: gate is not unitary" in c.detail for c in failed)
 
     @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt, SystemExit])
     def test_only_invariant_violations_become_fail_lines(self, monkeypatch, exc):
@@ -189,6 +236,15 @@ class TestComponentFaults:
             yield
 
         monkeypatch.setattr(verify, "_pipeline_residuals", broken)
+        with pytest.raises(exc):
+            run_verification()
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_only_invariant_violations_in_setup_become_fail_lines(self, monkeypatch, exc):
+        def broken(override):
+            raise exc
+
+        monkeypatch.setattr(verify, "_wave_bases", broken)
         with pytest.raises(exc):
             run_verification()
 
@@ -235,6 +291,33 @@ class TestSamplerFaults:
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest != dict((tuple(a), d) for a, d in GOLDEN)[tuple(argv)]
+
+
+def binomial_interval(n, p, level=0.999):
+    """The central interval [lo, hi] of Binomial(n, p): at most (1 - level) / 2
+    of its mass lies below lo, and at most that above hi."""
+    tail = (1 - level) / 2
+    cdf = list(itertools.accumulate(math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)))
+    return (next(k for k, c in enumerate(cdf) if c > tail),
+            next(k for k, c in enumerate(cdf) if c >= 1 - tail))
+
+
+class TestFalseAlarms:
+    """The sampled checks' false-alarm rates, as data: over seeds 1-300 at
+    200000 shots each check's count of failures lies inside the 99.9%
+    binomial interval of its nominal rate."""
+
+    def test_alarm_counts_fit_the_nominal_rates(self):
+        seeds = range(1, 301)
+        alarms = Counter(c.name for seed in seeds for c in sampled_checks(200_000, seed) if not c.passed)
+        # the worst of four independent rows, each at 1%, or at P(|Z| > 4)
+        chi2 = 1 - 0.99**4
+        variance = 4 * math.erfc(4 / math.sqrt(2))
+        nominal = dict(zip(table_names("sampled"), [chi2, variance, chi2, variance, 0.0]))
+        counts = {name: alarms[name] for name in nominal}
+        intervals = {name: binomial_interval(len(seeds), p) for name, p in nominal.items()}
+        assert all(lo <= counts[name] <= hi for name, (lo, hi) in intervals.items()), (counts, intervals)
+        assert set(alarms) <= set(nominal)
 
 
 class TestReportBytes:
