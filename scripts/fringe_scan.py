@@ -1,47 +1,44 @@
 #!/usr/bin/env python3
 """Sweep the interferometer phase and report fringe + uncertainty data.
 
-Writes the scan CSV (same schema as `twopath scan`) and prints a small
-summary: fringe visibility, worst saturation gap, and the scan point of
-maximal sensitivity.
+Runs `twopath scan --phi0 PHI0 --steps 721 --out OUT` and summarizes its CSV:
+the fringe visibility, (max - min) / 2 of <W>; the worst saturation gap; and
+the first point of maximal delta_w.  Errors and exit codes are the CLI's.
 
 Usage: python scripts/fringe_scan.py [phi0] [out.csv]
 """
 
-import math
+import contextlib
+import io
 import sys
 
 import numpy as np
 
-from twopath.cli import RunConfig, cmd_scan
-from twopath.interferometer import interference_scan
-from twopath.uncertainty import sensitivity
+from twopath.cli import main
 
 
-def main() -> int:
-    phi0 = float(sys.argv[1]) if len(sys.argv) > 1 else 0.6
+def summarize() -> int:
+    phi0 = sys.argv[1] if len(sys.argv) > 1 else "0.6"
     out = sys.argv[2] if len(sys.argv) > 2 else "fringe_scan.csv"
+    scan = ["scan", f"--phi0={phi0}", "--steps", "721"]
+    # The summary reads a second run's stdout: OUT may be /dev/null or a pipe.
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main([*scan, f"--out={out}"]) or main(scan)
+    if code:
+        return code
+    header, *rows = text.getvalue().splitlines()
+    columns = dict(zip(header.split(","), np.loadtxt(rows, delimiter=",").T))
+    w, delta_w, phi = columns["w_expectation"], columns["delta_w"], columns["phi"]
+    steepest = int(np.argmax(delta_w))
 
-    config = RunConfig(phi0=phi0, phi_start=-math.pi, phi_end=math.pi, steps=721)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(cmd_scan(config))
-
-    grid = np.concatenate(list(config.grid()))
-    scan = interference_scan(phi0, grid)
-    fringe = np.array([math.cos(phi - phi0) for phi in grid])
-    worst_gap = float(np.max(np.abs(scan.gap)))
-    steepest = max(range(len(grid)), key=lambda k: sensitivity(grid[k], phi0))
-
-    print(f"wrote {len(grid)} scan points to {out}")
-    print(f"fringe visibility      : {0.5 * (fringe.max() - fringe.min()):.12f}")
-    print(f"worst saturation gap   : {worst_gap:.3e}")
-    print(
-        f"max sensitivity at phi = {grid[steepest]:+.4f} rad "
-        f"(phi - phi0 = {grid[steepest] - phi0:+.4f}), where delta_w = "
-        f"{scan.delta_w[steepest]:.6f}"
-    )
+    print(f"wrote {len(rows)} scan points to {out}")
+    print(f"fringe visibility      : {0.5 * (w.max() - w.min()):.12f}")
+    print(f"worst saturation gap   : {np.max(np.abs(columns['gap'])):.3e}")
+    print(f"max sensitivity at phi = {phi[steepest]:+.4f} rad (phi - phi0 = "
+          f"{phi[steepest] - float(phi0):+.4f}), where delta_w = {delta_w[steepest]:.6f}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(summarize())

@@ -39,8 +39,12 @@ def emit(chunks: Iterable[str], path: str | None) -> None:
         mode = stat.S_IFREG | _new_file_mode()
     temp = None
     if stat.S_ISREG(mode):
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
-                                    dir=os.path.dirname(target))
+        try:
+            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                        dir=os.path.dirname(target))
+        except OSError as exc:
+            exc.filename = path  # the file asked for, not a temporary name that differs per run
+            raise
         os.fchmod(fd, stat.S_IMODE(mode))
     try:
         with open(path if temp is None else fd, "w", encoding="utf-8", newline="") as fh:

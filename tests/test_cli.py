@@ -397,6 +397,20 @@ class TestExitCodes:
         assert main(["scan", "--steps", "2", "--out", "/no/such/dir/x.csv"]) == 3
         assert "cannot write" in capsys.readouterr().err
 
+    def test_io_error_names_the_out_path_as_given(self, capsys, monkeypatch, tmp_path):
+        # not the temporary file it would be written under, whose name
+        # differs on every run
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for _ in range(2):
+            assert main(["scan", "--steps", "3", "--out", "missing/x.csv"]) == 3
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].out == ""
+        assert runs[0].err == ("twopath: cannot write output: "
+                               "[Errno 2] No such file or directory: 'missing/x.csv'\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [["verify"], ["scan", "--steps", "3"], ["sample", "--steps", "1", "--shots", "10"]],

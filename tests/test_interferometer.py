@@ -1,6 +1,7 @@
 """Beam splitter, phase shifter, balanced states, and the fringe scan."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ class TestBalancedState:
             balanced_amplitudes(phis)
         with pytest.raises(InvariantViolation, match="grid entry must be a finite angle"):
             interference_scan(0.3, phis)
+
+    def test_batch_rejects_a_grid_that_is_not_1d(self):
+        with pytest.raises(InvariantViolation,
+                           match=re.escape("phi values must form a 1-D sequence, got shape (1, 2)")):
+            balanced_amplitudes([[0.1, 0.2]])
 
     @given(phi0=angles)
     def test_matches_wave_eigenstate_at_setup_offset(self, phi0):

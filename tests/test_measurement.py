@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -610,6 +611,11 @@ class TestUniformityTest:
         chi2, ok = uniformity_test((510_000, 490_000))
         assert chi2 == 400.0
         assert not ok
+
+    @pytest.mark.parametrize("counts", [(-1, 3), (3, -1)])
+    def test_rejects_negative_counts(self, counts):
+        with pytest.raises(InvariantViolation, match=re.escape(f"counts must be non-negative, got {counts!r}")):
+            uniformity_test(counts)
 
     def test_rejects_empty_counts(self):
         with pytest.raises(InvariantViolation, match="at least one"):

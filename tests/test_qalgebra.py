@@ -269,6 +269,13 @@ class TestEigHermitian:
         np.testing.assert_allclose(vecs[:, 0], [INV_SQRT2, INV_SQRT2], atol=1e-15)
         np.testing.assert_allclose(vecs[:, 1], [INV_SQRT2, -INV_SQRT2], atol=1e-15)
 
+    def test_diagonal_with_the_larger_entry_below(self):
+        # b = 0 and a < d: the eigenvectors are the arms, lower first
+        evals, vecs = eig_hermitian(Observable(-SIGMA_Z.matrix))
+        np.testing.assert_array_equal(evals, [1.0, -1.0])
+        np.testing.assert_array_equal(vecs, [[0.0, 1.0], [1.0, 0.0]])
+        assert binary_eigensystem(Observable(-SIGMA_Z.matrix)).plus.amplitudes.tolist() == [0, 1]
+
     def test_degenerate_identity(self):
         evals, vecs = eig_hermitian(IDENTITY)
         np.testing.assert_array_equal(evals, [1.0, 1.0])

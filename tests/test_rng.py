@@ -285,6 +285,11 @@ class TestValidation:
         RandomStream(0)
         RandomStream((1 << 64) - 1)
 
+    def test_repr_names_seed_and_counter(self):
+        stream = RandomStream(7)
+        stream.uniforms(3)
+        assert repr(stream) == "RandomStream(seed=7, counter=3)"
+
     def test_rejects_negative_batch(self):
         with pytest.raises(InvariantViolation, match="non-negative"):
             RandomStream(1).uniforms(-1)

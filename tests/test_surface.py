@@ -161,6 +161,10 @@ def test_fringe_scan_script_runs(tmp_path):
     assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == (
         "84f4057eadc07006a3cf73c25465d8d8f07ac629417efe5e773d81776488bbf3"
     )
+    # The summary is read from the scan itself, not from the out file.
+    null = run_script("fringe_scan.py", "0.6", os.devnull, cwd=tmp_path)
+    assert (null.returncode, null.stderr) == (0, "")
+    assert null.stdout == run.stdout.replace("f.csv", os.devnull)
 
 
 def test_randomization_demo_script_runs(tmp_path):
@@ -171,24 +175,43 @@ def test_randomization_demo_script_runs(tmp_path):
     rows = lines[2:lines.index("")]
     assert len(rows) == 10
     assert all(len(row.split()) == 9 for row in rows)
+    # phases 0, pi/4, pi/2, 3pi/4, pi, each row on sample's child stream
+    assert [row.split()[0] for row in rows[::2]] == ["0.0000", "0.7854", "1.5708", "2.3562", "3.1416"]
     assert hashlib.sha256(run.stdout.encode("utf-8")).hexdigest() == (
-        "26f0a49a6836c2ac470e93253827661827c062cfe6a654c83ded72581d0a366a"
+        "63e72fa070bf46d78ba618789b029c3089231021f1b2909f9d44cbf530a0a8b2"
     )
+    assert run_script("randomization_demo.py", "2000", "42", cwd=tmp_path).stdout == run.stdout
 
 
-def test_randomization_demo_rejects_seeds_outside_64_bits(tmp_path):
-    for seed in ("-1", str(1 << 64)):
-        run = run_script("randomization_demo.py", "10", seed, cwd=tmp_path)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert run.stderr == f"seed must be an unsigned 64-bit integer, got {seed}\n"
+def test_script_failures_are_the_clis(tmp_path, capsys):
+    # Each bad argument fails as the CLI run the script makes fails: the
+    # same stderr and exit code, an empty stdout, and no file left behind.
+    cases = [
+        (("fringe_scan.py", "nan"), ["scan", "--phi0=nan", "--steps", "721"], 2),
+        (("fringe_scan.py", "abc"), ["scan", "--phi0=abc", "--steps", "721"], 2),
+        (("fringe_scan.py", "0.6", "/nonexistent/x.csv"),
+         ["scan", "--phi0=0.6", "--steps", "721", "--out=/nonexistent/x.csv"], 3),
+        *((("randomization_demo.py", shots, seed),
+           ["sample", "--steps", "5", f"--shots={shots}", f"--seed={seed}"], 2)
+          for shots, seed in (("10", "-1"), ("10", str(1 << 64)), ("0", "42"), ("abc", "42"))),
+    ]
+    for (script, *args), argv, code in cases:
+        run = run_script(script, *args, cwd=tmp_path)
+        assert cli.main(argv) == code
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", capsys.readouterr().err)
+        assert run.stderr.startswith(("twopath: ", "usage: twopath ")), run.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
-def test_randomization_demo_rejects_bad_shots(tmp_path):
-    # checked, as the seed is, before anything is printed
-    for shots, message in (("0", "shots must be >= 1, got 0"),
-                           ("abc", "shots must be an integer, got 'abc'")):
-        run = run_script("randomization_demo.py", shots, "42", cwd=tmp_path)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert run.stderr == message + "\n"
+def test_scripts_import_only_the_cli_entry_point():
+    # The scripts are clients of twopath.cli.main: their argument rules,
+    # errors and output all come from it, so no second copy can grow back.
+    for script in sorted((ROOT / "scripts").glob("*.py")):
+        imported = {
+            (node.module or "", alias.name) if isinstance(node, ast.ImportFrom) else (alias.name, "")
+            for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        package = {(module, name) for module, name in imported if module.split(".")[0] == "twopath"}
+        assert package == {("twopath.cli", "main")}, script.name

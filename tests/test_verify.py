@@ -139,58 +139,75 @@ def nan_in_row_zero(column):
     return column
 
 
-#: A fault per component, as (target, its faulty version, the checks it
-#: fails).  A function target is patched wherever a twopath module binds
-#: it; a (module, name) target only there.
+#: A fault per component, as (target, its faulty version).  A function
+#: target is patched wherever a twopath module binds it; a (module, name)
+#: target only there.  CHECK_FAULTS says which checks each one fails.
 COMPONENT_FAULTS = {
-    "shifter-x1.01": (interferometer._shifter_matrices, lambda f: lambda phis: 1.01 * f(phis),
-                      {"pipeline_unit_visibility", "pipeline_fringe_shape"}),
+    "shifter-x1.01": (interferometer._shifter_matrices, lambda f: lambda phis: 1.01 * f(phis)),
     "wave-not-hermitian": (interferometer._wave_matrices,
-                           lambda f: lambda phi0s: f(phi0s) + [[0.0, 0.1], [0.0, 0.0]],
-                           {"interference_cosine_law", "balanced_states_hide_path", "path_spread_unity",
-                            "wave_spread_sine", "uncertainty_product_saturation",
-                            "bound_vanishes_at_wave_eigenstates", "sensitivity_matches_wave_spread",
-                            "sensitivity_finite_difference", "wave_operator_pauli_form"}),
+                           lambda f: lambda phi0s: f(phi0s) + [[0.0, 0.1], [0.0, 0.0]]),
     # W read at phi0 / 2, so its period is 4 pi
-    "wave-half-angle": (interferometer._wave_matrices, lambda f: lambda phi0s: f(np.asarray(phi0s) / 2),
-                        {"wave_operator_periodicity", "interference_cosine_law", "wave_spread_sine",
-                         "bound_vanishes_at_wave_eigenstates", "sensitivity_matches_wave_spread",
-                         "wave_operator_pauli_form"}),
+    "wave-half-angle": (interferometer._wave_matrices, lambda f: lambda phi0s: f(np.asarray(phi0s) / 2)),
     # the constraint solve inside derive_wave_eigenbasis, its one caller,
     # gives moduli^2 0.51 and 0.49: still normalized and orthogonal
-    "derive-moduli": ((np.linalg, "solve"), lambda f: lambda a, b: f(a, b) + [0.01, -0.01],
-                      {"wave_eigenbasis_closed_form", "path_blind_on_wave_eigenstates",
-                       "wave_blind_on_path_eigenstates", "path_wave_mutually_unbiased",
-                       "wave_operator_pauli_form"}),
+    "derive-moduli": ((np.linalg, "solve"), lambda f: lambda a, b: f(a, b) + [0.01, -0.01]),
     # the shared set-up raises: each group that reads the offsets fails
     "derived-state-x1.01": ((complementarity, "StateVector"),
-                            lambda cls: lambda amps: cls(1.01 * np.asarray(amps)),
-                            {"path_blind_on_wave_eigenstates", "wave_blind_on_path_eigenstates",
-                             "path_wave_mutually_unbiased", "wave_eigenbasis_closed_form",
-                             "wave_operator_pauli_form", "wave_operator_periodicity",
-                             "variance_vanishes_on_eigenstates"}),
+                            lambda cls: lambda amps: cls(1.01 * np.asarray(amps))),
     # and each group that reads the splitter
-    "splitter-not-unitary": (interferometer.beam_splitter, lambda f: lambda: qalgebra.UnitaryGate(1.01 * f().matrix),
-                             {"beam_splitter_unitarity", "beam_splitter_conjugation", "lower_port_splits_evenly",
-                              "pipeline_unit_visibility", "pipeline_fringe_shape"}),
-    "variance-nan": (qalgebra._moments, lambda f: lambda *a: (f(*a)[0], nan_in_row_zero(f(*a)[1])),
-                     {"path_spread_unity", "wave_spread_sine", "uncertainty_product_saturation",
-                      "sensitivity_matches_wave_spread", "variance_vanishes_on_eigenstates",
-                      "robertson_inequality"}),
-    "commutator-nan": (qalgebra._half_commutator, lambda f: lambda *a: nan_in_row_zero(f(*a)),
-                       {"uncertainty_product_saturation", "robertson_inequality"}),
+    "splitter-not-unitary": (interferometer.beam_splitter,
+                             lambda f: lambda: qalgebra.UnitaryGate(1.01 * f().matrix)),
+    "variance-nan": (qalgebra._moments, lambda f: lambda *a: (f(*a)[0], nan_in_row_zero(f(*a)[1]))),
+    "commutator-nan": (qalgebra._half_commutator, lambda f: lambda *a: nan_in_row_zero(f(*a))),
     "w-expect-nan": (interferometer._scan_columns,
-                     lambda f: lambda *a: f(*a)._replace(w_expect=nan_in_row_zero(f(*a).w_expect)),
-                     {"interference_cosine_law", "sensitivity_finite_difference"}),
-    "matrix-elements-nan": (qalgebra._matrix_elements, lambda f: lambda *a: nan_in_row_zero(f(*a)),
-                            {"path_blind_on_wave_eigenstates", "wave_blind_on_path_eigenstates",
-                             "uncertainty_product_saturation", "pipeline_unit_visibility",
-                             "pipeline_fringe_shape", "robertson_inequality"}),
+                     lambda f: lambda *a: f(*a)._replace(w_expect=nan_in_row_zero(f(*a).w_expect))),
+    "matrix-elements-nan": (qalgebra._matrix_elements, lambda f: lambda *a: nan_in_row_zero(f(*a))),
+}
+
+#: The faults of TestSamplerFaults, by name.
+SAMPLER_FAULTS = ("threshold-bias", "late-worker")
+
+#: Each check of verify's table, in its order, with the pinned faults that
+#: fail it: the component faults above and the sampler faults.
+CHECK_FAULTS = {
+    "beam_splitter_unitarity": {"splitter-not-unitary"},
+    "beam_splitter_conjugation": {"splitter-not-unitary"},
+    "lower_port_splits_evenly": {"splitter-not-unitary"},
+    "path_blind_on_wave_eigenstates": {"derive-moduli", "derived-state-x1.01", "matrix-elements-nan"},
+    "wave_blind_on_path_eigenstates": {"derive-moduli", "derived-state-x1.01", "matrix-elements-nan"},
+    "path_wave_mutually_unbiased": {"derive-moduli", "derived-state-x1.01"},
+    "wave_eigenbasis_closed_form": {"derive-moduli", "derived-state-x1.01"},
+    "wave_operator_pauli_form": {"wave-not-hermitian", "wave-half-angle", "derive-moduli",
+                                 "derived-state-x1.01"},
+    "interference_cosine_law": {"wave-not-hermitian", "wave-half-angle", "w-expect-nan"},
+    "balanced_states_hide_path": {"wave-not-hermitian"},
+    "path_spread_unity": {"wave-not-hermitian", "variance-nan"},
+    "wave_spread_sine": {"wave-not-hermitian", "wave-half-angle", "variance-nan"},
+    "uncertainty_product_saturation": {"wave-not-hermitian", "variance-nan", "commutator-nan",
+                                       "matrix-elements-nan"},
+    "bound_vanishes_at_wave_eigenstates": {"wave-not-hermitian", "wave-half-angle"},
+    "sensitivity_matches_wave_spread": {"wave-not-hermitian", "wave-half-angle", "variance-nan"},
+    "sensitivity_finite_difference": {"wave-not-hermitian", "w-expect-nan"},
+    "pipeline_unit_visibility": {"shifter-x1.01", "splitter-not-unitary", "matrix-elements-nan"},
+    "pipeline_fringe_shape": {"shifter-x1.01", "splitter-not-unitary", "matrix-elements-nan"},
+    "wave_operator_periodicity": {"wave-half-angle", "derived-state-x1.01"},
+    "variance_vanishes_on_eigenstates": {"derived-state-x1.01", "variance-nan"},
+    "robertson_inequality": {"variance-nan", "commutator-nan", "matrix-elements-nan"},
+    "second_outcome_uniform_pw": {"threshold-bias"},
+    "first_variance_convergence_pw": {"threshold-bias"},
+    "second_outcome_uniform_wp": {"threshold-bias"},
+    "first_variance_convergence_wp": {"threshold-bias"},
+    "sampling_determinism": {"late-worker"},
 }
 
 
+def failed_by(fault):
+    """The checks CHECK_FAULTS says the fault fails."""
+    return {check for check, faults in CHECK_FAULTS.items() if fault in faults}
+
+
 def install_fault(monkeypatch, name):
-    target, fault, _ = COMPONENT_FAULTS[name]
+    target, fault = COMPONENT_FAULTS[name]
     if isinstance(target, tuple):
         module, attr = target
         monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
@@ -208,14 +225,24 @@ class TestComponentFaults:
         install_fault(monkeypatch, name)
         assert main(["verify"]) == 1
         out, err = capsys.readouterr()
-        failing = COMPONENT_FAULTS[name][2]
+        failing = failed_by(name)
         assert err == ""
         assert {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")} == failing
         assert out.splitlines()[-1] == f"{21 - len(failing)}/21 checks passed"
 
     def test_the_faults_together_fail_every_analytic_check(self):
         analytic = table_names(*(group for group in verify._CHECKS if group != "sampled"))
-        assert set().union(*(failing for _, _, failing in COMPONENT_FAULTS.values())) == set(analytic)
+        uncovered = [check for check in analytic if not CHECK_FAULTS[check] & COMPONENT_FAULTS.keys()]
+        assert uncovered == []
+
+    def test_every_check_has_a_pinned_fault(self):
+        # keyed by check, so a fault taken out of the tables names the
+        # checks it leaves uncovered
+        assert list(CHECK_FAULTS) == table_names(*verify._CHECKS)
+        pinned = {*COMPONENT_FAULTS, *SAMPLER_FAULTS}
+        uncovered = [check for check, faults in CHECK_FAULTS.items() if not faults & pinned]
+        assert uncovered == []
+        assert set().union(*CHECK_FAULTS.values()) == pinned
 
     def test_raising_group_names_the_exception(self, monkeypatch):
         install_fault(monkeypatch, "shifter-x1.01")
@@ -252,15 +279,14 @@ class TestComponentFaults:
 class TestSamplerFaults:
     """Sampler faults against the named Monte Carlo checks."""
 
-    SAMPLED = tuple(name for name in table_names("sampled") if name != "sampling_determinism")
-
     def test_threshold_bias_fails_the_sampled_checks_by_name(self, monkeypatch):
         # every Born odds of every row raised by 0.005: 30 of seeds 1-30 fail each check
         thresholds = measurement.draw_thresholds
         monkeypatch.setattr(measurement, "draw_thresholds",
                             lambda p: thresholds(np.minimum(p + 0.005, 1.0)))
-        passed = {c.name: c.passed for c in sampled_checks(200_000, 1)}
-        assert passed == {**dict.fromkeys(self.SAMPLED, False), "sampling_determinism": True}
+        checks = sampled_checks(200_000, 1)
+        assert [c.name for c in checks] == table_names("sampled")
+        assert {c.name for c in checks if not c.passed} == failed_by("threshold-bias")
 
     def test_late_worker_fails_determinism_by_name(self, monkeypatch):
         # the parts on worker threads draw from 1000 shots past their rows'
@@ -276,7 +302,7 @@ class TestSamplerFaults:
 
         monkeypatch.setattr(measurement, "uniform_grid", late)
         failed = {c.name for c in sampled_checks(200_000, 1) if not c.passed}
-        assert failed == {"sampling_determinism"}
+        assert failed == failed_by("late-worker")
 
     @pytest.mark.parametrize("fault", ["swapped_lanes", "one_seed"])
     def test_blind_spots_move_the_golden_digest(self, monkeypatch, capsys, fault):
