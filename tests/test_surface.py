@@ -183,24 +183,48 @@ def test_randomization_demo_script_runs(tmp_path):
     assert run_script("randomization_demo.py", "2000", "42", cwd=tmp_path).stdout == run.stdout
 
 
-def test_script_failures_are_the_clis(tmp_path, capsys):
+def fails_as_the_cli(cases, tmp_path, capsys):
     # Each bad argument fails as the CLI run the script makes fails: the
     # same stderr and exit code, an empty stdout, and no file left behind.
-    cases = [
-        (("fringe_scan.py", "nan"), ["scan", "--phi0=nan", "--steps", "721"], 2),
-        (("fringe_scan.py", "abc"), ["scan", "--phi0=abc", "--steps", "721"], 2),
-        (("fringe_scan.py", "0.6", "/nonexistent/x.csv"),
-         ["scan", "--phi0=0.6", "--steps", "721", "--out=/nonexistent/x.csv"], 3),
-        *((("randomization_demo.py", shots, seed),
-           ["sample", "--steps", "5", f"--shots={shots}", f"--seed={seed}"], 2)
-          for shots, seed in (("10", "-1"), ("10", str(1 << 64)), ("0", "42"), ("abc", "42"))),
-    ]
+    # Returns each run's last stderr line.
+    last_lines = []
     for (script, *args), argv, code in cases:
         run = run_script(script, *args, cwd=tmp_path)
         assert cli.main(argv) == code
         assert (run.returncode, run.stdout, run.stderr) == (code, "", capsys.readouterr().err)
         assert run.stderr.startswith(("twopath: ", "usage: twopath ")), run.stderr
         assert list(tmp_path.iterdir()) == []
+        last_lines.append(run.stderr.splitlines()[-1])
+    return last_lines
+
+
+def demo_cases(*shots_and_seeds):
+    return [(("randomization_demo.py", shots, seed),
+             ["sample", "--steps", "5", f"--shots={shots}", f"--seed={seed}"], 2)
+            for shots, seed in shots_and_seeds]
+
+
+def test_script_failures_are_the_clis(tmp_path, capsys):
+    fails_as_the_cli([
+        (("fringe_scan.py", "nan"), ["scan", "--phi0=nan", "--steps", "721"], 2),
+        (("fringe_scan.py", "abc"), ["scan", "--phi0=abc", "--steps", "721"], 2),
+        (("fringe_scan.py", "0.6", "/nonexistent/x.csv"),
+         ["scan", "--phi0=0.6", "--steps", "721", "--out=/nonexistent/x.csv"], 3),
+    ], tmp_path, capsys)
+
+
+def test_randomization_demo_rejects_seeds_outside_64_bits(tmp_path, capsys):
+    assert fails_as_the_cli(demo_cases(("10", "-1"), ("10", str(1 << 64))), tmp_path, capsys) == [
+        f"twopath: seed must be an unsigned 64-bit integer, got {seed}" for seed in ("-1", str(1 << 64))
+    ]
+
+
+def test_randomization_demo_rejects_bad_shots(tmp_path, capsys):
+    # checked, as the seed is, before anything is printed
+    assert fails_as_the_cli(demo_cases(("0", "42"), ("abc", "42")), tmp_path, capsys) == [
+        "twopath: shots must be >= 1, got 0",
+        "twopath sample: error: argument --shots: invalid int value: 'abc'",
+    ]
 
 
 def test_scripts_import_only_the_cli_entry_point():
