@@ -31,7 +31,7 @@ from .measurement import (
     sequential_counts,
     uniformity_test,
 )
-from .qalgebra import InvariantViolation, require_finite_angle, require_seed
+from .qalgebra import InvariantViolation, require_finite_angle, require_seed, require_shots
 from .rng import child_seeds
 from .verify import format_report, run_verification
 
@@ -109,8 +109,7 @@ class RunConfig:
             raise InvariantViolation(
                 f"phi range {self.phi_start} to {self.phi_end} is wider than a double can hold"
             )
-        if self.shots < 1:
-            raise InvariantViolation(f"shots must be >= 1, got {self.shots}")
+        require_shots(self.shots)
         require_seed(self.seed)
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")

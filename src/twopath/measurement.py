@@ -39,6 +39,7 @@ from .qalgebra import (
     Observable,
     StateVector,
     binary_eigensystem,
+    require_shots,
 )
 from .rng import RandomStream, draw_thresholds, uniform_grid
 
@@ -202,8 +203,7 @@ def sequential_counts(
     others at their next block; once every thread has ended, the calling
     thread's own exception is raised here, else the others' first.
     """
-    if shots < 1:
-        raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
+    shots = require_shots(shots)
     lengths = (len(orders), len(phis), len(phi0s), len(seeds))
     if len(set(lengths)) > 1:
         raise InvariantViolation("need one order, phi, phi0 and seed per row, got %d orders, "

@@ -12,7 +12,6 @@ import functools
 import os
 import stat
 import sys
-import tempfile
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -22,47 +21,43 @@ def emit(chunks: Iterable[str], path: str | None) -> None:
     """Write the text chunks to stdout, or to the file at ``path`` with LF
     line ends.
 
-    A regular file, or a new one, is written under a temporary name in its
-    directory and renamed over ``path`` once every chunk is written, so a
-    run that fails leaves it as it was.  A new file gets the mode that
-    ``open(path, "w")`` gives, an existing one keeps its mode.  Any other
-    target, such as /dev/null or a pipe, is written in place.
+    A regular file, or a new one, is written under a temporary name,
+    ``.twopath-<16 hex digits>.tmp`` in its directory, and renamed over
+    ``path`` once every chunk is written, so a run that fails leaves it as
+    it was.  The temporary is created as ``open(path, "w")`` creates a
+    file, so a new file gets the mode that gives; an existing one keeps
+    its mode.  Any other target, such as /dev/null or a pipe, is written
+    in place.  An error in finding or creating the file names ``path``.
     """
     if path is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
     target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".twopath-{os.urandom(8).hex()}.tmp")
     try:
-        mode = os.lstat(target).st_mode
-    except FileNotFoundError:
-        mode = stat.S_IFREG | _new_file_mode()
-    temp = None
-    if stat.S_ISREG(mode):
         try:
-            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
-                                        dir=os.path.dirname(target))
-        except OSError as exc:
-            exc.filename = path  # the file asked for, not a temporary name that differs per run
-            raise
-        os.fchmod(fd, stat.S_IMODE(mode))
+            mode = os.lstat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        fd = None
+        if mode is None or stat.S_ISREG(mode):
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # the file asked for, not its resolved or temporary name
+        raise
     try:
-        with open(path if temp is None else fd, "w", encoding="utf-8", newline="") as fh:
+        with open(path if fd is None else fd, "w", encoding="utf-8", newline="") as fh:
+            if fd is not None and mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             for chunk in chunks:
                 fh.write(chunk)
-        if temp is not None:
+        if fd is not None:
             os.replace(temp, target)
     except BaseException:
-        if temp is not None:
+        if fd is not None:
             os.unlink(temp)
         raise
-
-
-def _new_file_mode() -> int:
-    """The permission bits ``open(path, "w")`` gives a new file: 0o666 less the umask."""
-    umask = os.umask(0o022)
-    os.umask(umask)
-    return 0o666 & ~umask
 
 
 #: Rows per sub-block of format_rows.  Its temporaries, some 200 bytes a

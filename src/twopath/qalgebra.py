@@ -5,8 +5,9 @@ around validated numpy arrays; all operations are pure functions.
 Constructors reject invalid input instead of repairing it.
 
 Each value is checked where it enters the library, a stream seed by
-:func:`require_seed`.  The three value types share one construction check
-and add only their own norm, Hermiticity or unitarity test.
+:func:`require_seed` and a shot count by :func:`require_shots`.  The three
+value types share one construction check and add only their own norm,
+Hermiticity or unitarity test.
 :class:`EigenBasis` is the one form of a +1/-1 observable's eigenbasis;
 :func:`binary_eigensystem` solves for it.  :func:`expectations` validates an
 (N, 2) batch of state rows once and gives each row the scalar result bit for
@@ -44,6 +45,17 @@ def require_seed(seed) -> int:
         value = -1
     if not 0 <= value < 1 << 64:
         raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return value
+
+
+def require_shots(shots) -> int:
+    """`shots` as an int, if it is an integer of at least 1; a float or a string is not."""
+    try:
+        value = operator.index(shots)
+    except TypeError:
+        raise InvariantViolation(f"shots must be an integer, got {shots!r}") from None
+    if value < 1:
+        raise InvariantViolation(f"shots must be >= 1, got {value}")
     return value
 
 

@@ -43,6 +43,7 @@ from .qalgebra import (
     _moments,
     _pauli_sum,
     require_seed,
+    require_shots,
     require_states,
 )
 from .rng import RandomStream, child_seeds
@@ -72,14 +73,6 @@ class VerificationReport:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-
-class _Offset(NamedTuple):
-    """What the checks read at one setup offset phi0, built once per run."""
-
-    phi0: float
-    derived: comp.EigenBasis  # the library's derivation, even under an override
-    basis: comp.EigenBasis  # the wave basis under test
 
 
 #: Every named check, in report order, as (name, limit, detail) rows per
@@ -169,22 +162,22 @@ def _setup(build: Callable[..., _T], *args) -> _T | InvariantViolation:
 
 
 class _WaveBases(NamedTuple):
-    """The wave basis at each of the 17 offsets, with its eigenstates as
-    rows, plus then minus per offset, and each row's W."""
+    """The wave basis at each of the 17 offsets, built once per run: as the
+    library derives it and as tested, with the tested eigenstates as rows,
+    plus then minus per offset, and each row's W."""
 
-    offsets: list[_Offset]
+    derived: list[comp.EigenBasis]  # the library's derivation, even under an override
+    tested: list[comp.EigenBasis]
     rows: np.ndarray
     waves: np.ndarray
 
 
 def _wave_bases(override: comp.EigenBasis | None) -> _WaveBases:
-    offsets = []
-    for phi0 in map(float, _PHI0_GRID):
-        derived = comp.derive_wave_eigenbasis(phi0)
-        offsets.append(_Offset(phi0, derived, override or derived))
-    rows = np.array([v.amplitudes for o in offsets for v in (o.basis.plus, o.basis.minus)])
-    waves = np.repeat([comp.observable_from_eigensystem(o.basis).matrix for o in offsets], 2, axis=0)
-    return _WaveBases(offsets, rows, waves)
+    derived = [comp.derive_wave_eigenbasis(phi0) for phi0 in _PHI0_GRID.tolist()]
+    tested = [override or basis for basis in derived]
+    rows = np.array([v.amplitudes for basis in tested for v in (basis.plus, basis.minus)])
+    waves = np.repeat([comp.observable_from_eigensystem(basis).matrix for basis in tested], 2, axis=0)
+    return _WaveBases(derived, tested, rows, waves)
 
 
 def run_verification(
@@ -204,8 +197,8 @@ def run_verification(
     read it fail.
     """
     seed = require_seed(seed)
-    if shots is not None and shots < 1:
-        raise InvariantViolation(f"shots must be >= 1, got {shots!r}")
+    if shots is not None:
+        shots = require_shots(shots)
     splitter = _setup(lambda: (beam_splitter_override or ifm.beam_splitter()).matrix)
     bases = _setup(_wave_bases, wave_basis_override)
     checks = [
@@ -231,13 +224,13 @@ def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
 
 def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
     """Path and wave bases are mutually unbiased, and W has its Pauli form."""
-    offsets, rows, waves = bases
+    derived, tested, rows, waves = bases
     path_basis = comp.path_eigenbasis()
-    arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(offsets), 1))
+    arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(tested), 1))
     yield _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real))
     yield _worst(np.abs(_matrix_elements(waves, arms).real))
-    yield _worst(comp.is_complementary(path_basis, o.basis).max_deviation for o in offsets)
-    yield _worst(_closed_form_miss(o.phi0, o.derived) for o in offsets)
+    yield _worst(comp.is_complementary(path_basis, basis).max_deviation for basis in tested)
+    yield _worst(_closed_form_miss(phi0, basis) for phi0, basis in zip(_PHI0_GRID.tolist(), derived))
     yield np.max(np.abs(waves[::2] - ifm._wave_matrices(_PHI0_GRID)))
 
 

@@ -650,6 +650,58 @@ class TestStreaming:
         assert stat.S_IMODE(existing.stat().st_mode) == 0o604
         assert existing.read_text().startswith("phi,")
 
+    def test_out_file_mode_comes_without_the_umask(self, tmp_path, monkeypatch):
+        # the kernel applies the umask, as for open(); the process-wide
+        # umask is neither read nor set
+        def forbidden(mask):
+            raise AssertionError("os.umask changes the whole process")
+
+        new = tmp_path / "new.csv"
+        umask = os.umask(0o027)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", forbidden)
+                assert main(["scan", "--steps", "3", "--out", str(new)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
+    def test_out_names_up_to_the_file_name_limit(self, tmp_path, capsys, monkeypatch):
+        # the temporary's name has a fixed length, so --out takes every name open() takes
+        monkeypatch.chdir(tmp_path)
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        longest, too_long = "a" * (limit - 4) + ".csv", "a" * (limit - 3) + ".csv"
+        assert main(["scan", "--steps", "3"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["scan", "--steps", "3", "--out", longest]) == 0
+        assert (tmp_path / longest).read_bytes() == whole.encode()
+        assert main(["scan", "--steps", "3", "--out", too_long]) == 3
+        assert capsys.readouterr() == (
+            "", f"twopath: cannot write output: [Errno 36] File name too long: '{too_long}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == [longest]
+
+    @pytest.mark.parametrize("out, refuse_chmod, message", [
+        ("old.csv", True, "[Errno 1] Operation not permitted"),
+        ("old.csv/x.csv", False, "[Errno 20] Not a directory: 'old.csv/x.csv'"),
+    ], ids=["chmod-refused", "parent-is-a-file"])
+    def test_out_failure_before_the_first_chunk(self, out, refuse_chmod, message,
+                                                tmp_path, capsys, monkeypatch):
+        # no temporary and no open descriptor stay behind, the target is
+        # as it was, and the error names --out as given
+        def refuse(fd, mode):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.csv").write_text("old\n")
+        if refuse_chmod:
+            monkeypatch.setattr(os, "fchmod", refuse)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert main(["scan", "--steps", "3", "--out", out]) == 3
+        assert capsys.readouterr() == ("", f"twopath: cannot write output: {message}\n")
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "old\n"
+
 
 # Per flag, values within its bounds and values beyond them.  Valid shots
 # and steps stay small, so each run takes milliseconds: a valid run of

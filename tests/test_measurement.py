@@ -33,6 +33,7 @@ from twopath.qalgebra import (
 )
 from twopath.cli import RunConfig, cmd_sample
 from twopath.rng import RandomStream, child_seeds
+from twopath.verify import run_verification
 
 
 class TestMeasure:
@@ -155,6 +156,40 @@ class TestSequentialExperiment:
     def test_rejects_zero_shots(self):
         with pytest.raises(InvariantViolation, match="shots"):
             sequential_experiment(MeasurementOrder.P_THEN_W, 0.0, 0.0, 0, RandomStream(1))
+
+
+SHOTS_ENTRIES = {
+    "sequential_counts": lambda shots: sequential_counts(
+        [MeasurementOrder.P_THEN_W], [0.1], [0.2], shots, np.array([1], dtype=np.uint64)),
+    "sequential_experiment": lambda shots: sequential_experiment(
+        MeasurementOrder.P_THEN_W, 0.1, 0.2, shots, RandomStream(1)),
+    "run_verification": lambda shots: run_verification(shots=shots),
+    "RunConfig": lambda shots: RunConfig(shots=shots),
+}
+
+
+class TestShotsRule:
+    """Every entry that takes a shot count applies qalgebra.require_shots."""
+
+    # a float or a string would otherwise reach numpy's draws
+    @pytest.mark.parametrize("shots", [1.5, "3", np.float64(2.0)])
+    @pytest.mark.parametrize("entry", SHOTS_ENTRIES)
+    def test_every_entry_rejects_a_non_integer(self, entry, shots):
+        with pytest.raises(InvariantViolation) as raised:
+            SHOTS_ENTRIES[entry](shots)
+        assert str(raised.value) == f"shots must be an integer, got {shots!r}"
+
+    @pytest.mark.parametrize("shots", [0, -3, np.int64(0)])
+    @pytest.mark.parametrize("entry", SHOTS_ENTRIES)
+    def test_every_entry_rejects_a_count_below_one(self, entry, shots):
+        with pytest.raises(InvariantViolation) as raised:
+            SHOTS_ENTRIES[entry](shots)
+        assert str(raised.value) == f"shots must be >= 1, got {int(shots)}"
+
+    def test_integer_types_are_read_as_ints(self):
+        for shots in (np.uint64(5), np.int64(5)):
+            assert qalgebra.require_shots(shots) == int(shots)
+            assert type(qalgebra.require_shots(shots)) is int
 
 
 class TestChunking:
