@@ -5,8 +5,11 @@ Subcommands:
   sample   sequential measurement Monte Carlo (CSV), deterministic per seed
   verify   run the named invariant suite, one PASS/FAIL line per check
 
-Every double in either CSV reads as "%.17g" prints it: sample's rows are
-made by "%", scan's, all doubles, by output.format_rows in numpy.
+Every number in either CSV reads as "%.17g" prints it, and both are
+printed by output.format_rows in numpy: scan's doubles, and sample's
+columns with its order as text.  Above measurement.EXACT_SHOTS shots a
+row, where float64 cannot hold the statistics' operands, sample's rows
+are made by "%" from Python's integers.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (any subcommand whose --out file or stdout, say on a full disk, cannot be written).
@@ -26,9 +29,12 @@ import numpy as np
 from .output import emit, format_rows
 from .interferometer import interference_scan
 from .measurement import (
+    EXACT_SHOTS,
     MeasurementOrder,
+    outcome_moment_columns,
     outcome_moments,
     sequential_counts,
+    uniformity_columns,
     uniformity_test,
 )
 from .qalgebra import InvariantViolation, require_finite_angle, require_seed, require_shots
@@ -59,11 +65,12 @@ SAMPLE_COLUMNS = (
     "chi2_pass",
 )
 
-#: The sample row template: "%.17g" round-trips a double exactly, %d
-#: prints counts and the chi-square pass flag as 1 or 0.
+#: The sample row template of runs of more than EXACT_SHOTS shots a row:
+#: "%.17g" round-trips a double exactly, %d prints counts and the
+#: chi-square pass flag as 1 or 0.
 SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
 
-#: Grid points per block, and CSV lines per formatted chunk.  ``scan`` and
+#: Grid points per block, and CSV lines per chunk made by "%".  ``scan`` and
 #: ``sample`` build, evaluate, format and write one block before they start
 #: the next, so their memory does not grow with --steps.  A grid of up to
 #: this many phases, both orders of a 2001-point sample among them, stays
@@ -152,14 +159,14 @@ def _csv_chunks(n: int, rows: Iterable[tuple]) -> Iterator[str]:
 def cmd_scan(config: RunConfig) -> Iterator[str]:
     """Analytic scan: interference expectations plus uncertainty columns.
 
-    Yields the CSV text in chunks: the header line, then one chunk per grid
-    block, evaluated as columns by one interference scan and printed by
-    one format_rows call.  A product below its bound raises in its block,
-    after the chunks of the blocks before it.
+    Yields the CSV text in chunks: the header line, then the chunks of
+    each grid block, evaluated as columns by one interference scan and
+    printed by one format_rows call.  A product below its bound raises in
+    its block, after the chunks of the blocks before it.
     """
     yield ",".join(SCAN_COLUMNS) + "\n"
     for phis in config.grid():
-        yield format_rows(np.column_stack(interference_scan(config.phi0, phis)))
+        yield from format_rows(np.column_stack(interference_scan(config.phi0, phis)))
 
 
 def cmd_sample(config: RunConfig) -> Iterator[str]:
@@ -169,8 +176,9 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
     Each is one experiment on the child stream of the seed for its index,
     so its values do not depend on the rows before it, nor on the block
     that holds it.  Yields the CSV text in chunks: the header line, then
-    the lines of each grid block, formatted from one sampler call, which
-    draws every row's two +1 counts.
+    the lines of each grid block, from one sampler call, which draws
+    every row's two +1 counts, and one format_rows call.  Runs of more
+    than EXACT_SHOTS shots a row format their blocks with "%" instead.
     """
     values = [order.value for order in MeasurementOrder] if config.order == "both" else [config.order]
     shots, phi0 = config.shots, config.phi0
@@ -178,10 +186,19 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
     first_row = 0
     for grid in config.grid():
         phis = np.repeat(grid, len(values))
-        orders = np.tile(np.array(values, dtype=object), grid.size)
+        codes = np.tile(np.arange(len(values)), grid.size)
+        orders = np.array(values, dtype=object).take(codes)
         seeds = child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
         first_row += phis.size
         n_first, n_second = sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
+        if shots <= EXACT_SHOTS:
+            block = np.column_stack([
+                phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
+                *outcome_moment_columns(n_first, shots), *outcome_moment_columns(n_second, shots),
+                n_second, shots - n_second, *uniformity_columns(n_second, shots),
+            ])
+            yield from format_rows(block, text=(SAMPLE_COLUMNS.index("order"), values))
+            continue
         # The columns are read lazily: lists of them raised the peak RSS of
         # 4002 rows by ~0.15 MB.
         rows = (

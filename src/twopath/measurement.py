@@ -122,6 +122,44 @@ def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
     return (2 * n_plus - shots) / shots, 4 * n_plus * (shots - n_plus) / shots**2
 
 
+#: The most shots per row for which the column forms below equal the
+#: scalar ones: every operand, shots^2 included, is then an integer below
+#: 2^53, so float64 holds it exactly (94906265^2 < 2^53 < 94906266^2).
+EXACT_SHOTS = 94_906_265
+
+
+def _require_exact(shots: int) -> None:
+    if shots > EXACT_SHOTS:
+        raise InvariantViolation(f"column statistics need shots <= {EXACT_SHOTS}, got {shots}")
+
+
+def outcome_moment_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`outcome_moments` of each count in a column, as float64 columns.
+
+    For shots <= EXACT_SHOTS each is one correctly rounded division of
+    exact values, as Python's int / int is, so the two are equal.
+    """
+    _require_exact(shots)
+    k, n = n_plus.astype(np.float64), float(shots)
+    return (2 * k - n) / n, 4 * k * (n - k) / (n * n)
+
+
+def uniformity_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`uniformity_test` of the counts (n_plus, shots - n_plus) of each
+    row, as a float64 column and a bool column.
+
+    For shots <= EXACT_SHOTS, k - n/2 is a half-integer m/2 with m^2 < 2^53,
+    so its square is exact, as Python's ``** 2`` is, and every other step
+    is the scalar one's, rounded as it is; so the two are equal.
+    """
+    _require_exact(shots)
+    k, n = n_plus.astype(np.float64), float(shots)
+    expected = n / 2.0
+    plus, minus = k - expected, (n - k) - expected
+    chi2 = plus * plus / expected + minus * minus / expected
+    return chi2, chi2 < CHI2_CRITICAL_1PCT
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -287,6 +325,7 @@ def sequential_experiment(
     sufficient statistic; the moments follow from them
     (:func:`outcome_moments`).
     """
+    shots = require_shots(shots)
     seeds = np.array([rng.seed], dtype=np.uint64)
     (n1,), (n2,) = sequential_counts([order], [phi], [phi0], shots, seeds, rng.counter)
     rng.counter += 2 * shots

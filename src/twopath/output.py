@@ -2,7 +2,8 @@
 or a file replaced whole.
 
 :func:`format_rows` prints a float64 block as CSV lines, each value as
-``"%.17g" %`` prints it.  :func:`emit` is the one writer of every output
+``"%.17g" %`` prints it, and one column, if asked, as a text chosen per
+row; it prints both CSVs.  :func:`emit` is the one writer of every output
 byte of the CLI; the only other write is the error line on stderr.
 """
 
@@ -12,7 +13,7 @@ import functools
 import os
 import stat
 import sys
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,12 +61,17 @@ def emit(chunks: Iterable[str], path: str | None) -> None:
         raise
 
 
-#: Rows per sub-block of format_rows.  Its temporaries, some 200 bytes a
-#: value, grow with this.  On the 20001-point scan (2 vCPU Xeon), 256-row
-#: sub-blocks raised the peak RSS by ~1.1 MB over Python's "%"; 512 and
-#: 1024 rows took 7% and 8% less time than 256 but added ~2 and ~4 MB,
-#: and 128 rows took 9% more for 0.2 MB less.
-FORMAT_ROWS = 256
+#: Values per sub-block of format_rows, which takes as many whole rows as
+#: fit, at least one.  Its temporaries, some 200 bytes a value, grow with
+#: this.  On the 20001-point scan (2 vCPU Xeon), 256-row sub-blocks raised
+#: the peak RSS by ~1.1 MB over Python's "%"; 512 and 1024 rows took 7%
+#: and 8% less time than 256 but added ~2 and ~4 MB, and 128 rows took 9%
+#: more for 0.2 MB less.  1792 values are scan's 256 rows of 7 and
+#: sample's 149 of 12.  On the 4002-row sample of 1000 shots a row,
+#: 149-row sub-blocks took ~27 ms in-process against ~34 ms for "%", for
+#: ~0.1 MB more peak RSS; 256 rows were no faster at the same RSS, and 75
+#: rows took 4% more for ~0.1 MB less.
+FORMAT_VALUES = 1792
 
 # Each value's text is a subsequence of one canvas of _WIDTH bytes: a sign,
 # "0.000" (the lead of 0.0ddd), the 17 digits each followed by a ".", an
@@ -77,6 +83,10 @@ _WIDTH = 46
 #: prints them, then scientific notation with a two- and a three-digit exponent.
 _FIXED_LOW, _TWO_DIGIT, _THREE_DIGIT = -4, 21, 22
 _FORMS, _SIGNIFICANT = 23, 18
+#: The keep masks of the forms come first, for each sign; then, from row
+#: _PREFIX + L on, the first L bytes and the separator, for L below _SEP:
+#: a text of L bytes, or with L = 0 the separator after a value Python prints.
+_PREFIX = 2 * _FORMS * _SIGNIFICANT
 #: Decimal exponents of the values the formatter scales itself; the others
 #: (and zero, NaN, the infinities) stay within the Dekker product's range
 #: of exact splits and products, far from overflow and subnormals.
@@ -102,7 +112,7 @@ class _Tables(NamedTuple):
     exponents: np.ndarray  # (n, 4) ASCII sign and 3 digits of E
     quads: np.ndarray  # the ASCII digits of 0000-9999, four bytes in a uint32
     scores: np.ndarray  # per group j and value q: 4j + 1 + q's digits up to its last nonzero one; 1 for q = 0
-    keep: np.ndarray  # (2 * _FORMS * _SIGNIFICANT + 1, _WIDTH) masks, the last a separator alone
+    keep: np.ndarray  # (_PREFIX + _SEP, _WIDTH) masks: the forms', then the prefixes
     lengths: np.ndarray  # bytes kept per mask
 
 
@@ -161,7 +171,8 @@ def _tables() -> _Tables:
         | ((col >= _EXP) & (col < _SEP) & ~fixed & ((col != _EXP + 2) | (form == _THREE_DIGIT)))
         | (col == _SEP)
     ).reshape(-1, _WIDTH)
-    keep = np.vstack([keep, col == _SEP])
+    prefixes = (col < np.arange(_SEP)[:, None]) | (col == _SEP)
+    keep = np.vstack([keep, prefixes])
     tables = _Tables(p_hi, p_lo, *_split(p_hi), forms * _SIGNIFICANT, exponents,
                      quads.view(np.uint32).ravel(), scores.ravel(), keep, keep.sum(axis=1))
     for table in tables:  # shared by every call
@@ -183,24 +194,38 @@ def _canvas(columns: int) -> np.ndarray:
     return canvas
 
 
-def format_rows(block: np.ndarray) -> str:
-    """The rows of an (n, columns) float64 block as LF-terminated CSV lines.
+def format_rows(block: np.ndarray, text: tuple[int, Sequence[str]] | None = None) -> Iterator[str]:
+    """The rows of an (n, columns) float64 block as LF-terminated CSV lines,
+    yielded in chunks of whole rows, one per sub-block of FORMAT_VALUES.
 
-    The text is byte for byte ``(",".join(["%.17g"] * columns) + "\n") * n
-    % values``: each value's 17 significant digits are Python's correctly
-    rounded ones, with its trailing zeros, point and exponent as %g drops
-    or writes them.  Each finite value from 1e-280 to 1e281 is scaled by
-    10^(16 - E), for E its decimal exponent, in a Dekker product exact to
-    ~2^-47, and rounded to the 17-digit integer D.  Python's "%" prints
-    the rest: zeros aside, values out of that range, NaN and the
+    Joined, the chunks are byte for byte ``(",".join(["%.17g"] * columns)
+    + "\n") * n % values``: each value's 17 significant digits are Python's
+    correctly rounded ones, with its trailing zeros, point and exponent as
+    %g drops or writes them.  Each finite value from 1e-280 to 1e281 is
+    scaled by 10^(16 - E), for E its decimal exponent, in a Dekker product
+    exact to ~2^-47, and rounded to the 17-digit integer D.  Python's "%"
+    prints the rest: zeros aside, values out of that range, NaN and the
     infinities, and the values whose rounding the product cannot settle.
+
+    With ``text = (column, texts)``, that column holds indices into
+    ``texts``, ASCII strings of fewer than 45 bytes, and each row prints
+    its text there, as ``%s`` would.
     """
     n, columns = block.shape
-    return "".join(_format_values(block[lo:lo + FORMAT_ROWS], columns)
-                   for lo in range(0, n, FORMAT_ROWS))
+    texts = None
+    if text is not None:
+        column, strings = text
+        encoded = [s.encode("ascii") for s in strings]
+        if max(map(len, encoded)) >= _SEP:
+            raise ValueError(f"texts must be shorter than {_SEP} bytes, got {strings!r}")
+        texts = (column, np.array([len(b) for b in encoded]),
+                 np.frombuffer(b"".join(b.ljust(_SEP, b"\0") for b in encoded), np.uint8).reshape(-1, _SEP))
+    rows = max(1, FORMAT_VALUES // columns)
+    for lo in range(0, n, rows):
+        yield _format_values(block[lo:lo + rows], columns, texts)
 
 
-def _format_values(rows: np.ndarray, columns: int) -> str:
+def _format_values(rows: np.ndarray, columns: int, texts) -> str:
     t = _tables()
     x = rows.ravel()
     zero = x == 0.0
@@ -218,15 +243,20 @@ def _format_values(rows: np.ndarray, columns: int) -> str:
     scores = t.scores.take(quads + np.arange(0, 40000, 10000))
     significant = np.maximum(np.maximum(scores[:, 0], scores[:, 1]), np.maximum(scores[:, 2], scores[:, 3]))
     mask = t.form_rows.take(i) + significant + np.signbit(x) * (_FORMS * _SIGNIFICANT)
-    fallback = np.flatnonzero(~(ok | zero))
-    mask[fallback] = len(t.keep) - 1
+    fallback = np.flatnonzero(~(ok | zero))  # never a text's index, a small integer
+    mask[fallback] = _PREFIX
 
     canvas = np.empty((rows.shape[0], columns, _WIDTH), dtype=np.uint8)
     canvas[:] = _canvas(columns)
-    canvas = canvas.reshape(-1, _WIDTH)
-    canvas[:, _DIGITS] = lead + (48 - zero)  # a zero is scaled as 1
-    canvas[:, _DIGITS + 2:_EXP:2] = t.quads.take(quads).view(np.uint8)
-    canvas[:, _EXP + 1:_SEP] = t.exponents.take(i, axis=0)
+    flat = canvas.reshape(-1, _WIDTH)
+    flat[:, _DIGITS] = lead + (48 - zero)  # a zero is scaled as 1
+    flat[:, _DIGITS + 2:_EXP:2] = t.quads.take(quads).view(np.uint8)
+    flat[:, _EXP + 1:_SEP] = t.exponents.take(i, axis=0)
+    if texts is not None:
+        column, lengths, encoded = texts
+        index = rows[:, column].astype(np.intp)
+        canvas[:, column, :_SEP] = encoded.take(index, axis=0)
+        mask.reshape(-1, columns)[:, column] = _PREFIX + lengths.take(index)
     keep = t.keep.take(mask, axis=0)
     text = np.compress(keep.ravel(), canvas.ravel()).tobytes().decode("ascii")
 

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from twopath import measurement, rng
+from twopath.cli import SAMPLE_ROW
 from twopath.complementarity import canonical_phase
 from twopath.qalgebra import (
     InvariantViolation,
@@ -227,3 +228,16 @@ def grid_failing(seed, exc, after: int, cap: int = 1000):
             yield piece
 
     return grid, drawn
+
+
+def sample_lines(orders, phis, phi0s, shots, n_first, n_second) -> str:
+    """The sample CSV lines of these rows as ``SAMPLE_ROW % row`` prints
+    them, from Python's integers and the scalar statistics
+    (:func:`measurement.outcome_moments`, :func:`measurement.uniformity_test`)."""
+    lines = []
+    for order, phi, phi0, n1, n2 in zip(orders, phis, phi0s, map(int, n_first), map(int, n_second)):
+        row = (float(phi), float(phi0), order, shots,
+               *measurement.outcome_moments(n1, shots), *measurement.outcome_moments(n2, shots),
+               n2, shots - n2, *measurement.uniformity_test((n2, shots - n2)))
+        lines.append(SAMPLE_ROW % row + "\n")
+    return "".join(lines)

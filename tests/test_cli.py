@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from support import count_calls, force_parts, grid_failing, patch_everywhere
+from support import count_calls, force_parts, grid_failing, patch_everywhere, sample_lines
 import twopath
 from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
@@ -226,6 +227,64 @@ class TestSample:
         _, rows = parse_csv("".join(cmd_sample(config)))
         first_variance = float(rows[0][5])
         assert abs(first_variance - 1.0) <= variance_window(0.0, 1_000_000)
+
+
+class TestSampleRows:
+    """sample's rows against ``SAMPLE_ROW % row`` and the scalar statistics,
+    on crafted counts in place of the sampler's."""
+
+    @staticmethod
+    def crafted(monkeypatch, counts):
+        """Make cli.sequential_counts return counts(rows, shots); returns the
+        list of each call's rows, shots and counts."""
+        calls = []
+
+        def fake(orders, phis, phi0s, shots, seeds):
+            n_first, n_second = counts(len(phis), shots)
+            calls.append((orders, phis, phi0s, shots, n_first, n_second))
+            return n_first, n_second
+
+        monkeypatch.setattr(cli, "sequential_counts", fake)
+        return calls
+
+    def assert_rows_match(self, monkeypatch, config, counts):
+        percent = count_calls(monkeypatch, cli._csv_chunks)
+        calls = self.crafted(monkeypatch, counts)
+        text = "".join(cmd_sample(config))
+        header = ",".join(cli.SAMPLE_COLUMNS) + "\n"
+        assert text == header + "".join(sample_lines(*call) for call in calls)
+        # only runs beyond the exactness bound are printed by "%"
+        assert bool(percent) == (config.shots > measurement.EXACT_SHOTS)
+
+    @pytest.mark.parametrize("order", ["both", "wp"])
+    @pytest.mark.parametrize("shots", [1, 2, 1000, 94_906_265, 94_906_266, 2**53 + 1, 2**64])
+    def test_rows_around_the_exactness_bound(self, shots, order, monkeypatch):
+        assert 94_906_265**2 < 2**53 < 94_906_266**2
+        assert measurement.EXACT_SHOTS == 94_906_265
+
+        def counts(rows, shots):
+            draw = random.Random(shots)
+            n = [0, shots, shots // 2] + [draw.randrange(shots + 1) for _ in range(rows - 3)]
+            # the sampler's int64 cannot hold counts of 2^63 and more
+            dtype = np.int64 if shots < 2**63 else object
+            return np.array(n, dtype=dtype), np.array(n[::-1], dtype=dtype)
+
+        self.assert_rows_match(monkeypatch, RunConfig(phi0=0.6, steps=5, shots=shots, order=order), counts)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 94_906_265).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=4))))
+    @example((94_906_265, [(94_906_265, 0), (47_453_132, 47_453_133)]))
+    def test_rows_below_the_bound(self, case):
+        shots, pairs = case
+
+        def counts(rows, shots):
+            both_orders = pairs * 2
+            return tuple(np.array(column, dtype=np.int64) for column in zip(*both_orders))
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            config = RunConfig(phi0=-1.1, phi_start=-2.0, phi_end=3.0, steps=len(pairs), shots=shots)
+            self.assert_rows_match(monkeypatch, config, counts)
 
 
 class TestVerifyCommand:

@@ -26,6 +26,7 @@ import hashlib
 import pytest
 
 from support import force_parts
+from twopath import cli, output
 from twopath.cli import main
 
 GOLDEN = [
@@ -105,3 +106,15 @@ def test_sampled_digest_at_any_part_count(argv, digest, parts, capsys, monkeypat
     test_output_digest(argv, digest, capsys)
     # sample-wp's 4 rows of 1000 shots, less than one block, run as one part
     assert max(ran) == (1 if "wp" in argv else parts)
+
+
+def test_sample_wide_is_printed_without_percent(capsys, monkeypatch):
+    # every value of the benchmark's 4002 rows of 1000 shots is printed by
+    # format_rows in numpy: the "%" row path or a value left to Python would
+    # give the same bytes, only slower
+    def refused(*args):
+        raise AssertionError("printed by %")
+
+    monkeypatch.setattr(cli, "_csv_chunks", refused)
+    monkeypatch.setattr(output, "_splice", refused)
+    test_output_digest(*GOLDEN[IDS.index("bench-sample-wide")], capsys)

@@ -191,6 +191,15 @@ class TestShotsRule:
             assert qalgebra.require_shots(shots) == int(shots)
             assert type(qalgebra.require_shots(shots)) is int
 
+    def test_experiment_counts_shots_as_an_int(self):
+        # an int64 shot count would make the counter an int64, which wraps
+        # at 2^63 where an int grows
+        stream = RandomStream(1)
+        stream.counter = 2**63 - 4
+        stats = sequential_experiment(MeasurementOrder.P_THEN_W, 0.1, 0.2, np.int64(10), stream)
+        assert stream.counter == 2**63 + 16 and type(stream.counter) is int
+        assert stats.shots == 10 and type(stats.shots) is int
+
 
 class TestChunking:
     def test_chunk_boundary_matches_one_batch(self):
@@ -655,3 +664,11 @@ class TestUniformityTest:
     def test_rejects_empty_counts(self):
         with pytest.raises(InvariantViolation, match="at least one"):
             uniformity_test((0, 0))
+
+    def test_column_forms_refuse_shots_beyond_the_bound(self):
+        # above EXACT_SHOTS float64 cannot hold every operand exactly
+        counts = np.array([0, 1], dtype=np.int64)
+        for columns in (measurement.outcome_moment_columns, measurement.uniformity_columns):
+            columns(counts, measurement.EXACT_SHOTS)
+            with pytest.raises(InvariantViolation, match="column statistics need shots <= 94906265, got 94906266"):
+                columns(counts, measurement.EXACT_SHOTS + 1)

@@ -16,10 +16,23 @@ from twopath.interferometer import interference_scan
 from twopath.output import format_rows
 
 
-def percent_rows(block):
-    """What ``%`` makes of the block: the text format_rows must match."""
+def formatted(block, text=None):
+    """format_rows' chunks, joined."""
+    return "".join(format_rows(block, text))
+
+
+def percent_rows(block, text=None):
+    """What ``%`` makes of the block: the text format_rows must match, with
+    ``text = (column, texts)`` printing texts[index] in that column."""
     n, columns = block.shape
-    return ((",".join(["%.17g"] * columns) + "\n") * n) % tuple(block.ravel().tolist())
+    formats = ["%.17g"] * columns
+    values = block.tolist()
+    if text is not None:
+        column, texts = text
+        formats[column] = "%s"
+        for row in values:
+            row[column] = texts[int(row[column])]
+    return ((",".join(formats) + "\n") * n) % tuple(v for row in values for v in row)
 
 
 def assert_matches(values, columns=7):
@@ -28,7 +41,7 @@ def assert_matches(values, columns=7):
     values = np.asarray(values, dtype=np.float64).ravel()
     block = np.concatenate([values, np.full(-values.size % columns, 0.5)]).reshape(-1, columns)
     with np.errstate(all="raise"):
-        text = format_rows(block)
+        text = formatted(block)
     want = percent_rows(block)
     if text != want:
         got = text.split("\n")
@@ -64,7 +77,7 @@ class TestMatchesPercent:
     @example(np.array([[9.9999999999999997e-29, 1e-28, 1e16, 1e17, 1e-5, 1e-4, 123.0]]))
     def test_hypothesis_floats(self, block):
         with np.errstate(all="raise"):
-            text = format_rows(block)
+            text = formatted(block)
         assert text == percent_rows(block)
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
@@ -117,17 +130,30 @@ class TestMatchesPercent:
 
 class TestBlocks:
     def test_sub_blocks_join(self, monkeypatch):
-        block = np.linspace(-3.0, 3.0, 91).reshape(13, 7)
-        block[5, 2] = math.nan  # one value printed by Python, in a middle sub-block
-        want = percent_rows(block)
-        for rows in (1, 2, 5, 13, 14):
-            monkeypatch.setattr(output, "FORMAT_ROWS", rows)
-            assert format_rows(block) == want
+        # scan's 7 columns and sample's 12; a sub-block holds as many whole
+        # rows as its values allow, at least one
+        for columns in (7, 12):
+            block = np.linspace(-3.0, 3.0, 13 * columns).reshape(13, columns)
+            block[5, 2] = math.nan  # one value printed by Python, in a middle sub-block
+            want = percent_rows(block)
+            for rows in (1, 2, 5, 13, 14):
+                for values in (rows * columns, rows * columns + columns - 1):
+                    monkeypatch.setattr(output, "FORMAT_VALUES", values)
+                    assert formatted(block) == want
+            monkeypatch.setattr(output, "FORMAT_VALUES", columns - 1)
+            assert formatted(block) == want
+
+    def test_value_sized_sub_blocks(self):
+        # one chunk per sub-block: scan's 7 columns keep 256 rows to one,
+        # sample's 12 get 149
+        for columns, rows in ((7, [256, 44]), (12, [149, 149, 2])):
+            chunks = format_rows(np.ones((300, columns)))
+            assert [chunk.count("\n") for chunk in chunks] == rows
 
     def test_empty_and_single_column(self):
-        assert format_rows(np.empty((0, 7))) == ""
+        assert formatted(np.empty((0, 7))) == ""
         column = np.array([[0.25], [-0.0], [math.inf]])
-        assert format_rows(column) == "0.25\n-0\ninf\n"
+        assert formatted(column) == "0.25\n-0\ninf\n"
 
     def test_scan_values_are_printed_without_python(self, monkeypatch):
         # every value of the benchmark's scan is scaled in numpy: a formatter
@@ -136,19 +162,46 @@ class TestBlocks:
         phis = np.linspace(-3.14159, 3.14159, 20001)
         block = np.column_stack(interference_scan(0.6, phis))
         assert block.shape[1] == len(SCAN_COLUMNS)
-        assert format_rows(block) == percent_rows(block)
+        assert formatted(block) == percent_rows(block)
         assert splices == []
 
     def test_fallbacks_are_spliced_in_place(self):
         values = np.array([[math.nan, 1.5, math.inf], [1e-300, -math.inf, 2.5e300]])
-        assert format_rows(values) == "nan,1.5,inf\n1e-300,-inf,2.5000000000000001e+300\n"
+        assert formatted(values) == "nan,1.5,inf\n1e-300,-inf,2.5000000000000001e+300\n"
+
+    def test_text_column_between_fallback_values(self, monkeypatch):
+        # each row puts values that Python prints before and after its text,
+        # so a splice placed by the wrong text length moves bytes
+        texts = ("pw", "wp")
+        odd = [math.nan, math.inf, -math.inf, 1e300, -1e-300, 0.1]
+        rng = np.random.default_rng(3)
+        block = rng.choice(odd, size=(23, 12))
+        block[:, 2] = rng.integers(0, 2, 23)
+        block[0, 1], block[0, 3] = math.nan, math.inf
+        block[7, 3:] = 1.5  # a row with fallbacks before its text only
+        block[8, :2] = 0.25  # and one with fallbacks after it only
+        want = percent_rows(block, (2, texts))
+        for rows in (1, 4, 23):
+            monkeypatch.setattr(output, "FORMAT_VALUES", rows * 12)
+            assert formatted(block, text=(2, texts)) == want
+
+    @pytest.mark.parametrize("column", [0, 3, 6])
+    def test_texts_of_any_length(self, column):
+        texts = ("", "a", "bcd", "x" * 44)
+        block = np.tile([math.nan, 1e-300, 2.5, 0.0, 3.0, -math.inf, 0.5], (8, 1))
+        block[:, column] = np.arange(8) % 4
+        assert formatted(block, text=(column, texts)) == percent_rows(block, (column, texts))
+
+    def test_texts_longer_than_a_canvas_are_refused(self):
+        with pytest.raises(ValueError, match="shorter than 45 bytes"):
+            formatted(np.zeros((1, 2)), text=(0, ("x" * 45,)))
 
     def test_tables_are_built_on_first_use(self):
         output._tables.cache_clear()
         assert output._tables.cache_info().currsize == 0
         RunConfig()  # importing and configuring builds nothing
         assert output._tables.cache_info().currsize == 0
-        format_rows(np.ones((1, 1)))
+        formatted(np.ones((1, 1)))
         assert output._tables.cache_info().currsize == 1
 
     def test_powers_of_ten_are_exact(self):
