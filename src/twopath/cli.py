@@ -7,9 +7,8 @@ Subcommands:
 
 Every number in either CSV reads as "%.17g" prints it, and both are
 printed by output.format_rows in numpy: scan's doubles, and sample's
-columns with its order as text.  Above measurement.EXACT_SHOTS shots a
-row, where float64 cannot hold the statistics' operands, sample's rows
-are made by "%" from Python's integers.
+columns with its order as text.  sample takes at most MAX_SAMPLE_SHOTS
+shots a row, so that its float64 columns hold its counts exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (any subcommand whose --out file or stdout, say on a full disk, cannot be written).
@@ -21,21 +20,17 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .output import emit, format_rows
 from .interferometer import interference_scan
 from .measurement import (
-    EXACT_SHOTS,
     MeasurementOrder,
     outcome_moment_columns,
-    outcome_moments,
     sequential_counts,
     uniformity_columns,
-    uniformity_test,
 )
 from .qalgebra import InvariantViolation, require_finite_angle, require_seed, require_shots
 from .rng import child_seeds
@@ -65,16 +60,14 @@ SAMPLE_COLUMNS = (
     "chi2_pass",
 )
 
-#: The sample row template of runs of more than EXACT_SHOTS shots a row:
-#: "%.17g" round-trips a double exactly, %d prints counts and the
-#: chi-square pass flag as 1 or 0.
-SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
+#: The most shots a sample row may have: sample's CSV block is float64,
+#: which holds shots, n_plus and n_minus exactly only up to 2^53.
+MAX_SAMPLE_SHOTS = 2**53
 
-#: Grid points per block, and CSV lines per chunk made by "%".  ``scan`` and
-#: ``sample`` build, evaluate, format and write one block before they start
-#: the next, so their memory does not grow with --steps.  A grid of up to
-#: this many phases, both orders of a 2001-point sample among them, stays
-#: one sampler call.
+#: Grid points per block.  ``scan`` and ``sample`` build, evaluate, format
+#: and write one block before they start the next, so their memory does not
+#: grow with --steps.  A grid of up to this many phases, both orders of a
+#: 2001-point sample among them, stays one sampler call.
 BLOCK_POINTS = 2048
 
 EXIT_OK = 0
@@ -116,7 +109,10 @@ class RunConfig:
             raise InvariantViolation(
                 f"phi range {self.phi_start} to {self.phi_end} is wider than a double can hold"
             )
-        require_shots(self.shots)
+        if require_shots(self.shots) > MAX_SAMPLE_SHOTS:
+            raise InvariantViolation(
+                f"shots must be <= {MAX_SAMPLE_SHOTS} (2**53), got {self.shots}"
+            )
         require_seed(self.seed)
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
@@ -147,15 +143,6 @@ class RunConfig:
             yield block
 
 
-def _csv_chunks(n: int, rows: Iterable[tuple]) -> Iterator[str]:
-    """``n`` sample rows as LF-terminated lines, in chunks of at most
-    BLOCK_POINTS lines, each made by one ``%`` over the values of its rows."""
-    rows = iter(rows)
-    for lo in range(0, n, BLOCK_POINTS):
-        k = min(BLOCK_POINTS, n - lo)
-        yield ((SAMPLE_ROW + "\n") * k) % tuple(chain.from_iterable(islice(rows, k)))
-
-
 def cmd_scan(config: RunConfig) -> Iterator[str]:
     """Analytic scan: interference expectations plus uncertainty columns.
 
@@ -177,8 +164,8 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
     so its values do not depend on the rows before it, nor on the block
     that holds it.  Yields the CSV text in chunks: the header line, then
     the lines of each grid block, from one sampler call, which draws
-    every row's two +1 counts, and one format_rows call.  Runs of more
-    than EXACT_SHOTS shots a row format their blocks with "%" instead.
+    every row's two +1 counts, and one format_rows call; so does a run of
+    any --shots that RunConfig accepts.
     """
     values = [order.value for order in MeasurementOrder] if config.order == "both" else [config.order]
     shots, phi0 = config.shots, config.phi0
@@ -191,22 +178,12 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
         seeds = child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
         first_row += phis.size
         n_first, n_second = sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
-        if shots <= EXACT_SHOTS:
-            block = np.column_stack([
-                phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
-                *outcome_moment_columns(n_first, shots), *outcome_moment_columns(n_second, shots),
-                n_second, shots - n_second, *uniformity_columns(n_second, shots),
-            ])
-            yield from format_rows(block, text=(SAMPLE_COLUMNS.index("order"), values))
-            continue
-        # The columns are read lazily: lists of them raised the peak RSS of
-        # 4002 rows by ~0.15 MB.
-        rows = (
-            (phi, phi0, order, shots, *outcome_moments(n1, shots), *outcome_moments(n2, shots),
-             n2, shots - n2, *uniformity_test((n2, shots - n2)))
-            for phi, order, n1, n2 in zip(map(float, phis), orders, map(int, n_first), map(int, n_second))
-        )
-        yield from _csv_chunks(phis.size, rows)
+        block = np.column_stack([
+            phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
+            *outcome_moment_columns(n_first, shots), *outcome_moment_columns(n_second, shots),
+            n_second, shots - n_second, *uniformity_columns(n_second, shots),
+        ])
+        yield from format_rows(block, text=(SAMPLE_COLUMNS.index("order"), values))
 
 
 _GNUPLOT = """set datafile separator ','
@@ -246,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample_p = sub.add_parser("sample", help="sequential-measurement Monte Carlo (CSV)")
     add_common(sample_p, sampling=True)
-    sample_p.add_argument("--shots", type=int, default=100_000, help="shots per row")
+    sample_p.add_argument("--shots", type=int, default=100_000,
+                          help="shots per row, at most 2**53 (the CSV's counts are exact doubles)")
     sample_p.add_argument("--seed", type=int, default=1, help="base stream seed")
     sample_p.add_argument("--order", choices=("pw", "wp", "both"), default="both",
                           help="measurement order(s) to run")
@@ -284,7 +262,9 @@ def main(argv: list[str] | None = None) -> int:
             chunks, plot = cmd_sample(config), "using 1:6 with points"
         emit(chunks, args.out)
         if args.gnuplot:
-            emit([_GNUPLOT.format(path=args.out, plot=plot)], args.out + ".gp")
+            # inside a single-quoted gnuplot string, '' stands for one '
+            path = args.out.replace("'", "''")
+            emit([_GNUPLOT.format(path=path, plot=plot)], args.out + ".gp")
         return EXIT_OK
     except SystemExit as exc:  # argparse signals usage errors and --help
         return int(exc.code or 0)

@@ -122,24 +122,24 @@ def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
     return (2 * n_plus - shots) / shots, 4 * n_plus * (shots - n_plus) / shots**2
 
 
-#: The most shots per row for which the column forms below equal the
-#: scalar ones: every operand, shots^2 included, is then an integer below
+#: The most shots per row for which the column forms below compute in
+#: float64: every operand, shots^2 included, is then an integer below
 #: 2^53, so float64 holds it exactly (94906265^2 < 2^53 < 94906266^2).
 EXACT_SHOTS = 94_906_265
-
-
-def _require_exact(shots: int) -> None:
-    if shots > EXACT_SHOTS:
-        raise InvariantViolation(f"column statistics need shots <= {EXACT_SHOTS}, got {shots}")
 
 
 def outcome_moment_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`outcome_moments` of each count in a column, as float64 columns.
 
     For shots <= EXACT_SHOTS each is one correctly rounded division of
-    exact values, as Python's int / int is, so the two are equal.
+    exact values, as Python's int / int is, so the two are equal.  Above
+    it each row is :func:`outcome_moments` itself, from Python's integers;
+    such a row takes ~0.5 s to draw, so the loop costs nothing measurable.
     """
-    _require_exact(shots)
+    if shots > EXACT_SHOTS:
+        moments = [outcome_moments(k, shots) for k in n_plus.tolist()]
+        mean, variance = np.array(moments, dtype=np.float64).reshape(-1, 2).T
+        return mean, variance
     k, n = n_plus.astype(np.float64), float(shots)
     return (2 * k - n) / n, 4 * k * (n - k) / (n * n)
 
@@ -150,9 +150,14 @@ def uniformity_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.n
 
     For shots <= EXACT_SHOTS, k - n/2 is a half-integer m/2 with m^2 < 2^53,
     so its square is exact, as Python's ``** 2`` is, and every other step
-    is the scalar one's, rounded as it is; so the two are equal.
+    is the scalar one's, rounded as it is; so the two are equal.  Above
+    EXACT_SHOTS each row is :func:`uniformity_test` itself, row by row as
+    in :func:`outcome_moment_columns`.
     """
-    _require_exact(shots)
+    if shots > EXACT_SHOTS:
+        tests = [uniformity_test((k, shots - k)) for k in n_plus.tolist()]
+        chi2, passed = np.array(tests, dtype=np.float64).reshape(-1, 2).T
+        return chi2, passed.astype(bool)
     k, n = n_plus.astype(np.float64), float(shots)
     expected = n / 2.0
     plus, minus = k - expected, (n - k) - expected

@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from twopath import measurement, rng
-from twopath.cli import SAMPLE_ROW
 from twopath.complementarity import canonical_phase
 from twopath.qalgebra import (
     InvariantViolation,
@@ -228,6 +227,11 @@ def grid_failing(seed, exc, after: int, cap: int = 1000):
             yield piece
 
     return grid, drawn
+
+
+#: The oracle's template of a sample row: "%.17g" round-trips a double
+#: exactly, %d prints counts and the chi-square pass flag as 1 or 0.
+SAMPLE_ROW = "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%d"
 
 
 def sample_lines(orders, phis, phi0s, shots, n_first, n_second) -> str:

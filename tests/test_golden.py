@@ -18,7 +18,9 @@ sample-deep, sample-wide and verify-mc, the sampled ones at seed 1),
 whose bytes every refactor since the batched scan has kept; they were
 added unchanged, so the suite checks what had been compared by hand.
 The sampled digests hold whether the sampler runs its rows as one part
-or as two.
+or as two.  The two one-row runs of more than measurement.EXACT_SHOTS
+shots were pinned when the "%" row formatter that had printed such rows
+was deleted, at the bytes it printed.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ import hashlib
 import pytest
 
 from support import force_parts
-from twopath import cli, output
+from twopath import measurement, output
 from twopath.cli import main
 
 GOLDEN = [
@@ -110,11 +112,24 @@ def test_sampled_digest_at_any_part_count(argv, digest, parts, capsys, monkeypat
 
 def test_sample_wide_is_printed_without_percent(capsys, monkeypatch):
     # every value of the benchmark's 4002 rows of 1000 shots is printed by
-    # format_rows in numpy: the "%" row path or a value left to Python would
-    # give the same bytes, only slower
+    # format_rows in numpy: a value left to Python's "%" would give the
+    # same bytes, only slower
     def refused(*args):
         raise AssertionError("printed by %")
 
-    monkeypatch.setattr(cli, "_csv_chunks", refused)
     monkeypatch.setattr(output, "_splice", refused)
     test_output_digest(*GOLDEN[IDS.index("bench-sample-wide")], capsys)
+
+
+@pytest.mark.parametrize("shots, digest", [
+    ("94906266", "c1acafaf02399e6577e0c9c97b6704662e044c1adb6fac3eed7b23394e073bec"),
+    # odd, so shots^2 rounds in float64 and float64 statistics would differ
+    ("94906267", "39660d3912c4c8a261738735ef82db1d3afe7f4d423853cabe872b47bec33d48"),
+])
+def test_sample_above_the_exactness_bound(shots, digest, capsys):
+    # one real row of more than EXACT_SHOTS shots (~0.5 s), whose
+    # statistics the column forms take from the scalar ones
+    assert measurement.EXACT_SHOTS == 94_906_265
+    argv = ["sample", "--steps", "1", "--from", "0.5", "--to", "0.5", "--phi0", "0.1",
+            "--order", "wp", "--shots", shots, "--seed", "5"]
+    test_output_digest(argv, digest, capsys)

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import random
 import re
 import sys
 import threading
@@ -18,6 +19,7 @@ from twopath.measurement import (
     CHUNK_SHOTS,
     MeasurementOrder,
     measure,
+    outcome_moments,
     sequential_counts,
     sequential_experiment,
     uniformity_test,
@@ -665,10 +667,18 @@ class TestUniformityTest:
         with pytest.raises(InvariantViolation, match="at least one"):
             uniformity_test((0, 0))
 
-    def test_column_forms_refuse_shots_beyond_the_bound(self):
-        # above EXACT_SHOTS float64 cannot hold every operand exactly
-        counts = np.array([0, 1], dtype=np.int64)
-        for columns in (measurement.outcome_moment_columns, measurement.uniformity_columns):
-            columns(counts, measurement.EXACT_SHOTS)
-            with pytest.raises(InvariantViolation, match="column statistics need shots <= 94906265, got 94906266"):
-                columns(counts, measurement.EXACT_SHOTS + 1)
+    # float64 arithmetic would give the scalar values at the even counts
+    # here, but not at the odd ones, whose squares it rounds
+    @pytest.mark.parametrize("shots", [94_906_266, 94_906_267, 2**53 - 1, 2**53])
+    def test_column_forms_equal_the_scalar_forms_beyond_the_bound(self, shots):
+        # above EXACT_SHOTS float64 cannot hold every shots^2, so each row is
+        # the scalar form's, from Python's integers
+        assert shots > measurement.EXACT_SHOTS
+        draw = random.Random(shots)
+        counts = [0, shots, shots // 2] + [draw.randrange(shots + 1) for _ in range(200)]
+        column = np.array(counts, dtype=np.int64)
+        mean, variance = measurement.outcome_moment_columns(column, shots)
+        assert list(zip(mean.tolist(), variance.tolist())) == [outcome_moments(k, shots) for k in counts]
+        chi2, passed = measurement.uniformity_columns(column, shots)
+        assert passed.dtype == bool
+        assert list(zip(chi2.tolist(), passed.tolist())) == [uniformity_test((k, shots - k)) for k in counts]

@@ -140,6 +140,30 @@ def test_every_import_is_used():
     assert unused == [], f"imported but never used: {unused}"
 
 
+def test_one_number_format():
+    # Every number leaves through output.format_rows, which prints it as
+    # "%.17g" would; a second "%.17g" template elsewhere would be a second
+    # CSV formatter.  Docstrings may name the format.
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "output.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        found += [
+            f"{module.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "%.17g" in node.value and id(node) not in docstrings
+        ]
+    assert found == [], f"string constants with %.17g outside output.py: {found}"
+
+
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     argv = [sys.executable, str(ROOT / "scripts" / name), *args]
