@@ -10,15 +10,16 @@ out 50/50, which is complementarity seen operationally.
 One sampler runs every such experiment: a row of :func:`sequential_counts`
 is one experiment with its own order, phase, offset and stream seed, and
 the rows are drawn as blocks of :func:`rng.uniform_grid`, keeping two +1
-counts per row.  The draws stay 53-bit integers, one lane for the first
+counts per row.  The draws stay raw 64-bit words, one lane for the first
 draw of each shot and one for the second, and each row's Born odds become
-integer thresholds once (:func:`rng.draw_thresholds`), so a shot costs two
-integer comparisons.  :func:`sequential_experiment` is its one-row call.
+64-bit thresholds once (:func:`rng.draw_thresholds`), so one pass compares
+both draws of a block's shots.  :func:`sequential_experiment` is its
+one-row call.
 
 A call splits its rows into contiguous parts, one per usable CPU but no
 more parts than rows or than blocks of CHUNK_SHOTS shots, and draws each
 part on a thread of its own; numpy's uint64 ufuncs release the GIL while
-they mix.  Each part holds its own two block buffers and writes only its
+they mix.  Each part holds its own block buffers and writes only its
 own rows' counts, and every row draws all of its shots from its own
 stream, so the counts do not depend on the number of parts.  A call of
 one row, or of fewer shots than one block, starts no thread.
@@ -48,28 +49,18 @@ from .rng import RandomStream, draw_thresholds, uniform_grid
 CHI2_CRITICAL_1PCT = 6.635
 
 #: Shots per block of the sampler, in every part of a call.  A block
-#: draws at most 49152 integers, two lanes of CHUNK_SHOTS, into two 384 KB
-#: buffers, which with the 192 KB table of steps stay in a core's L2
-#: cache: the whole rows of max(1, CHUNK_SHOTS // shots) streams, or one
-#: piece of a row of more shots.  Each part holds its own buffers, so a
-#: call takes ~1 MB per part.  On a Xeon with 2 MB of L2 per core, blocks
-#: of 2^16 and 2^17 shots ran slower in one part, and blocks of 2^12
-#: shots paid more in per-block overhead.  Two parts need larger blocks
-#: than one: every numpy call hands the GIL over, and below ~20K shots a
-#: block the handover costs as much as the call.  `sample` over 3 phases
-#: x 2 orders x 4e6 shots, median of 21 runs on a 2-vCPU VM:
+#: draws at most 49152 words, two lanes of CHUNK_SHOTS, into two 384 KB
+#: buffers and compares them into a 48 KB bool one, which with the 192 KB
+#: table of steps stay in a core's L2 cache: the whole rows of
+#: max(1, CHUNK_SHOTS // shots) streams, or one piece of a row of more
+#: shots.  A part holds its own buffers, ~1 MB.  Two parts want larger
+#: blocks: every numpy call hands the GIL over.
+#: `sequential_counts` of 3 phases x 2 orders x 4e6 shots, median of 3 x 21
+#: calls on a 2-vCPU VM, in ms (2 x 32768 peaked ~0.7 MB above 2 x 24576):
 #:
-#:   parts x shots per block   1 x 16384   1 x 24576   1 x 32768
-#:                             0.222 s     0.206 s     0.206 s
-#:                             2 x 16384   2 x 20480   2 x 24576   2 x 32768
-#:                             0.205 s     0.168 s     0.150 s     0.141 s
-#:
-#: 2 x 32768 peaked ~1.4 MB above one part of 32768, 2 x 24576 ~0.7 MB.
-#: Earlier on the same VM: packing short rows into one block took `sample`
-#: over 2001 phases x 2 orders x 1000 shots from 0.35 to 0.13 s, and
-#: comparing the integer lanes against integer thresholds, with no
-#: conversion to doubles and no per-shot select of the second odds, took
-#: the 4e6-shot run from ~350 to ~180 ms of sampling.
+#:   parts \ shots per block   16384   24576   32768
+#:   1                         96.6    90.2    91.1
+#:   2                         78.8    58.2    54.6
 CHUNK_SHOTS = 3 << 13
 
 
@@ -231,20 +222,19 @@ def sequential_counts(
 
     The rows are drawn as blocks of :func:`rng.uniform_grid`, of at most
     CHUNK_SHOTS shots each in two lanes, so memory does not grow with
-    shots; the odds are compared as :func:`rng.draw_thresholds`, which
-    decides every draw exactly as comparing its double would.  Each
-    row's first-outcome odds come from its state of
-    :func:`balanced_amplitudes` through np.vdot, as :func:`measure` gets
-    them; the second-outcome odds depend only on the order, phi0 and which
-    eigenvector the first projection selected.  So the path eigenbasis is
-    solved once per call and the wave eigenbasis once per distinct
-    (order, phi0), in one pass over that order's rows each.
+    shots; one pass compares both lanes with :func:`rng.draw_thresholds`,
+    which decides every raw word as comparing its draw would.  Each row's
+    first-outcome odds come from its state of :func:`balanced_amplitudes`
+    through np.vdot, as :func:`measure` gets them; the second-outcome odds
+    depend only on the order, phi0 and which eigenvector the first
+    projection selected.  So the path eigenbasis is solved once per call
+    and the wave eigenbasis once per distinct (order, phi0), in one pass
+    over that order's rows each.
 
     The rows are counted in min(usable CPUs, rows, blocks) contiguous
-    parts, the first in the calling thread and each other on its own
-    thread (see the module docstring); a part that raises stops the
-    others at their next block; once every thread has ended, the calling
-    thread's own exception is raised here, else the others' first.
+    parts, the first in the calling thread; a part that raises stops the
+    others at their next block, and once every thread has ended the
+    calling thread's own exception is raised, else the others' first.
     """
     shots = require_shots(shots)
     lengths = (len(orders), len(phis), len(phi0s), len(seeds))
@@ -276,36 +266,43 @@ def sequential_counts(
     unmatched = np.flatnonzero(np.isnan(p_first))
     if unmatched.size:
         raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")
-    k_first, k_plus, k_minus = draw_thresholds(odds)
-    # The second outcome is +1 below the lower after-odds threshold whatever
-    # the first was, and below the higher one after the first outcome whose
-    # odds are the higher.  Mutually unbiased bases make the two odds equal
-    # up to rounding, so most rows have no band between them at all.
-    k_low, k_high = np.minimum(k_plus, k_minus), np.maximum(k_plus, k_minus)
-    banded, plus_is_higher = k_low != k_high, k_plus > k_minus
-    n_first = np.zeros(len(k_first), dtype=np.int64)
-    n_second = np.zeros_like(n_first)
+    # The second outcome is +1 below the lower after-odds whatever the first
+    # was, and below the higher after the first outcome whose odds they are;
+    # mutually unbiased bases make most rows' two thresholds equal.
+    t, certain = draw_thresholds(odds)
+    plus_is_higher = (t[1] > t[2])[:, None]
+    t[1:] = np.minimum(t[1], t[2]), np.maximum(t[1], t[2])
+    certain[1:] = certain[1] & certain[2], certain[1] | certain[2]
+    banded = t[1] != t[2]
+    # a band's last word below T_high (>= 2^11), or 2^64 - 1 where certain
+    high_last = (t[2] - ~certain[2])[:, None]
+    thresholds, certain = t[:2].T[:, :, None], certain[:2].T
+    n_first, n_second = np.zeros((2, len(amps)), dtype=np.int64)
 
     def count(r0, r1, stop):
-        for lo, hi, k in uniform_grid(seeds[r0:r1], counter, shots, CHUNK_SHOTS, 2):
+        below = np.empty(2 * CHUNK_SHOTS, dtype=bool)
+        any_certain, group = certain[r0:r1].any(), None
+        for lo, hi, raw in uniform_grid(seeds[r0:r1], counter, shots, CHUNK_SHOTS, 2):
             if stop.is_set():
                 return
-            lo, hi = r0 + lo, r0 + hi
-            first_plus = k[:, 0] < k_first[lo:hi, None]
-            second_plus = k[:, 1] < k_low[lo:hi, None]
-            if banded[lo:hi].any():
-                second_plus |= (k[:, 1] < k_high[lo:hi, None]) & (
-                    first_plus == plus_is_higher[lo:hi, None]
-                )
+            if lo != group:  # new rows: what their pieces share
+                group, rows = lo, slice(r0 + lo, r0 + hi)
+                limits, band = thresholds[rows], banded[rows].any()
+                # a certain lane has no uint64 threshold: set it after
+                fixed = np.argwhere(certain[rows]).tolist() if any_certain else ()
+            block = np.less(raw, limits, out=below[:raw.size].reshape(raw.shape))
+            for row, lane in fixed:
+                block[row, lane] = True
+            if band:
+                block[:, 1] |= (raw[:, 1] <= high_last[rows]) & (block[:, 0] == plus_is_higher[rows])
             if hi - lo == 1:
-                # the flat count takes ~4 us per block, the axis form ~25 us
-                n_first[lo] += np.count_nonzero(first_plus)
-                n_second[lo] += np.count_nonzero(second_plus)
+                # flat counts take ~1 us a lane, the axis form ~15 us a block
+                n_first[rows.start] += np.count_nonzero(block[0, 0])
+                n_second[rows.start] += np.count_nonzero(block[0, 1])
             else:
-                n_first[lo:hi] = np.count_nonzero(first_plus, axis=1)
-                n_second[lo:hi] = np.count_nonzero(second_plus, axis=1)
+                n_first[rows], n_second[rows] = np.count_nonzero(block, axis=2).T
 
-    n_rows = len(k_first)
+    n_rows = len(amps)
     parts = max(1, min(_usable_cpus(), n_rows, -(-n_rows * shots // CHUNK_SHOTS)))
     bounds = [n_rows * part // parts for part in range(parts + 1)]
     _run_parts(count, list(zip(bounds, bounds[1:])))

@@ -9,12 +9,12 @@ same seed reproduce the same stream exactly.
 A draw is the double k * 2^-53 of the 53-bit integer k = raw >> 11.
 Because a draw is a pure function of (seed, counter), many streams can be
 drawn at once: :func:`uniform_grid` evaluates a block of rows as one
-(rows, lanes, draws) array of those integers, with the same bits as each
+(rows, lanes, draws) array of raw words, with the same bits as each
 row's own stream, dealt round-robin into `lanes` lanes so that the j-th
 draw of every tuple is contiguous.  A batch of one stream
 (:meth:`RandomStream.uniforms`) is its one-row, one-lane, one-block case.
-:func:`draw_thresholds` turns probabilities into integer thresholds, so a
-caller compares the integers and never converts them to doubles.
+:func:`draw_thresholds` turns probabilities into 64-bit thresholds, so a
+caller compares raw words as they are.
 """
 
 from __future__ import annotations
@@ -81,17 +81,16 @@ def uniform_grid(
     seeds: np.ndarray, counter: int, n: int, size: int, lanes: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The next n tuples of `lanes` draws of each stream in the uint64
-    array `seeds`, as blocks of at most `size` tuples, in 53-bit integers.
+    array `seeds`, as blocks of at most `size` tuples, in raw 64-bit words.
 
-    Yields (lo, hi, k), where k is a (hi - lo, lanes, c) uint64 array of
-    the next c tuples of streams lo .. hi-1: k[r, j, s] is k = raw >> 11 of
-    stream position counter + lanes * (done + s) + j + 1 of stream lo + r,
-    where done counts the tuples of earlier pieces of the row; its draw is
-    k * 2^-53, bit-identical to the stream's own batch.  So lane j holds
-    the j-th draw of each tuple, contiguous in memory.  A block holds
-    max(1, size // n) whole rows; a row of more than `size` tuples is a
-    block of its own, yielded in pieces of `size` tuples (the last may be
-    shorter).
+    Yields (lo, hi, raw), where raw is a (hi - lo, lanes, c) uint64 array
+    of the next c tuples of streams lo .. hi-1: raw[r, j, s] is the word at
+    position counter + lanes * (done + s) + j + 1 of stream lo + r, where
+    done counts the tuples of earlier pieces of the row; its draw
+    (raw >> 11) * 2^-53 is bit-identical to the stream's own batch.  So
+    lane j holds the j-th draw of each tuple, contiguous in memory.  A block
+    holds max(1, size // n) whole rows; a longer row is a block of its own,
+    yielded in pieces of `size` tuples (the last may be shorter).
 
     Every block is computed in place in the same two uint64 buffers,
     allocated once per call, so a block is valid only until the next is
@@ -115,13 +114,15 @@ def uniform_grid(
     t = _aligned_empty(per_block * lanes * cols)
     for lo in range(0, len(seeds), per_block):
         hi = min(lo + per_block, len(seeds))
+        starts = seeds[lo:hi, None, None] + lane_steps[:, None]
         for done in range(0, n, cols):
             c = min(cols, n - done)
-            zb = z[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
-            tb = t[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
+            if done == 0 or c < cols:  # views: whole pieces, then the last
+                zb = z[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
+                tb = t[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
             # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod 2^64
             offset = np.uint64((counter + lanes * done) * _GOLDEN & _MASK64)
-            np.add((seeds[lo:hi] + offset)[:, None, None] + lane_steps[:, None], steps[:c], out=zb)
+            np.add(starts + offset, steps[:c], out=zb)
             np.right_shift(zb, np.uint64(30), out=tb)
             zb ^= tb
             zb *= _MIX_A_U64
@@ -130,19 +131,20 @@ def uniform_grid(
             zb *= _MIX_B_U64
             np.right_shift(zb, np.uint64(31), out=tb)
             zb ^= tb
-            zb >>= np.uint64(11)
             yield lo, hi, zb
 
 
-def draw_thresholds(p) -> np.ndarray:
-    """The uint64 thresholds K = ceil(p * 2^53) of the probabilities `p`.
+def draw_thresholds(p) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 thresholds T = ceil(p * 2^53) * 2^11 of the probabilities
+    `p`, and where p >= 1, which is certain.
 
-    For every 53-bit integer k of :func:`uniform_grid`, k < K exactly when
-    its draw k * 2^-53 < p: both products by 2^53 are exact, and k is an
-    integer.  This holds for p above 1 too (K > 2^53 - 1, so every k is
-    below it), as a squared overlap may round to just over 1.
-    """
-    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    A raw word is below T exactly when its draw (raw >> 11) * 2^-53 is
+    below p.  Every word is below a certain p (a squared overlap may round
+    to just over 1) but not below any uint64: its T is 2^64 - 1, above every
+    other, and the caller sets its comparisons."""
+    k = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    certain = k > np.uint64(2**53 - 1)
+    return np.where(certain, np.uint64(_MASK64), k * np.uint64(1 << 11)), certain
 
 
 class RandomStream:
@@ -170,15 +172,16 @@ class RandomStream:
         return (z >> 11) * _U53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1) in one array; advances the counter by n."""
+        """n draws (raw >> 11) * 2^-53 in one array; advances the counter by n."""
         if n < 0:
             raise InvariantViolation(f"batch size must be non-negative, got {n!r}")
         if n == 0:
             return np.empty(0)
-        _, _, k = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n, 1))
+        _, _, raw = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n, 1))
         self.counter += n
         # in place, so a batch allocates no third array of n entries
-        return np.multiply(k[0, 0], _U53, out=k[0, 0].view(np.float64))
+        k = np.right_shift(raw[0, 0], np.uint64(11), out=raw[0, 0])
+        return np.multiply(k, _U53, out=k.view(np.float64))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self.counter})"

@@ -397,13 +397,15 @@ class TestBand:
     """The second outcome's two after-odds differ by rounding at some
     offsets, so a one-k band between their thresholds takes the higher one
     only after the matching first outcome.  A real draw lands in it with
-    probability 2^-53, so these tests feed the sampler crafted draws."""
+    probability 2^-53, so these tests feed the sampler crafted raw words,
+    none with its low 11 bits all zero, so that the words must be compared
+    as the draws (raw >> 11) * 2^-53 they stand for."""
 
     PHI = 0.3
 
     def crafted_rows(self, rows):
-        """For (order, phi0) rows: the crafted (rows, 2, 7) draws, the
-        thresholds of each row's after-odds, and the counts of the
+        """For (order, phi0) rows: the crafted (rows, 2, 7) raw words, the
+        53-bit thresholds of each row's after-odds, and the counts of the
         double-domain rule u2 < where(first_plus, pa, pb)."""
         draws, thresholds, want = [], [], []
         for order, phi0 in rows:
@@ -416,9 +418,12 @@ class TestBand:
             # threshold there moves the count
             first = [0] * 3 + [2**53 - 1] * 4
             second = [low - 1, low, high, low - 1, low, low, high]
-            draws.append([first, second])
+            # each word's k, then low bits from one to all eleven set
+            words = [[k << 11 | bits for k, bits in zip(lane, (1, 0x7FF, 0x400, 0x2A5, 0x7FF, 1, 0x3FF))]
+                     for lane in (first, second)]
+            draws.append(words)
             thresholds.append((ka, kb))
-            u1, u2 = (np.array(lane) * 2.0**-53 for lane in (first, second))
+            u1, u2 = ((np.array(lane, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53 for lane in words)
             first_plus = u1 < p1
             assert first_plus.tolist() == [True] * 3 + [False] * 4
             second_plus = u2 < np.where(first_plus, pa, pb)
@@ -457,6 +462,40 @@ class TestBand:
         want = [(2 * want[0][0], 2 * want[0][1])]
         pieces = [(0, 1, start, min(start + 5, 14)) for start in range(0, 14, 5)]
         assert self.count(monkeypatch, rows, draws, pieces) == want
+
+
+class TestCertainOutcomes:
+    """At phi = phi0 the wave-first odds are exactly 1, so K = 2^53 and no
+    uint64 threshold lies above every raw word; the sampler sets such
+    lanes after the compare."""
+
+    SEED = 5
+    # a certain first outcome, and a row with a band (TestBand)
+    ROWS = [(MeasurementOrder.W_THEN_P, 3.0, 3.0), (MeasurementOrder.P_THEN_W, 0.3, 0.1)]
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_certain_row_beside_a_banded_row(self, monkeypatch, parts):
+        ran = force_parts(monkeypatch, parts)
+        odds = count_calls(monkeypatch, rng.draw_thresholds)
+        orders, phis, phi0s = zip(*self.ROWS)
+        seeds = child_seeds(self.SEED, np.arange(len(self.ROWS), dtype=np.uint64))
+        shots = CHUNK_SHOTS + 1
+        n_first, n_second = sequential_counts(orders, phis, phi0s, shots, seeds)
+        assert ran == [parts]
+        (_, t_low, t_high), (certain, _, _) = rng.draw_thresholds(*odds[0])
+        assert certain.tolist() == [True, False] and t_low[1] != t_high[1]
+        assert n_first[0] == shots
+        for row, (order, phi, phi0) in enumerate(self.ROWS):
+            want = reference_counts(order, phi, phi0, shots, RandomStream(child_seeds(self.SEED, row)))
+            assert (int(n_first[row]), int(n_second[row])) == want, row
+
+    def test_the_largest_word_is_below_certain_odds(self, monkeypatch):
+        # raw 2^64 - 1 is below no uint64 threshold, but its draw
+        # 1 - 2^-53 is below p = 1 (and not below the second odds, ~1/2)
+        words = np.full((1, 2, 5), 2**64 - 1, dtype=np.uint64)
+        monkeypatch.setattr(measurement, "uniform_grid", lambda *args: iter([(0, 1, words)]))
+        n_first, n_second = sequential_counts(["wp"], [3.0], [3.0], 5, np.zeros(1, dtype=np.uint64))
+        assert (int(n_first[0]), int(n_second[0])) == (5, 0)
 
 
 class TestLaneFaults:

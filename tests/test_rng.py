@@ -1,5 +1,7 @@
 """Counter-based stream: reproducibility, batching, derivation, statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ KNOWN_RAW = [
 ]
 
 
-def reference_scalar_stream(seed: int, n: int) -> list[float]:
-    """Straightforward reimplementation used as the oracle for batching."""
+def reference_raw_stream(seed: int, n: int) -> list[int]:
+    """Straightforward reimplementation used as the oracle for batching:
+    the first n raw 64-bit outputs of the stream."""
     mask = (1 << 64) - 1
     out = []
     state = seed
@@ -30,9 +33,13 @@ def reference_scalar_stream(seed: int, n: int) -> list[float]:
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        out.append((z >> 11) * 2.0**-53)
+        out.append(z ^ (z >> 31))
     return out
+
+
+def reference_scalar_stream(seed: int, n: int) -> list[float]:
+    """The first n draws of the stream, (raw >> 11) * 2^-53."""
+    return [(raw >> 11) * 2.0**-53 for raw in reference_raw_stream(seed, n)]
 
 
 class TestKnownAnswers:
@@ -91,12 +98,12 @@ class TestUniformChunks:
         # starts mid-stream, ends on a short piece, and wraps mod 2^64
         seed = (1 << 64) - 1
         seeds = np.array([seed], dtype=np.uint64)
-        pieces = [(k[0, 0] * 2.0**-53).tolist() for _, _, k in uniform_grid(seeds, 1, 25, 10, 1)]
+        pieces = [raw[0, 0].tolist() for _, _, raw in uniform_grid(seeds, 1, 25, 10, 1)]
         assert [len(piece) for piece in pieces] == [10, 10, 5]
-        assert sum(pieces, []) == reference_scalar_stream(seed, 26)[1:]
+        assert sum(pieces, []) == reference_raw_stream(seed, 26)[1:]
         a = RandomStream(seed)
         a.uniform()
-        assert a.uniforms(25).tolist() == sum(pieces, [])
+        assert a.uniforms(25).tolist() == reference_scalar_stream(seed, 26)[1:]
         assert a.counter == 26
 
     def test_pieces_reuse_one_buffer(self):
@@ -128,16 +135,16 @@ class TestUniformGrid:
         seeds = np.array(self.SEEDS, dtype=np.uint64)
         got = {lo: [] for lo in range(len(seeds))}
         shapes = []
-        for lo, hi, k in uniform_grid(seeds, 3, n, size, 1):
-            shapes.append((lo, hi, k.shape[2]))
-            assert k.shape[:2] == (hi - lo, 1)
-            assert k.dtype == np.uint64
-            assert k.ctypes.data % 64 == 0
+        for lo, hi, raw in uniform_grid(seeds, 3, n, size, 1):
+            shapes.append((lo, hi, raw.shape[2]))
+            assert raw.shape[:2] == (hi - lo, 1)
+            assert raw.dtype == np.uint64
+            assert raw.ctypes.data % 64 == 0
             for row in range(lo, hi):
-                got[row] += (k[row - lo, 0] * 2.0**-53).tolist()
+                got[row] += raw[row - lo, 0].tolist()
         assert shapes == blocks
         for row, seed in enumerate(self.SEEDS):
-            assert got[row] == reference_scalar_stream(seed, 3 + n)[3:]
+            assert got[row] == reference_raw_stream(seed, 3 + n)[3:]
 
     @pytest.mark.parametrize("lanes", [2, 3])
     @pytest.mark.parametrize("n, size", [(7, 16), (25, 10)])
@@ -146,13 +153,13 @@ class TestUniformGrid:
         # the pieces of a row longer than a block
         seeds = np.array(self.SEEDS, dtype=np.uint64)
         got = {lo: [] for lo in range(len(seeds))}
-        for lo, hi, k in uniform_grid(seeds, 3, n, size, lanes):
-            assert k.shape[:2] == (hi - lo, lanes)
-            assert k.strides[2] == k.itemsize  # a lane is contiguous
+        for lo, hi, raw in uniform_grid(seeds, 3, n, size, lanes):
+            assert raw.shape[:2] == (hi - lo, lanes)
+            assert raw.strides[2] == raw.itemsize  # a lane is contiguous
             for row in range(lo, hi):
-                got[row] += (k[row - lo].T.ravel() * 2.0**-53).tolist()
+                got[row] += raw[row - lo].T.ravel().tolist()
         for row, seed in enumerate(self.SEEDS):
-            assert got[row] == reference_scalar_stream(seed, 3 + lanes * n)[3:]
+            assert got[row] == reference_raw_stream(seed, 3 + lanes * n)[3:]
 
     def test_blocks_reuse_one_buffer(self):
         seeds = np.arange(10, dtype=np.uint64)
@@ -166,33 +173,50 @@ class TestUniformGrid:
 
 
 def threshold_mismatches(thresholds, below):
-    """The (p, k) pairs where `below(k, K)` on the thresholds K of p
-    disagrees with the draw's own comparison k * 2^-53 < p."""
+    """The (p, raw) pairs where `below(raw, T, certain)` on the thresholds
+    (T, certain) of p disagrees with the draw's own comparison
+    (raw >> 11) * 2^-53 < p, for raw words at and around T and at the ends."""
     probabilities = [
         0.0, 5e-324, 2.0**-53, 0.3, float.fromhex("0x1.ffffffffffffep-2"), 0.5,
         1 - 2.0**-53, 1.0, 1 + 2.0**-52,
     ]
+    limits, certain = thresholds(np.array(probabilities))
     mismatches = []
-    for p, big_k in zip(probabilities, thresholds(np.array(probabilities)).tolist()):
-        for k in (0, big_k - 1, big_k, big_k + 1, 2**53 - 1):
-            if not 0 <= k < 2**53:
+    for p, t, sure in zip(probabilities, limits.tolist(), certain.tolist()):
+        big_k = math.ceil(math.ldexp(p, 53))
+        for raw in sorted({0, t - 1, t, (big_k - 1) << 11 | 0x7FF, 2**64 - 1}):
+            if not 0 <= raw < 2**64:
                 continue
-            if bool(below(np.uint64(k), np.uint64(big_k))) != (k * 2.0**-53 < p):
-                mismatches.append((p, k))
+            if bool(below(np.uint64(raw), np.uint64(t), sure)) != ((raw >> 11) * 2.0**-53 < p):
+                mismatches.append((p, raw))
     return mismatches
+
+
+def below(raw, t, certain):
+    """The sampler's rule: a raw word is below its threshold, or the odds are certain."""
+    return raw < t or certain
 
 
 class TestDrawThresholds:
     def test_integer_comparison_equals_the_draw_comparison(self):
-        assert threshold_mismatches(draw_thresholds, lambda k, big_k: k < big_k) == []
-        # p just above 1, as a rounded squared overlap may be: every draw is below
-        assert draw_thresholds(np.array([1 + 2.0**-52])).tolist() == [2**53 + 2]
-        # the same check catches a rounding down and an inclusive comparison
-        def floored(p):
-            return np.floor(np.ldexp(p, 53)).astype(np.uint64)
+        assert threshold_mismatches(draw_thresholds, below) == []
+        # p at or just above 1, as a rounded squared overlap may be, is
+        # certain: T = 2^64 does not fit, so it is flagged
+        t, certain = draw_thresholds(np.array([1 - 2.0**-53, 1.0, 1 + 2.0**-52]))
+        assert t.tolist() == [2**64 - 2**11, 2**64 - 1, 2**64 - 1]
+        assert certain.tolist() == [False, True, True]
 
-        assert (5e-324, 0) in threshold_mismatches(floored, lambda k, big_k: k < big_k)
-        assert threshold_mismatches(draw_thresholds, lambda k, big_k: k <= big_k)
+        # the same check catches a rounding down, an inclusive comparison,
+        # and certain odds clamped to T = 2^64 - 1 with no flag
+        def floored(p):
+            return np.floor(np.ldexp(p, 53)).astype(np.uint64) << np.uint64(11), p >= 1
+
+        def clamped(p):
+            return draw_thresholds(p)[0], np.zeros(len(p), dtype=bool)
+
+        assert (5e-324, 0) in threshold_mismatches(floored, below)
+        assert threshold_mismatches(draw_thresholds, lambda raw, t, certain: raw <= t or certain)
+        assert threshold_mismatches(clamped, below) == [(1.0, 2**64 - 1), (1 + 2.0**-52, 2**64 - 1)]
 
 
 class TestRange:
