@@ -3,8 +3,10 @@ or a file replaced whole.
 
 :func:`format_rows` prints a float64 block as CSV lines, each value as
 ``"%.17g" %`` prints it, and one column, if asked, as a text chosen per
-row; it prints both CSVs.  :func:`emit` is the one writer of every output
-byte of the CLI; the only other write is the error line on stderr.
+row; it prints both CSVs, each value as six 8-byte table words whose
+unkept bytes it zeroes and drops in one ``bytes.translate``.  :func:`emit`
+is the one writer of every output byte of the CLI; the only other write
+is the error line on stderr.
 """
 
 from __future__ import annotations
@@ -62,23 +64,19 @@ def emit(chunks: Iterable[str], path: str | None) -> None:
 
 
 #: Values per sub-block of format_rows, which takes as many whole rows as
-#: fit, at least one.  Its temporaries, some 200 bytes a value, grow with
-#: this.  On the 20001-point scan (2 vCPU Xeon), 256-row sub-blocks raised
-#: the peak RSS by ~1.1 MB over Python's "%"; 512 and 1024 rows took 7%
-#: and 8% less time than 256 but added ~2 and ~4 MB, and 128 rows took 9%
-#: more for 0.2 MB less.  1792 values are scan's 256 rows of 7 and
-#: sample's 149 of 12.  On the 4002-row sample of 1000 shots a row,
-#: 149-row sub-blocks took ~27 ms in-process against ~34 ms for "%", for
-#: ~0.1 MB more peak RSS; 256 rows were no faster at the same RSS, and 75
-#: rows took 4% more for ~0.1 MB less.
+#: fit, at least one; its temporaries, ~240 bytes a value, grow with this.
+#: 1792 values are scan's 256 rows of 7 and sample's 149 of 12.  On a 2 vCPU
+#: Xeon, in-process, the 20001-point scan took 21.3 ms; 128 rows 13% more
+#: and 512 rows 8% more, for ~0.2 MB more peak RSS.  The 4002-row sample
+#: of 1000 shots took 23.5 ms; 74 or 298 rows, 3% or 4% more.
 FORMAT_VALUES = 1792
 
-# Each value's text is a subsequence of one canvas of _WIDTH bytes: a sign,
-# "0.000" (the lead of 0.0ddd), the 17 digits each followed by a ".", an
-# exponent "e+ddd" and the separator.  A keep mask, chosen by the value's
-# sign, form and count of significant digits, picks the text out of it.
+# Each value's text is a subsequence of one canvas of _WIDTH bytes, six
+# words: a sign, "0.000" (the lead of 0.0ddd), the 17 digits each followed
+# by a ".", an exponent "e+ddd", the separator and 2 pad bytes.  Its keep
+# mask, by sign, form and count of significant digits, is 0xFF on its bytes.
 _SIGN, _LEAD, _DIGITS, _EXP, _SEP = 0, 1, 6, 40, 45
-_WIDTH = 46
+_WIDTH, _WORDS = 48, 6
 #: Forms: 0-20 are fixed notation for decimal exponents -4 to 16, as %.17g
 #: prints them, then scientific notation with a two- and a three-digit exponent.
 _FIXED_LOW, _TWO_DIGIT, _THREE_DIGIT = -4, 21, 22
@@ -99,20 +97,18 @@ _HALF_MARGIN = 2.0**-40
 
 
 class _Tables(NamedTuple):
-    """Per decimal exponent E from _E_LOW to _E_HIGH: 10^(16 - E) as p_hi,
-    p_lo and p_hi's halves, E's mask row offset (its form) and its ASCII
-    exponent; per 4-digit group: its digits and significant-digit scores;
-    and the keep masks with their lengths."""
+    """Per decimal exponent E from _E_LOW to _E_HIGH: 10^(16 - E), E's mask
+    row offset (its form) and word; the other words, built from bytes in
+    any byte order; the groups' scores; and the keep masks."""
 
-    p_hi: np.ndarray  # 10^k rounded
-    p_lo: np.ndarray  # 10^k - p_hi, rounded
-    p_hi_top: np.ndarray  # p_hi split in two halves of 26 bits
-    p_hi_bottom: np.ndarray
+    powers: np.ndarray  # (n, 4): 10^k rounded (hi), 10^k - hi rounded, hi's halves
     form_rows: np.ndarray  # E's form times _SIGNIFICANT
-    exponents: np.ndarray  # (n, 4) ASCII sign and 3 digits of E
-    quads: np.ndarray  # the ASCII digits of 0000-9999, four bytes in a uint32
+    exponents: np.ndarray  # word 5 of E: "e+ddd"
+    leads: np.ndarray  # word 0 per first digit: "-0.000d."
+    quads: np.ndarray  # words 1-4 per group 0000-9999: "d.d.d.d."
     scores: np.ndarray  # per group j and value q: 4j + 1 + q's digits up to its last nonzero one; 1 for q = 0
-    keep: np.ndarray  # (_PREFIX + _SEP, _WIDTH) masks: the forms', then the prefixes
+    separators: np.ndarray  # word 5's "," and "\n"
+    keep: np.ndarray  # (_PREFIX + _SEP, _WORDS) masks: the forms', then the prefixes
     lengths: np.ndarray  # bytes kept per mask
 
 
@@ -132,7 +128,7 @@ def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
 @functools.cache
 def _tables() -> _Tables:
     """The formatter's tables, built on its first call: the powers of ten
-    from Python's exact integers, the rest in numpy."""
+    from Python's exact integers, the rest from bytes and numpy."""
     p_hi, p_lo = [], []
     for k in range(16 - _E_LOW, 15 - _E_HIGH, -1):
         if k >= 0:
@@ -144,15 +140,19 @@ def _tables() -> _Tables:
             p_hi.append(1 / den)  # int / int is correctly rounded
             num, pow2 = p_hi[-1].as_integer_ratio()
             p_lo.append((pow2 - num * den) / (pow2 * den))
-    p_hi, p_lo = np.array(p_hi), np.array(p_lo)
+    powers = np.column_stack([p_hi, p_lo, *_split(np.array(p_hi))])
     e = np.arange(_E_LOW, _E_HIGH + 1)
     forms = np.where((e >= _FIXED_LOW) & (e <= 16), e - _FIXED_LOW,
                      np.where(np.abs(e) < 100, _TWO_DIGIT, _THREE_DIGIT))
-    exponents = np.column_stack([np.where(e < 0, ord("-"), ord("+")), _ascii_digits(np.abs(e), 3)])
+    exponents = np.frombuffer(b"".join(b"e%+04d\0\0\0" % k for k in e.tolist()), np.uint64)
+    leads = np.frombuffer(b"".join(b"-0.000%d." % k for k in range(10)), np.uint64)
     quad = np.arange(10000)
-    quads = _ascii_digits(quad, 4)
-    significant = 4 - np.argmax(quads[:, ::-1] != 48, axis=1)
+    digits = _ascii_digits(quad, 4)
+    quads = np.full((quad.size, 8), ord("."), dtype=np.uint8)
+    quads[:, ::2] = digits
+    significant = 4 - np.argmax(digits[:, ::-1] != 48, axis=1)
     scores = np.where(quad > 0, significant + np.arange(1, 17, 4)[:, None], 1).astype(np.int8)
+    separators = np.frombuffer(b"".join(b"\0\0\0\0\0%c\0\0" % c for c in b",\n"), np.uint64)
 
     neg = np.arange(2)[:, None, None, None]
     form = np.arange(_FORMS)[None, :, None, None]
@@ -173,25 +173,11 @@ def _tables() -> _Tables:
     ).reshape(-1, _WIDTH)
     prefixes = (col < np.arange(_SEP)[:, None]) | (col == _SEP)
     keep = np.vstack([keep, prefixes])
-    tables = _Tables(p_hi, p_lo, *_split(p_hi), forms * _SIGNIFICANT, exponents,
-                     quads.view(np.uint32).ravel(), scores.ravel(), keep, keep.sum(axis=1))
+    tables = _Tables(powers, forms * _SIGNIFICANT, exponents, leads, quads.view(np.uint64).ravel(),
+                     scores.ravel(), separators, (keep * np.uint8(0xFF)).view(np.uint64), keep.sum(axis=1))
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
-
-
-@functools.cache
-def _canvas(columns: int) -> np.ndarray:
-    """The fixed bytes of a row's canvases: sign, lead, points, "e" and separators."""
-    canvas = np.zeros((columns, _WIDTH), dtype=np.uint8)
-    canvas[:, _SIGN] = ord("-")
-    canvas[:, _LEAD:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)
-    canvas[:, _DIGITS + 1:_EXP:2] = ord(".")
-    canvas[:, _EXP] = ord("e")
-    canvas[:, _SEP] = ord(",")
-    canvas[-1, _SEP] = ord("\n")
-    canvas.flags.writeable = False
-    return canvas
 
 
 def format_rows(block: np.ndarray, text: tuple[int, Sequence[str]] | None = None) -> Iterator[str]:
@@ -208,24 +194,25 @@ def format_rows(block: np.ndarray, text: tuple[int, Sequence[str]] | None = None
     infinities, and the values whose rounding the product cannot settle.
 
     With ``text = (column, texts)``, that column holds indices into
-    ``texts``, ASCII strings of fewer than 45 bytes, and each row prints
-    its text there, as ``%s`` would.
+    ``texts``, ASCII strings of fewer than 45 bytes with no NUL (others
+    raise ValueError), and each row prints its text there, as ``%s`` would.
     """
     n, columns = block.shape
     texts = None
     if text is not None:
         column, strings = text
         encoded = [s.encode("ascii") for s in strings]
-        if max(map(len, encoded)) >= _SEP:
-            raise ValueError(f"texts must be shorter than {_SEP} bytes, got {strings!r}")
+        if max(map(len, encoded)) >= _SEP or any(b"\0" in b for b in encoded):
+            raise ValueError(f"texts must be shorter than {_SEP} bytes, with no NUL, got {strings!r}")
         texts = (column, np.array([len(b) for b in encoded]),
                  np.frombuffer(b"".join(b.ljust(_SEP, b"\0") for b in encoded), np.uint8).reshape(-1, _SEP))
+    separators = _tables().separators[[0] * (columns - 1) + [1]]
     rows = max(1, FORMAT_VALUES // columns)
     for lo in range(0, n, rows):
-        yield _format_values(block[lo:lo + rows], columns, texts)
+        yield _format_values(block[lo:lo + rows], separators, texts)
 
 
-def _format_values(rows: np.ndarray, columns: int, texts) -> str:
+def _format_values(rows: np.ndarray, separators: np.ndarray, texts) -> str:
     t = _tables()
     x = rows.ravel()
     zero = x == 0.0
@@ -246,19 +233,21 @@ def _format_values(rows: np.ndarray, columns: int, texts) -> str:
     fallback = np.flatnonzero(~(ok | zero))  # never a text's index, a small integer
     mask[fallback] = _PREFIX
 
-    canvas = np.empty((rows.shape[0], columns, _WIDTH), dtype=np.uint8)
-    canvas[:] = _canvas(columns)
-    flat = canvas.reshape(-1, _WIDTH)
-    flat[:, _DIGITS] = lead + (48 - zero)  # a zero is scaled as 1
-    flat[:, _DIGITS + 2:_EXP:2] = t.quads.take(quads).view(np.uint8)
-    flat[:, _EXP + 1:_SEP] = t.exponents.take(i, axis=0)
+    n, columns = rows.shape
+    canvas = np.empty((n, columns, _WORDS), dtype=np.uint64)
+    flat = canvas.reshape(-1, _WORDS)
+    # zero is scaled as 1; a lead of 10 (E too low) is not printed
+    flat[:, 0] = t.leads.take(lead - zero, mode="clip")
+    flat[:, 1:5] = t.quads.take(quads)
+    np.bitwise_or(t.exponents.take(i).reshape(n, columns), separators, out=canvas[..., 5])
     if texts is not None:
         column, lengths, encoded = texts
         index = rows[:, column].astype(np.intp)
-        canvas[:, column, :_SEP] = encoded.take(index, axis=0)
-        mask.reshape(-1, columns)[:, column] = _PREFIX + lengths.take(index)
-    keep = t.keep.take(mask, axis=0)
-    text = np.compress(keep.ravel(), canvas.ravel()).tobytes().decode("ascii")
+        canvas.view(np.uint8).reshape(n, columns, _WIDTH)[:, column, :_SEP] = encoded.take(index, axis=0)
+        mask.reshape(n, columns)[:, column] = _PREFIX + lengths.take(index)
+    # no kept byte is NUL: format_rows refuses texts with one
+    flat &= t.keep.take(mask, axis=0)
+    text = flat.tobytes().translate(None, b"\0").decode("ascii")
 
     if not fallback.size:
         return text
@@ -272,14 +261,16 @@ def _seventeen_digits(mag: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarr
     magnitude is not scaled."""
     scaled = (mag >= 10.0**_E_LOW) & (mag < 10.0**(_E_HIGH + 1))
     safe = np.where(scaled, mag, 1.0)
-    i = np.clip(np.floor(np.log10(safe)).astype(np.int64) - _E_LOW, 0, _E_HIGH - _E_LOW)  # E's row
+    e = np.floor(np.log10(safe))
+    e.clip(_E_LOW, _E_HIGH, out=e)  # int64 np.clip runs Python checks
+    i = (e - _E_LOW).astype(np.intp)  # E's row
+    p_hi, p_lo, hi_top, hi_bottom = t.powers.take(i, axis=0).T
     # S = safe * 10^(16 - E) as h + v: h the rounded product with p_hi,
     # an integer since S >= 10^16 > 2^53, and v its small remainder.
-    h = safe * t.p_hi.take(i)
+    h = safe * p_hi
     top, bottom = _split(safe)
-    hi_top, hi_bottom = t.p_hi_top.take(i), t.p_hi_bottom.take(i)
     v = ((top * hi_top - h) + top * hi_bottom + bottom * hi_top) + bottom * hi_bottom
-    v += safe * t.p_lo.take(i)
+    v += safe * p_lo
     whole = np.floor(v)
     frac = v - whole
     # D = round(S) for S in [10^16, 10^17 - 1): out of it, E is off by one

@@ -489,6 +489,22 @@ class TestCertainOutcomes:
             want = reference_counts(order, phi, phi0, shots, RandomStream(child_seeds(self.SEED, row)))
             assert (int(n_first[row]), int(n_second[row])) == want, row
 
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_packed_rows_count_every_shot(self, monkeypatch, parts):
+        # CHUNK_SHOTS // 2 shots, the most a row of a packed block has: two
+        # rows a block, so the certain rows count 12288 shots in one block sum
+        ran = force_parts(monkeypatch, parts)
+        rows = self.ROWS * 2  # two blocks, one per part at two parts
+        orders, phis, phi0s = zip(*rows)
+        seeds = child_seeds(self.SEED, np.arange(len(rows), dtype=np.uint64))
+        shots = CHUNK_SHOTS // 2
+        n_first, n_second = sequential_counts(orders, phis, phi0s, shots, seeds)
+        assert ran == [parts]
+        assert n_first[0] == n_first[2] == shots == 12288
+        for row, (order, phi, phi0) in enumerate(rows):
+            want = reference_counts(order, phi, phi0, shots, RandomStream(child_seeds(self.SEED, row)))
+            assert (int(n_first[row]), int(n_second[row])) == want, row
+
     def test_the_largest_word_is_below_certain_odds(self, monkeypatch):
         # raw 2^64 - 1 is below no uint64 threshold, but its draw
         # 1 - 2^-53 is below p = 1 (and not below the second odds, ~1/2)

@@ -103,6 +103,19 @@ class TestMatchesPercent:
         assert len(below) >= 10
         assert_matches(below + [-x for x in below])
 
+    def test_a_log10_one_ulp_low(self, monkeypatch):
+        # log10 need not round correctly: one ulp low at 10^E gives E - 1,
+        # so D reaches 10^17, a lead digit of 10, and Python prints the value
+        log10 = np.log10
+
+        def one_ulp_low(x):  # but log10(1) = 0, on which zeros rely
+            y = log10(x)
+            return np.nextafter(y, np.where(y == 0.0, 0.0, -math.inf))
+
+        monkeypatch.setattr(np, "log10", one_ulp_low)
+        powers = [float(f"1e{e}") for e in range(-30, 30)]
+        assert_matches(powers + [math.nextafter(p, 0.0) for p in powers] + [0.0, -0.0, 1e-280, 1e281])
+
     @pytest.mark.parametrize("digits", [18, 19], ids=["tie-at-17th", "tie-at-18th"])
     def test_dyadic_ties(self, digits):
         ties = dyadic_ties(digits)
@@ -196,6 +209,11 @@ class TestBlocks:
         with pytest.raises(ValueError, match="shorter than 45 bytes"):
             formatted(np.zeros((1, 2)), text=(0, ("x" * 45,)))
 
+    def test_texts_with_a_nul_are_refused(self):
+        # the canvas drops every NUL byte, so such a text would print short
+        with pytest.raises(ValueError, match="with no NUL"):
+            formatted(np.zeros((1, 2)), text=(0, ("pw", "w\0p")))
+
     def test_tables_are_built_on_first_use(self):
         output._tables.cache_clear()
         assert output._tables.cache_info().currsize == 0
@@ -209,7 +227,7 @@ class TestBlocks:
         t = output._tables()
         with localcontext() as exact_arithmetic:
             exact_arithmetic.prec = 2000
-            for row, (hi, lo) in enumerate(zip(t.p_hi.tolist(), t.p_lo.tolist())):
+            for row, (hi, lo) in enumerate(t.powers[:, :2].tolist()):
                 exact = Decimal(10) ** (16 - (output._E_LOW + row))
                 assert hi == float(exact)
                 assert abs(Decimal(hi) + Decimal(lo) - exact) <= exact * Decimal(2) ** -106
