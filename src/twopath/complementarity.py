@@ -22,6 +22,8 @@ from .qalgebra import (
     Observable,
     SIGMA_Z,
     StateVector,
+    _inner,
+    _odds,
     binary_eigensystem,
     require_finite_angle,
 )
@@ -79,9 +81,11 @@ def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
 
 def observable_from_eigensystem(basis: EigenBasis) -> Observable:
     """Spectral assembly of the +1/-1 observable: |plus><plus| - |minus><minus|."""
-    p = basis.plus.amplitudes
-    m = basis.minus.amplitudes
-    return Observable(np.outer(p, np.conj(p)) - np.outer(m, np.conj(m)))
+    p, m = basis.plus._parts, basis.minus._parts
+    # entry (i, j) = p_i p_j* - m_i m_j* = <(p_j, m_j)|(p_i, -m_i)>; component k is [2k:2k + 2]
+    entries = [_inner(p[j:j + 2] + m[j:j + 2], p[i:i + 2] + [-m[i], -m[i + 1]])
+               for i in (0, 2) for j in (0, 2)]
+    return Observable(np.array(entries).view(np.complex128).reshape(2, 2))
 
 
 def path_eigenbasis() -> EigenBasis:
@@ -91,9 +95,6 @@ def path_eigenbasis() -> EigenBasis:
 
 def is_complementary(basis_a: EigenBasis, basis_b: EigenBasis) -> ComplementarityVerdict:
     """Mutual-unbiasedness test: all four cross overlaps squared equal 1/2."""
-    deviation = 0.0
-    for u in (basis_a.plus, basis_a.minus):
-        for v in (basis_b.plus, basis_b.minus):
-            overlap_sq = float(abs(np.vdot(u.amplitudes, v.amplitudes)) ** 2)
-            deviation = max(deviation, abs(overlap_sq - 0.5))
+    pairs = [(u, v) for u in (basis_a.plus, basis_a.minus) for v in (basis_b.plus, basis_b.minus)]
+    deviation = max(abs(float(_odds(u._parts, v._parts)) - 0.5) for u, v in pairs)
     return ComplementarityVerdict(max_deviation=deviation)

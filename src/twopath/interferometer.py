@@ -12,7 +12,6 @@ phase shifter.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -26,8 +25,10 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    _half_commutator,
+    _apply,
+    _bound,
     _moments,
+    _vector_parts,
     require_finite_angle,
     require_finite_angles,
 )
@@ -84,20 +85,13 @@ def beam_splitter() -> UnitaryGate:
 
 def balanced_state(phi: float) -> StateVector:
     """(e^{-i phi/2}, e^{+i phi/2}) / sqrt(2): equal weight in both arms."""
-    phi = require_finite_angle(phi, "phi")
-    half = 0.5 * phi
-    return StateVector(
-        np.array(
-            [_INV_SQRT2 * cmath.exp(-1j * half), _INV_SQRT2 * cmath.exp(1j * half)],
-            dtype=np.complex128,
-        )
-    )
+    return StateVector(_balanced_rows(np.array([require_finite_angle(phi, "phi")]))[0])
 
 
 def balanced_amplitudes(phis) -> np.ndarray:
     """The amplitudes of :func:`balanced_state` at each phi, as (N, 2) rows.
 
-    Bit for bit the scalar construction, with finiteness checked once for
+    Each row is :func:`balanced_state`'s, with finiteness checked once for
     the whole batch.  The rows, e^{-+i phi/2}/sqrt(2), have unit norm to
     rounding at every finite phi, so no norm check follows.
     """
@@ -136,8 +130,8 @@ def interference_scan(phi0: float, grid) -> ScanResult:
 
     :func:`wave_operator` checks phi0, then the grid is checked once and
     its states built once, as :func:`balanced_amplitudes` rows.  Every
-    column comes from the row kernels on them (the moments of the two
-    observables, the actual commutator), not from the closed forms, and
+    column comes from the 2x2 formulas on them (the moments of the two
+    observables, the Robertson bound), not from the closed forms, and
     each row equals the scalar functions on its state bit for bit.  A
     product of spreads below its bound by more than TOL.var raises
     InvariantViolation naming the first such phi.
@@ -161,9 +155,10 @@ def _scan_columns(phi0: float, grid) -> ScanResult:
     phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
-    states = _balanced_rows(phis)
-    w_expect, w_var = _moments(wave.matrix, states)
-    p_expect, p_var = _moments(path.matrix, states)
+    states = _vector_parts(_balanced_rows(phis))
+    # W and P as a stack of two broadcast over the rows, in half the numpy calls
+    both = _apply(np.array([wave._parts, path._parts]).T[:, :, None], states)
+    (w_expect, p_expect), (w_var, p_var) = _moments(states, both)
     delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
-    bound = _half_commutator(path.matrix, wave.matrix, states)
+    bound = _bound([x[1] for x in both], [x[0] for x in both])
     return ScanResult(phis, w_expect, p_expect, delta_p, delta_w, bound, delta_p * delta_w - bound)

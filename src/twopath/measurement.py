@@ -39,6 +39,8 @@ from .qalgebra import (
     InvariantViolation,
     Observable,
     StateVector,
+    _odds,
+    _vector_parts,
     binary_eigensystem,
     require_shots,
 )
@@ -98,7 +100,7 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     Consumes exactly one uniform draw from the stream.
     """
     basis = binary_eigensystem(obs)
-    p_plus = abs(np.vdot(basis.plus.amplitudes, state.amplitudes)) ** 2
+    p_plus = _odds(basis.plus._parts, state._parts)
     if rng.uniform() < p_plus:
         return MeasurementRecord(outcome=1.0, post_state=basis.plus)
     return MeasurementRecord(outcome=-1.0, post_state=basis.minus)
@@ -224,12 +226,12 @@ def sequential_counts(
     CHUNK_SHOTS shots each in two lanes, so memory does not grow with
     shots; one pass compares both lanes with :func:`rng.draw_thresholds`,
     which decides every raw word as comparing its draw would.  Each row's
-    first-outcome odds come from its state of :func:`balanced_amplitudes`
-    through np.vdot, as :func:`measure` gets them; the second-outcome odds
-    depend only on the order, phi0 and which eigenvector the first
-    projection selected.  So the path eigenbasis is solved once per call
-    and the wave eigenbasis once per distinct (order, phi0), in one pass
-    over that order's rows each.
+    first-outcome odds come from its :func:`balanced_amplitudes` state by
+    :func:`measure`'s formula, for all of an offset's rows at once; the
+    second-outcome odds depend only on the order, phi0 and which
+    eigenvector the first projection selected.  So the path eigenbasis is
+    solved once per call and the wave eigenbasis once per distinct (order,
+    phi0), in one pass over that order's rows each.
 
     The rows are counted in min(usable CPUs, rows, blocks) contiguous
     parts, the first in the calling thread; a part that raises stops the
@@ -259,10 +261,9 @@ def sequential_counts(
             first, second = (path, wave) if order is MeasurementOrder.P_THEN_W else (wave, path)
             same = phi0s[rows] == phi0
             members, rows = rows[same], rows[~same]
-            plus, after = first.plus.amplitudes, second.plus.amplitudes
-            p_first[members] = [abs(np.vdot(plus, state)) ** 2 for state in amps[members]]
-            p_after_plus[members] = abs(np.vdot(after, plus)) ** 2
-            p_after_minus[members] = abs(np.vdot(after, first.minus.amplitudes)) ** 2
+            p_first[members] = _odds(first.plus._parts, _vector_parts(amps[members]))
+            p_after_plus[members] = _odds(second.plus._parts, first.plus._parts)
+            p_after_minus[members] = _odds(second.plus._parts, first.minus._parts)
     unmatched = np.flatnonzero(np.isnan(p_first))
     if unmatched.size:
         raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")

@@ -261,7 +261,7 @@ def _seventeen_digits(mag: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarr
     magnitude is not scaled."""
     scaled = (mag >= 10.0**_E_LOW) & (mag < 10.0**(_E_HIGH + 1))
     safe = np.where(scaled, mag, 1.0)
-    e = np.floor(np.log10(safe))
+    e = np.floor(np.log10(safe) * scaled)  # E = 0 where not scaled, whatever log10(1.0) is
     e.clip(_E_LOW, _E_HIGH, out=e)  # int64 np.clip runs Python checks
     i = (e - _E_LOW).astype(np.intp)  # E's row
     p_hi, p_lo, hi_top, hi_bottom = t.powers.take(i, axis=0).T

@@ -11,8 +11,12 @@ Hermiticity or unitarity test.
 :class:`EigenBasis` is the one form of a +1/-1 observable's eigenbasis;
 :func:`binary_eigensystem` solves for it.  :func:`expectations` validates an
 (N, 2) batch of state rows once and gives each row the scalar result bit for
-bit.  The private row kernels under it trust rows the library built, and
-take one 2x2 matrix for every row or an (N, 2, 2) stack, one per row.
+bit.  Under them each 2x2 quantity is one private formula in real + - * of
+"parts", in a fixed order: a vector's (Re a0, Im a0, Re a1, Im a1), a matrix's
+entries row by row; Python floats for one state or matrix (states and
+observables keep theirs as ``_parts``), float64 columns for rows or stacks.
+Both round once per operation and fuse none, so rows get a state's bits on
+any CPU.
 """
 
 from __future__ import annotations
@@ -85,6 +89,19 @@ def _checked_copy(values, shape: tuple[int, ...], shape_error: str, finite_error
     return a
 
 
+def _vector_parts(amps: np.ndarray):
+    """One state's parts as Python floats, or (N, 2) rows' as float64 columns."""
+    flat = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+    return flat.tolist() if flat.ndim == 1 else np.ascontiguousarray(flat.T)
+
+
+def _matrix_parts(matrix: np.ndarray):
+    """One 2x2 matrix's parts as Python floats, or an (N, 2, 2) stack's as
+    float64 columns.  Two state rows have a matrix's shape, hence two entry points."""
+    flat = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    return flat.ravel().tolist() if flat.ndim == 2 else np.ascontiguousarray(flat.reshape(-1, 8).T)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex 2-vector of probability amplitudes.
@@ -104,6 +121,7 @@ class StateVector:
                 f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
             )
         object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "_parts", _vector_parts(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +139,7 @@ class Observable:
                 f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
             )
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_parts", _matrix_parts(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +168,7 @@ class EigenBasis:
     minus: StateVector
 
     def __post_init__(self) -> None:
-        overlap = abs(np.vdot(self.plus.amplitudes, self.minus.amplitudes))
+        overlap = np.hypot(*_inner(self.plus._parts, self.minus._parts))
         if overlap > TOL.norm:
             raise InvariantViolation(
                 f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
@@ -168,7 +187,7 @@ KET_LOWER = StateVector(np.array([0, 1], dtype=np.complex128))
 
 def expectation(obs: Observable, state: StateVector) -> float:
     """<state|obs|state>, a real number within the spectrum of obs."""
-    return float(np.vdot(state.amplitudes, obs.matrix @ state.amplitudes).real)
+    return _inner(state._parts, _apply(obs._parts, state._parts))[0]
 
 
 def variance(obs: Observable, state: StateVector) -> float:
@@ -179,9 +198,7 @@ def variance(obs: Observable, state: StateVector) -> float:
     keeps full precision near eigenstates, where the textbook difference
     of two near-unit terms cancels catastrophically.
     """
-    mean = expectation(obs, state)
-    residual = obs.matrix @ state.amplitudes - mean * state.amplitudes
-    return max(float(np.vdot(residual, residual).real), 0.0)
+    return _moments(state._parts, _apply(obs._parts, state._parts))[1]
 
 
 def require_states(amps) -> np.ndarray:
@@ -207,49 +224,59 @@ def require_states(amps) -> np.ndarray:
     return a
 
 
-# The row-wise products below are written as stacked matmuls because those
-# round exactly as np.vdot and `matrix @ vector` do on one row, so a batch
-# reproduces the scalar functions bit for bit.  np.einsum and elementwise
-# sums of products do not.
+def _applied(amps: np.ndarray, *matrices) -> list:
+    """The parts of a state or of rows, then of each matrix (or stack) applied to it."""
+    a = _vector_parts(amps)
+    return [a, *(_apply(_matrix_parts(m), a) for m in matrices)]
+
+
+def _apply(m, a) -> tuple:
+    """M a: entry i is (M_i0 a0) + (M_i1 a1), each complex product the sum
+    or difference of its two real products."""
+    m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i = m
+    a0r, a0i, a1r, a1i = a
+    return ((m00r * a0r - m00i * a0i) + (m01r * a1r - m01i * a1i),
+            (m00r * a0i + m00i * a0r) + (m01r * a1i + m01i * a1r),
+            (m10r * a0r - m10i * a0i) + (m11r * a1r - m11i * a1i),
+            (m10r * a0i + m10i * a0r) + (m11r * a1i + m11i * a1r))
+
+
+def _inner(a, b) -> tuple:
+    """<a|b> as (Re, Im), each the sum of the first and second components' terms."""
+    a0r, a0i, a1r, a1i = a
+    b0r, b0i, b1r, b1i = b
+    return ((a0r * b0r + a1r * b1r) + (a0i * b0i + a1i * b1i),
+            (a0r * b0i + a1r * b1i) - (a0i * b0r + a1i * b1r))
+
+
+def _moments(a, x) -> tuple:
+    """The mean <a|M|a> and the variance of a Hermitian M from x = M a: the
+    squared norm of the residual x - <M> a, a sum of squares, never negative."""
+    mean = _inner(a, x)[0]
+    residual = [xk - mean * ak for xk, ak in zip(x, a)]
+    return mean, _inner(residual, residual)[0]
+
+
+def _bound(x, y):
+    """The Robertson bound 0.5 |<[A, B]>| of Hermitian A and B from x = A a and
+    y = B a, as <a|[A, B]|a> = <x|y> - <y|x> = 2i Im<x|y>."""
+    return abs(_inner(x, y)[1])
+
+
+def _odds(a, b):
+    """The Born odds |<a|b>|^2, as h * h of h = hypot(Re, Im)."""
+    h = np.hypot(*_inner(a, b))
+    return h * h
 
 
 def _apply_rows(matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """matrix @ a for each row a."""
-    return (matrix @ amps[:, :, None])[:, :, 0]
-
-
-def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.vdot(a[k], b[k]) for each row k."""
-    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _matrix_elements(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<a|matrix|a> for each validated state row a, complex; any 2x2 matrix."""
-    return _vdot_rows(a, _apply_rows(matrix, a))
+    """The (N, 2) complex rows of :func:`_apply` on a matrix or stack and rows."""
+    return np.column_stack(_applied(amps, matrix)[1]).view(np.complex128)
 
 
 def expectations(obs: Observable, amps) -> np.ndarray:
     """:func:`expectation` of obs on each state row of amps, bit for bit."""
-    return _matrix_elements(obs.matrix, require_states(amps)).real
-
-
-def _moments(matrix: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`expectation` and :func:`variance` of a Hermitian matrix or
-    stack on each validated state row a, bit for bit, from one application;
-    like the scalar form, each variance is the squared norm of the residual
-    (matrix - <matrix>)|a>."""
-    applied = _apply_rows(matrix, a)
-    means = _vdot_rows(a, applied).real
-    residual = applied - means[:, None] * a
-    return means, np.maximum(_vdot_rows(residual, residual).real, 0.0)
-
-
-def _half_commutator(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The Robertson bound 0.5 |<[a, b]>| on each validated state row, for
-    matrices or stacks a and b, bit for bit.  np.hypot rounds as abs() of a
-    Python complex does; np.abs can differ from it in the last bit."""
-    element = _matrix_elements(a @ b - b @ a, rows)
-    return 0.5 * np.hypot(element.real, element.imag)
+    return _inner(*_applied(require_states(amps), obs.matrix))[0]
 
 
 def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:
@@ -265,7 +292,7 @@ def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
 
 def states_equal(a: StateVector, b: StateVector) -> bool:
     """Ray equality: true iff |<a|b>| exceeds 1 - norm tolerance."""
-    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) > 1.0 - TOL.norm)
+    return bool(np.hypot(*_inner(a._parts, b._parts)) > 1.0 - TOL.norm)
 
 
 def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +330,8 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
         scale = max(scale1, scale2)
         # Divide component-wise in real arithmetic: complex division by a
         # subnormal scale overflows inside numpy.
-        v = np.empty(2, dtype=np.complex128)
-        v.real = chosen.real / scale
-        v.imag = chosen.imag / scale
-        v = v / np.linalg.norm(v)
+        v = (chosen.view(np.float64) / scale).view(np.complex128)
+        v = v / math.sqrt(_inner(_vector_parts(v), _vector_parts(v))[0])
         # The second eigenvector of a Hermitian 2x2 is the orthogonal ray.
         w = np.array([-np.conj(v[1]), np.conj(v[0])])
         vecs = np.column_stack([v, w])
@@ -314,7 +339,9 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     for k in (0, 1):
         col = vecs[:, k]
         pivot = col[0] if abs(col[0]) > 1e-12 else col[1]
-        vecs[:, k] = col * (np.conj(pivot) / abs(pivot))
+        q = np.conj(pivot) / abs(pivot)  # times q, as q I applied to the column
+        parts = _apply([q.real, q.imag, 0.0, 0.0, 0.0, 0.0, q.real, q.imag], _vector_parts(col))
+        vecs[:, k] = np.array(parts).view(np.complex128)
     return evals, vecs
 
 

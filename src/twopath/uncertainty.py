@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .interferometer import interference_scan
-from .qalgebra import Observable, StateVector, require_finite_angle
+from .qalgebra import Observable, StateVector, _apply, _bound, require_finite_angle
 from .tolerances import TOL
 
 
@@ -41,9 +39,7 @@ class UncertaintyReport:
 def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
     """Half the magnitude of the commutator expectation: the floor under
     the product of the two spreads."""
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    value = np.vdot(state.amplitudes, comm @ state.amplitudes)
-    return 0.5 * abs(complex(value))
+    return _bound(_apply(a._parts, state._parts), _apply(b._parts, state._parts))
 
 
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:

@@ -9,7 +9,7 @@ come from fixed grids or a fixed-seed stream.
 The checks run in the table's groups, the Monte Carlo one only when shots
 are given.  A group yields one residual per row; one that raises
 InvariantViolation fails each of its checks by name.  Each grid is
-evaluated once per run, as rows through the stacked kernels of
+evaluated once per run, as rows through the 2x2 formulas of
 ``qalgebra``: the wave eigenstates and W at the 17 offsets, the 129
 pipeline phases, the 512 Robertson triples, the 5 x 41 scan grid and the
 nine finite-difference slopes.  The ten Monte Carlo rows are one sampler
@@ -37,11 +37,14 @@ from .qalgebra import (
     SIGMA_Z,
     InvariantViolation,
     UnitaryGate,
+    _applied,
     _apply_rows,
-    _half_commutator,
-    _matrix_elements,
+    _bound,
+    _inner,
     _moments,
+    _odds,
     _pauli_sum,
+    _vector_parts,
     require_seed,
     require_shots,
     require_states,
@@ -215,11 +218,11 @@ def run_verification(
 
 
 def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
-    """The splitter is unitary, turns sz into sx and splits the lower port evenly."""
-    p_upper = abs(np.vdot(KET_UPPER.amplitudes, b @ KET_LOWER.amplitudes)) ** 2
-    yield np.max(np.abs(b @ b.conj().T - np.eye(2)))
-    yield np.max(np.abs(b.conj().T @ SIGMA_Z.matrix @ b - SIGMA_X.matrix))
-    yield abs(p_upper - 0.5)
+    """The splitter is unitary, turns sz into sx and splits the lower port evenly.
+    The products come out transposed, as rows of their columns; I and sx are symmetric."""
+    yield np.max(np.abs(_apply_rows(b, b.conj()) - np.eye(2)))
+    yield np.max(np.abs(_apply_rows(b.conj().T, _apply_rows(SIGMA_Z.matrix, b.T)) - SIGMA_X.matrix))
+    yield abs(_odds(KET_UPPER._parts, _applied(KET_LOWER.amplitudes, b)[1]) - 0.5)
 
 
 def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
@@ -227,8 +230,8 @@ def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
     derived, tested, rows, waves = bases
     path_basis = comp.path_eigenbasis()
     arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(tested), 1))
-    yield _worst(np.abs(_matrix_elements(ifm.path_operator().matrix, rows).real))
-    yield _worst(np.abs(_matrix_elements(waves, arms).real))
+    yield _worst(np.abs(_moments(*_applied(rows, ifm.path_operator().matrix))[0]))
+    yield _worst(np.abs(_moments(*_applied(arms, waves))[0]))
     yield _worst(comp.is_complementary(path_basis, basis).max_deviation for basis in tested)
     yield _worst(_closed_form_miss(phi0, basis) for phi0, basis in zip(_PHI0_GRID.tolist(), derived))
     yield np.max(np.abs(waves[::2] - ifm._wave_matrices(_PHI0_GRID)))
@@ -239,10 +242,8 @@ def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
     half = 0.5 * comp.canonical_phase(phi0)
     closed_plus = np.array([np.exp(-1j * half), np.exp(1j * half)]) / math.sqrt(2.0)
     closed_minus = np.array([-np.exp(-1j * half), np.exp(1j * half)]) / math.sqrt(2.0)
-    return max(
-        1.0 - abs(np.vdot(basis.plus.amplitudes, closed_plus)),
-        1.0 - abs(np.vdot(basis.minus.amplitudes, closed_minus)),
-    )
+    return max(1.0 - float(np.hypot(*_inner(v._parts, _vector_parts(closed))))
+               for v, closed in ((basis.plus, closed_plus), (basis.minus, closed_minus)))
 
 
 def _uncertainty_residuals() -> Iterator[float]:
@@ -285,7 +286,7 @@ def _pipeline_residuals(b: np.ndarray) -> Iterator[float]:
     opened = require_states(_apply_rows(b, KET_LOWER.amplitudes[None]))
     shifted = require_states(_apply_rows(ifm._shifter_matrices(grid), opened))
     closed = require_states(_apply_rows(b, shifted))
-    fringe = _matrix_elements(SIGMA_Z.matrix, closed).real
+    fringe = _moments(*_applied(closed, SIGMA_Z.matrix))[0]
     yield abs(1.0 - float(np.max(np.abs(fringe))))
     yield np.max(np.abs(fringe - np.cos(grid)))
 
@@ -294,7 +295,7 @@ def _operator_residuals(bases: _WaveBases) -> Iterator[float]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
     yield np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
                         - ifm._wave_matrices(_PHI0_GRID)))
-    yield _worst(_moments(bases.waves, bases.rows)[1])
+    yield _worst(_moments(*_applied(bases.rows, bases.waves))[1])
 
 
 def _robertson_residuals() -> Iterator[float]:
@@ -305,9 +306,8 @@ def _robertson_residuals() -> Iterator[float]:
     coeffs = (2.0 * raw[:8] - 1.0)[:, :, None, None]
     a, b = _pauli_sum(*coeffs[:4]), _pauli_sum(*coeffs[4:])
     half, xi = 0.5 * (math.pi * raw[8]), 2 * math.pi * raw[9]
-    states = require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)]))
-    excess = _half_commutator(a, b, states) ** 2 - _moments(a, states)[1] * _moments(b, states)[1]
-    yield _worst(excess)
+    s, x, y = _applied(require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)])), a, b)
+    yield _worst(_bound(x, y) ** 2 - _moments(s, x)[1] * _moments(s, y)[1])
 
 
 #: Half-width of the variance acceptance window, in standard errors.

@@ -324,10 +324,10 @@ class TestVerifyCommand:
 
 
     def test_broken_bound_is_a_failed_check_not_a_usage_error(self, capsys, monkeypatch):
-        # a commutator term 10% too large puts the product below its bound,
-        # which the two Robertson checks report by name
-        half_commutator = qalgebra._half_commutator
-        patch_everywhere(monkeypatch, half_commutator, lambda *args: 1.1 * half_commutator(*args))
+        # a Robertson bound 10% too large puts the product below it, which
+        # the two Robertson checks report by name
+        bound = qalgebra._bound
+        patch_everywhere(monkeypatch, bound, lambda *args: 1.1 * bound(*args))
         assert main(["verify"]) == 1
         out, err = capsys.readouterr()
         assert err == ""
@@ -442,7 +442,7 @@ class TestExitCodes:
             )
 
     @pytest.mark.parametrize("argv, digest", [
-        (["scan"], "28fb97695811c10602176acf35cff3844aff8a7fc59bade68a1a33aafc46f714"),
+        (["scan"], "d0707925d1ec018dc4105525660febcc350916bcd4e8334af6d7bbbc28c32f51"),
         (["sample", "--shots", "10"],
          "b6ceb4648b793753b05af4ba661248120cd393c14017d06796ca47812efbf965"),
     ], ids=["scan", "sample"])

@@ -21,11 +21,27 @@ The sampled digests hold whether the sampler runs its rows as one part
 or as two.  The two one-row runs of more than measurement.EXACT_SHOTS
 shots were pinned when the "%" row formatter that had printed such rows
 was deleted, at the bytes it printed.
+
+The `scan` and `verify` digests were re-pinned once, when every 2x2
+quantity moved from OpenBLAS and numpy's complex loops to one formula of
+real + - * (``qalgebra``): before, their last bits followed the BLAS
+kernel picked for the CPU.  p_expectation became exactly 0 on every
+balanced row, and the other scan columns and verify's residuals moved by
+at most 3.3e-16.  No `sample` digest moved.  The subprocess test below
+holds the new bytes under other BLAS kernels and SIMD levels.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core import _multiarray_umath as umath
+
+import twopath
 
 from support import force_parts
 from twopath import measurement, output
@@ -34,7 +50,7 @@ from twopath.cli import main
 GOLDEN = [
     (
         ["scan", "--phi0", "0.6", "--from", "-3.14159", "--to", "3.14159", "--steps", "73"],
-        "6e95df4ab5fb33bb58a9ab01a0360608cf2ae5e0ca50b5cb29c7d4a000cf4cac",
+        "cd3dbc558f28717eb95c559036c92986932401f9e012da1765e1cdc69b05222c",
     ),
     (
         # 70000 shots per row: three sampler chunks, the last one partial
@@ -47,28 +63,28 @@ GOLDEN = [
     ),
     (
         ["scan", "--phi0", "100.3", "--from", "-50", "--to", "70", "--steps", "5001"],
-        "af48edc1bb2bc9b620e2a4b90805b0ddd807b9f233948f81a10932236cc5af12",
+        "3e8bdcc53c3299916868d72ebccc2ef9998f8eb7f3241098679ca5781172e200",
     ),
     (
         # a single point, at a wave eigenstate: delta_w, bound and gap vanish
         ["scan", "--phi0", "0.6", "--from", "0.6", "--to", "0.6", "--steps", "1"],
-        "41c6624009f22a0cb3911afb58fa0d84393b5b60a86477a9821e40395ca9b098",
+        "845f217d9fa899afb62f20714667fc8359e550eb6aa8ed4c8105e44076a132db",
     ),
     (
         ["scan", "--phi0", "30", "--from", "-180", "--to", "180", "--steps", "361", "--degrees"],
-        "76d0f069d9b092c6d84f26f62c7c4720a48678d89c9cec988a79276e33d9b31b",
+        "b0c3c245c91e1f9af2a2d6264af2beb8380832664a430dcf9785f0c38bbe9f89",
     ),
     (
         ["verify"],
-        "db7c259d0f60ed0a4953a0694fe3bed392d3af0eb9e3f8cbdff48b567d7e4d56",
+        "f37c71270584edfa92f822d10b7aeca9cb85c455507c5ea808185b10b496a83e",
     ),
     (
         ["verify", "--shots", "20000"],
-        "f73049de89d9ebecf9438c47d75842b8f4c55252d204f3b04cf5317edf801a1d",
+        "d2c4686dd485a0346f134184770993efb69606e8f84da36e2eb9ac751acae089",
     ),
     (
         ["scan", "--phi0", "0.6", "--from", "-3.14159", "--to", "3.14159", "--steps", "20001"],
-        "e4d1fcef99476a0104c8a1beb91f87b818a1434a4a244eb8158c6726d3774f21",
+        "f8cdc783cace2d023f6454868bee91865a8b569784a9ae17a5f99197bc751278",
     ),
     (
         ["sample", "--phi0", "0.6", "--steps", "3", "--shots", "4000000", "--order", "both", "--seed", "1"],
@@ -80,7 +96,7 @@ GOLDEN = [
     ),
     (
         ["verify", "--shots", "200000", "--seed", "1"],
-        "e5b3883d10071d86832135e3294901c3ec6f01b5087f5de313a004de8b3bd5f1",
+        "8e77578f5e28b7f5a3c7f3212ef6cf8b1f85e2b438f7eb8299903bfe612090ad",
     ),
 ]
 
@@ -133,3 +149,46 @@ def test_sample_above_the_exactness_bound(shots, digest, capsys):
     argv = ["sample", "--steps", "1", "--from", "0.5", "--to", "0.5", "--phi0", "0.1",
             "--order", "wp", "--shots", shots, "--seed", "5"]
     test_output_digest(argv, digest, capsys)
+
+
+#: numpy's SIMD levels above its build's baseline that this CPU has, or that
+#: this process was started with switched off.
+SIMD_LEVELS = [f for f in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(f) or f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()]
+
+#: Child environments that pick another OpenBLAS kernel, or switch every
+#: one of those SIMD levels off.
+KERNELS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-baseline-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(SIMD_LEVELS)},
+}
+
+#: Prints the digest of each argv's output, then the numpy SIMD levels in use.
+DIGEST_CHILD = """
+import contextlib, hashlib, io, json, sys
+from numpy._core import _multiarray_umath as umath
+from twopath.cli import main
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+print(json.dumps([digests, [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]]))
+"""
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_digests_do_not_depend_on_the_kernel(kernel):
+    # the bytes are a function of the seed alone, not of the BLAS kernel
+    # or the SIMD loops numpy picks for this CPU
+    pinned = [GOLDEN[IDS.index(name)] for name in ("scan", "verify", "verify-mc", "sample-wp")]
+    env = {**os.environ, "PYTHONPATH": str(Path(twopath.__file__).resolve().parents[1]), **KERNELS[kernel]}
+    argv = [sys.executable, "-c", DIGEST_CHILD, json.dumps([a for a, _ in pinned])]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    digests, simd = json.loads(run.stdout)
+    assert digests == [d for _, d in pinned]
+    if "NPY_DISABLE_CPU_FEATURES" in KERNELS[kernel]:
+        assert simd == []

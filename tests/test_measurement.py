@@ -446,16 +446,16 @@ class TestBand:
         return list(zip(n_first.tolist(), n_second.tolist()))
 
     def test_packed_block(self, monkeypatch):
-        rows = [(order, phi0) for phi0 in (2.9, 0.6, -2.97) for order in MeasurementOrder]
+        rows = [(order, phi0) for phi0 in (2.88, 0.6, -2.97) for order in MeasurementOrder]
         draws, thresholds, want = self.crafted_rows(rows)
-        # 2.9 and -2.97 give a band, 0.6 none
+        # 2.88 and -2.97 give a band, 0.6 none
         assert [abs(ka - kb) for ka, kb in thresholds] == [1, 1, 0, 0, 1, 1]
         # the band decides the count: the lower threshold alone gives 2
         assert [n2 for _, n2 in want] == [4, 4, 2, 2, 4, 4]
         assert self.count(monkeypatch, rows, draws, [(0, len(rows), 0, 7)]) == want
 
     def test_row_in_pieces(self, monkeypatch):
-        rows = [(MeasurementOrder.W_THEN_P, 2.9)]
+        rows = [(MeasurementOrder.W_THEN_P, 2.88)]
         draws, _, want = self.crafted_rows(rows)
         # the same shots again in a second order, so pieces cut across the pattern
         draws = np.concatenate([draws, draws[:, :, ::-1]], axis=2)
@@ -566,7 +566,7 @@ class TestParts:
 
     def rows(self, count):
         # banded offsets among them, as in TestBand
-        offsets = (0.6, 2.9, -2.97)
+        offsets = (0.6, 2.88, -2.97)
         orders = [list(MeasurementOrder)[row % 2] for row in range(count)]
         phis = np.linspace(-3.0, 3.0, count)
         phi0s = [offsets[row % 3] for row in range(count)]

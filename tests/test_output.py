@@ -108,13 +108,20 @@ class TestMatchesPercent:
         # so D reaches 10^17, a lead digit of 10, and Python prints the value
         log10 = np.log10
 
-        def one_ulp_low(x):  # but log10(1) = 0, on which zeros rely
-            y = log10(x)
-            return np.nextafter(y, np.where(y == 0.0, 0.0, -math.inf))
+        def one_ulp_low(x):  # log10(1) too, a subnormal: zeros do not read it
+            with np.errstate(under="ignore"):
+                return np.nextafter(log10(x), -math.inf)
 
         monkeypatch.setattr(np, "log10", one_ulp_low)
         powers = [float(f"1e{e}") for e in range(-30, 30)]
         assert_matches(powers + [math.nextafter(p, 0.0) for p in powers] + [0.0, -0.0, 1e-280, 1e281])
+
+    def test_zeros_do_not_read_log10_of_one(self, monkeypatch):
+        # an unscaled value's exponent is set to 0, not taken from log10 of
+        # its stand-in magnitude 1.0, which real log10 builds need not make 0
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: np.where(x == 1.0, -5e-324, log10(x)))
+        assert formatted(np.array([[0.0, -0.0, 1.5]])) == "0,-0,1.5\n"
 
     @pytest.mark.parametrize("digits", [18, 19], ids=["tie-at-17th", "tie-at-18th"])
     def test_dyadic_ties(self, digits):

@@ -25,8 +25,11 @@ from twopath.interferometer import (
     wave_operator,
 )
 from twopath.qalgebra import (
+    _apply,
+    _matrix_parts,
     _moments,
     _pauli_sum,
+    _vector_parts,
     IDENTITY,
     InvariantViolation,
     KET_LOWER,
@@ -169,10 +172,11 @@ class TestBatched:
     def test_variances_equal_the_scalar_rows(self, obs, rows):
         # One matrix for every row, then a stack with one observable per row.
         states = [s for _, s in rows]
-        amps = require_states(np.array([s.amplitudes for s in states]))
-        assert _moments(obs.matrix, amps)[1].tolist() == [variance(obs, s) for s in states]
-        stack = np.array([o.matrix for o, _ in rows])
-        assert _moments(stack, amps)[1].tolist() == [variance(o, s) for o, s in rows]
+        amps = _vector_parts(require_states(np.array([s.amplitudes for s in states])))
+        assert _moments(amps, _apply(_matrix_parts(obs.matrix), amps))[1].tolist() == [
+            variance(obs, s) for s in states]
+        stack = _matrix_parts(np.array([o.matrix for o, _ in rows]))
+        assert _moments(amps, _apply(stack, amps))[1].tolist() == [variance(o, s) for o, s in rows]
 
     @given(st.lists(st.tuples(*[signed_coefficients] * 4), min_size=1, max_size=6))
     def test_stacked_pauli_sum_equals_pauli_compose(self, rows):

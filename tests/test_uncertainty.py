@@ -25,7 +25,10 @@ from twopath.interferometer import (
     wave_operator,
 )
 from twopath.qalgebra import (
-    _half_commutator,
+    _apply,
+    _bound,
+    _matrix_parts,
+    _vector_parts,
     InvariantViolation,
     KET_UPPER,
     SIGMA_X,
@@ -69,9 +72,9 @@ class TestRobertsonBound:
 
     @given(st.lists(st.tuples(hermitians(), hermitians(), pure_states()), min_size=1, max_size=6))
     def test_stacked_bound_equals_the_scalar_rows(self, triples):
-        a, b = (np.array([t[k].matrix for t in triples]) for k in (0, 1))
-        amps = np.array([t[2].amplitudes for t in triples])
-        assert _half_commutator(a, b, amps).tolist() == [robertson_bound(*t) for t in triples]
+        a, b = (_matrix_parts(np.array([t[k].matrix for t in triples])) for k in (0, 1))
+        rows = _vector_parts(np.array([t[2].amplitudes for t in triples]))
+        assert _bound(_apply(a, rows), _apply(b, rows)).tolist() == [robertson_bound(*t) for t in triples]
 
 
 class TestGeneralBoundRhs:
@@ -164,9 +167,9 @@ class TestDualityTable:
         # the bound; the error names the first of them.
         real = interferometer._moments
 
-        def shrunk(obs, amps):
-            means, values = real(obs, amps)
-            values[2:4] *= 0.25
+        def shrunk(*args):
+            means, values = real(*args)
+            values[..., 2:4] *= 0.25  # rows 2 and 3 of both observables
             return means, values
 
         monkeypatch.setattr(interferometer, "_moments", shrunk)
