@@ -22,9 +22,9 @@ from .qalgebra import (
     Observable,
     SIGMA_Z,
     StateVector,
-    _inner,
-    _odds,
     binary_eigensystem,
+    inner,
+    odds,
     require_finite_angle,
 )
 from .tolerances import TOL
@@ -81,11 +81,9 @@ def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
 
 def observable_from_eigensystem(basis: EigenBasis) -> Observable:
     """Spectral assembly of the +1/-1 observable: |plus><plus| - |minus><minus|."""
-    p, m = basis.plus._parts, basis.minus._parts
-    # entry (i, j) = p_i p_j* - m_i m_j* = <(p_j, m_j)|(p_i, -m_i)>; component k is [2k:2k + 2]
-    entries = [_inner(p[j:j + 2] + m[j:j + 2], p[i:i + 2] + [-m[i], -m[i + 1]])
-               for i in (0, 2) for j in (0, 2)]
-    return Observable(np.array(entries).view(np.complex128).reshape(2, 2))
+    p, m = basis.plus.amplitudes, basis.minus.amplitudes
+    # entry (i, j) = p_i p_j* - m_i m_j* = <(p_j, m_j)|(p_i, -m_i)>
+    return Observable([[inner((p[j], m[j]), (p[i], -m[i])) for j in (0, 1)] for i in (0, 1)])
 
 
 def path_eigenbasis() -> EigenBasis:
@@ -96,5 +94,5 @@ def path_eigenbasis() -> EigenBasis:
 def is_complementary(basis_a: EigenBasis, basis_b: EigenBasis) -> ComplementarityVerdict:
     """Mutual-unbiasedness test: all four cross overlaps squared equal 1/2."""
     pairs = [(u, v) for u in (basis_a.plus, basis_a.minus) for v in (basis_b.plus, basis_b.minus)]
-    deviation = max(abs(float(_odds(u._parts, v._parts)) - 0.5) for u, v in pairs)
+    deviation = max(abs(float(odds(u, v)) - 0.5) for u, v in pairs)
     return ComplementarityVerdict(max_deviation=deviation)

@@ -25,12 +25,9 @@ from .qalgebra import (
     SIGMA_Z,
     StateVector,
     UnitaryGate,
-    _apply,
-    _bound,
-    _moments,
-    _vector_parts,
     require_finite_angle,
     require_finite_angles,
+    robertson,
 )
 from .tolerances import TOL
 
@@ -155,10 +152,6 @@ def _scan_columns(phi0: float, grid) -> ScanResult:
     phis = require_finite_angles(grid, "grid entry")
     if not phis.size:
         raise InvariantViolation("interference scan needs a non-empty phase grid")
-    states = _vector_parts(_balanced_rows(phis))
-    # W and P as a stack of two broadcast over the rows, in half the numpy calls
-    both = _apply(np.array([wave._parts, path._parts]).T[:, :, None], states)
-    (w_expect, p_expect), (w_var, p_var) = _moments(states, both)
+    (p_expect, w_expect), (p_var, w_var), bound = robertson(path, wave, _balanced_rows(phis))
     delta_p, delta_w = np.sqrt(p_var), np.sqrt(w_var)
-    bound = _bound([x[1] for x in both], [x[0] for x in both])
     return ScanResult(phis, w_expect, p_expect, delta_p, delta_w, bound, delta_p * delta_w - bound)

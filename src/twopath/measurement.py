@@ -39,9 +39,8 @@ from .qalgebra import (
     InvariantViolation,
     Observable,
     StateVector,
-    _odds,
-    _vector_parts,
     binary_eigensystem,
+    odds,
     require_shots,
 )
 from .rng import RandomStream, draw_thresholds, uniform_grid
@@ -100,7 +99,7 @@ def measure(obs: Observable, state: StateVector, rng: RandomStream) -> Measureme
     Consumes exactly one uniform draw from the stream.
     """
     basis = binary_eigensystem(obs)
-    p_plus = _odds(basis.plus._parts, state._parts)
+    p_plus = odds(basis.plus, state)
     if rng.uniform() < p_plus:
         return MeasurementRecord(outcome=1.0, post_state=basis.plus)
     return MeasurementRecord(outcome=-1.0, post_state=basis.minus)
@@ -249,8 +248,8 @@ def sequential_counts(
     phi0s = np.asarray(phi0s, dtype=np.float64)
     amps = balanced_amplitudes(phis)
     # a row whose order is neither member nor value keeps NaN odds
-    odds = np.full((3, len(amps)), np.nan)
-    p_first, p_after_plus, p_after_minus = odds
+    row_odds = np.full((3, len(amps)), np.nan)
+    p_first, p_after_plus, p_after_minus = row_odds
     path = binary_eigensystem(path_operator())
     for order in MeasurementOrder:
         rows = np.flatnonzero((order_col == order) | (order_col == order.value))
@@ -261,16 +260,16 @@ def sequential_counts(
             first, second = (path, wave) if order is MeasurementOrder.P_THEN_W else (wave, path)
             same = phi0s[rows] == phi0
             members, rows = rows[same], rows[~same]
-            p_first[members] = _odds(first.plus._parts, _vector_parts(amps[members]))
-            p_after_plus[members] = _odds(second.plus._parts, first.plus._parts)
-            p_after_minus[members] = _odds(second.plus._parts, first.minus._parts)
+            p_first[members] = odds(first.plus, amps[members])
+            p_after_plus[members] = odds(second.plus, first.plus)
+            p_after_minus[members] = odds(second.plus, first.minus)
     unmatched = np.flatnonzero(np.isnan(p_first))
     if unmatched.size:
         raise InvariantViolation(f"order must be pw or wp, got {order_col[unmatched[0]]!r}")
     # The second outcome is +1 below the lower after-odds whatever the first
     # was, and below the higher after the first outcome whose odds they are;
     # mutually unbiased bases make most rows' two thresholds equal.
-    t, certain = draw_thresholds(odds)
+    t, certain = draw_thresholds(row_odds)
     plus_is_higher = (t[1] > t[2])[:, None]
     t[1:] = np.minimum(t[1], t[2]), np.maximum(t[1], t[2])
     certain[1:] = certain[1] & certain[2], certain[1] | certain[2]

@@ -9,14 +9,15 @@ Each value is checked where it enters the library, a stream seed by
 value types share one construction check and add only their own norm,
 Hermiticity or unitarity test.
 :class:`EigenBasis` is the one form of a +1/-1 observable's eigenbasis;
-:func:`binary_eigensystem` solves for it.  :func:`expectations` validates an
-(N, 2) batch of state rows once and gives each row the scalar result bit for
-bit.  Under them each 2x2 quantity is one private formula in real + - * of
-"parts", in a fixed order: a vector's (Re a0, Im a0, Re a1, Im a1), a matrix's
-entries row by row; Python floats for one state or matrix (states and
-observables keep theirs as ``_parts``), float64 columns for rows or stacks.
-Both round once per operation and fuse none, so rows get a state's bits on
-any CPU.
+:func:`binary_eigensystem` solves for it.  Each 2x2 quantity has one entry,
+:func:`apply`, :func:`inner`, :func:`odds`, :func:`moments` or :func:`robertson`
+(a pair's moments and bound), for values or complex vectors, (N, 2) rows,
+matrices or (N, 2, 2) stacks; :func:`expectation`, :func:`variance` and
+:func:`commutator_bound` are one-state forms.  Each is one private formula in
+real + - * of "parts" in a fixed order, a vector's (Re a0, Im a0, Re a1, Im a1)
+or a matrix's entries row by row: Python floats for one (values cache theirs),
+float64 columns for rows or stacks.  No other module sees parts.  Both round
+once per operation and fuse none, so no result depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -78,156 +79,24 @@ def require_finite_angles(values, name: str) -> np.ndarray:
     return angles
 
 
-def _checked_copy(values, shape: tuple[int, ...], shape_error: str, finite_error: str) -> np.ndarray:
+def _checked_copy(values, shape: tuple[int, ...], shape_error: str, entries: str) -> np.ndarray:
     """A read-only complex copy of values with the given shape and finite entries."""
     a = np.array(values, dtype=np.complex128, order="C")
     if a.shape != shape:
         raise InvariantViolation(f"{shape_error}, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise InvariantViolation(finite_error)
+        raise InvariantViolation(f"{entries} must be finite (no NaN/Inf)")
     a.setflags(write=False)
     return a
 
 
-def _vector_parts(amps: np.ndarray):
-    """One state's parts as Python floats, or (N, 2) rows' as float64 columns."""
-    flat = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-    return flat.tolist() if flat.ndim == 1 else np.ascontiguousarray(flat.T)
-
-
-def _matrix_parts(matrix: np.ndarray):
-    """One 2x2 matrix's parts as Python floats, or an (N, 2, 2) stack's as
-    float64 columns.  Two state rows have a matrix's shape, hence two entry points."""
-    flat = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
-    return flat.ravel().tolist() if flat.ndim == 2 else np.ascontiguousarray(flat.reshape(-1, 8).T)
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized complex 2-vector of probability amplitudes.
-
-    The global phase carries no physics; compare states with
-    :func:`states_equal`, never element-wise.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = _checked_copy(self.amplitudes, (2,), "state must be a complex 2-vector",
-                          "state amplitudes must be finite (no NaN/Inf)")
-        norm_sq = float(a.real @ a.real + a.imag @ a.imag)
-        if abs(norm_sq - 1.0) > TOL.norm:
-            raise InvariantViolation(
-                f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
-            )
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "_parts", _vector_parts(a))
-
-
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """Hermitian 2x2 operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _checked_copy(self.matrix, (2, 2), "observable must be 2x2",
-                          "observable entries must be finite (no NaN/Inf)")
-        residual = float(np.abs(m - m.conj().T).max())
-        if residual > TOL.herm:
-            raise InvariantViolation(
-                f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_parts", _matrix_parts(m))
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryGate:
-    """Unitary 2x2 operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _checked_copy(self.matrix, (2, 2), "gate must be 2x2",
-                          "gate entries must be finite (no NaN/Inf)")
-        residual = float(np.abs(m @ m.conj().T - np.eye(2)).max())
-        if residual > TOL.unit:
-            raise InvariantViolation(
-                f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenBasis:
-    """The orthonormal eigenvectors of a +1/-1 observable: plus for the
-    outcome +1, minus for -1."""
-
-    plus: StateVector
-    minus: StateVector
-
-    def __post_init__(self) -> None:
-        overlap = np.hypot(*_inner(self.plus._parts, self.minus._parts))
-        if overlap > TOL.norm:
-            raise InvariantViolation(
-                f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
-            )
-
-
-SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=np.complex128))
-SIGMA_Y = Observable(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
-SIGMA_Z = Observable(np.array([[1, 0], [0, -1]], dtype=np.complex128))
-IDENTITY = Observable(np.eye(2, dtype=np.complex128))
-
-#: Computational basis kets; the upper/lower interferometer arms.
-KET_UPPER = StateVector(np.array([1, 0], dtype=np.complex128))
-KET_LOWER = StateVector(np.array([0, 1], dtype=np.complex128))
-
-
-def expectation(obs: Observable, state: StateVector) -> float:
-    """<state|obs|state>, a real number within the spectrum of obs."""
-    return _inner(state._parts, _apply(obs._parts, state._parts))[0]
-
-
-def variance(obs: Observable, state: StateVector) -> float:
-    """<obs^2> - <obs>^2, always >= 0.
-
-    Evaluated as the squared norm of the residual vector
-    (obs - <obs>)|state>, which is algebraically the same quantity but
-    keeps full precision near eigenstates, where the textbook difference
-    of two near-unit terms cancels catastrophically.
-    """
-    return _moments(state._parts, _apply(obs._parts, state._parts))[1]
-
-
-def require_states(amps) -> np.ndarray:
-    """An (N, 2) complex array whose rows are normalized state amplitudes.
-
-    Validates the whole batch at once, with the checks and messages of
-    :class:`StateVector`; the first bad row is named by its index.
-    """
-    a = np.asarray(amps, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise InvariantViolation(f"states must form an (N, 2) complex array, got shape {a.shape}")
-    squares = a.real**2 + a.imag**2
-    norm_sq = squares[:, 0] + squares[:, 1]
-    # A non-finite row has a NaN or infinite norm, which fails this test too.
-    unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
-    if not unit_norm.all():
-        if not np.isfinite(a).all():
-            raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
-        k = np.flatnonzero(~unit_norm)[0]
-        raise InvariantViolation(
-            f"state {k} is not normalized: |a0|^2 + |a1|^2 = {float(norm_sq[k])!r}"
-        )
-    return a
-
-
-def _applied(amps: np.ndarray, *matrices) -> list:
-    """The parts of a state or of rows, then of each matrix (or stack) applied to it."""
-    a = _vector_parts(amps)
-    return [a, *(_apply(_matrix_parts(m), a) for m in matrices)]
+def _parts(values, ndim: int):
+    """A value's cached parts, or complex vectors' (ndim 1) or matrices' (ndim 2): Python floats
+    for one, float64 columns for N of them.  Two state rows have a matrix's shape, hence the ndim."""
+    if isinstance(values, (StateVector, Observable)):
+        return values._parts
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    return flat.ravel().tolist() if flat.ndim == ndim else np.ascontiguousarray(flat.reshape(-1, 4 * ndim).T)
 
 
 def _apply(m, a) -> tuple:
@@ -250,8 +119,13 @@ def _inner(a, b) -> tuple:
 
 
 def _moments(a, x) -> tuple:
-    """The mean <a|M|a> and the variance of a Hermitian M from x = M a: the
-    squared norm of the residual x - <M> a, a sum of squares, never negative."""
+    """The mean <a|M|a> and the variance of a Hermitian M from x = M a.
+
+    The variance is the squared norm of the residual x - <M> a: algebraically
+    <M^2> - <M>^2, but a sum of squares, never negative, and at full precision
+    near eigenstates, where the textbook difference of two near-unit terms
+    cancels catastrophically.
+    """
     mean = _inner(a, x)[0]
     residual = [xk - mean * ak for xk, ak in zip(x, a)]
     return mean, _inner(residual, residual)[0]
@@ -263,20 +137,159 @@ def _bound(x, y):
     return abs(_inner(x, y)[1])
 
 
-def _odds(a, b):
-    """The Born odds |<a|b>|^2, as h * h of h = hypot(Re, Im)."""
-    h = np.hypot(*_inner(a, b))
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    """Normalized complex 2-vector of probability amplitudes.
+
+    The global phase carries no physics; compare states with
+    :func:`states_equal`, never element-wise.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = _checked_copy(self.amplitudes, (2,), "state must be a complex 2-vector", "state amplitudes")
+        parts = _parts(a, 1)
+        norm_sq = _inner(parts, parts)[0]
+        if abs(norm_sq - 1.0) > TOL.norm:
+            raise InvariantViolation(
+                f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
+            )
+        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "_parts", parts)
+
+
+@dataclass(frozen=True, eq=False)
+class Observable:
+    """Hermitian 2x2 operator."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = _checked_copy(self.matrix, (2, 2), "observable must be 2x2", "observable entries")
+        residual = float(np.abs(m - m.conj().T).max())
+        if residual > TOL.herm:
+            raise InvariantViolation(
+                f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
+            )
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_parts", _parts(m, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryGate:
+    """Unitary 2x2 operator."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = _checked_copy(self.matrix, (2, 2), "gate must be 2x2", "gate entries")
+        residual = float(np.abs(apply(m, m.conj()) - np.eye(2)).max())
+        if residual > TOL.unit:
+            raise InvariantViolation(
+                f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
+            )
+        object.__setattr__(self, "matrix", m)
+
+
+@dataclass(frozen=True, eq=False)
+class EigenBasis:
+    """The orthonormal eigenvectors of a +1/-1 observable: plus for the
+    outcome +1, minus for -1."""
+
+    plus: StateVector
+    minus: StateVector
+
+    def __post_init__(self) -> None:
+        overlap = abs(inner(self.plus, self.minus))
+        if overlap > TOL.norm:
+            raise InvariantViolation(
+                f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
+            )
+
+
+SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+SIGMA_Y = Observable(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+SIGMA_Z = Observable(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+IDENTITY = Observable(np.eye(2, dtype=np.complex128))
+
+#: Computational basis kets; the upper/lower interferometer arms.
+KET_UPPER = StateVector(np.array([1, 0], dtype=np.complex128))
+KET_LOWER = StateVector(np.array([0, 1], dtype=np.complex128))
+
+
+def expectation(obs: Observable, state: StateVector) -> float:
+    """<state|obs|state>, a real number within the spectrum of obs."""
+    return _inner(state._parts, _apply(obs._parts, state._parts))[0]
+
+
+def variance(obs: Observable, state: StateVector) -> float:
+    """<obs^2> - <obs>^2, always >= 0: the variance of :func:`moments`."""
+    return _moments(state._parts, _apply(obs._parts, state._parts))[1]
+
+
+def commutator_bound(a: Observable, b: Observable, state: StateVector) -> float:
+    """0.5 |<[a, b]>| on one state: the floor under the product of the two spreads."""
+    return _bound(_apply(a._parts, state._parts), _apply(b._parts, state._parts))
+
+
+def require_states(amps) -> np.ndarray:
+    """An (N, 2) complex array whose rows are normalized state amplitudes.
+
+    Validates the whole batch at once, with the checks, norm formula and
+    messages of :class:`StateVector`; the first bad row is named by its index.
+    """
+    a = np.asarray(amps, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise InvariantViolation(f"states must form an (N, 2) complex array, got shape {a.shape}")
+    parts = _parts(a, 1)
+    norm_sq = _inner(parts, parts)[0]
+    # A non-finite row has a NaN or infinite norm, which fails this test too.
+    unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
+    if not unit_norm.all():
+        if not np.isfinite(a).all():
+            raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")
+        k = np.flatnonzero(~unit_norm)[0]
+        raise InvariantViolation(
+            f"state {k} is not normalized: |a0|^2 + |a1|^2 = {float(norm_sq[k])!r}"
+        )
+    return a
+
+
+def apply(matrix, amps) -> np.ndarray:
+    """M applied to a state or complex 2-vector, or a matrix or stack to (N, 2) rows."""
+    return np.array(_apply(_parts(matrix, 2), _parts(amps, 1))).T.copy().view(np.complex128)
+
+
+def inner(a, b) -> complex:
+    """<a|b> of two states or complex 2-vectors."""
+    return complex(*_inner(_parts(a, 1), _parts(b, 1)))
+
+
+def odds(a, b):
+    """The Born odds |<a|b>|^2 of states, vectors or rows, as h * h of h = hypot(Re, Im)."""
+    h = np.hypot(*_inner(_parts(a, 1), _parts(b, 1)))
     return h * h
 
 
-def _apply_rows(matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """The (N, 2) complex rows of :func:`_apply` on a matrix or stack and rows."""
-    return np.column_stack(_applied(amps, matrix)[1]).view(np.complex128)
+def moments(obs, states) -> tuple:
+    """The mean and variance of a Hermitian matrix, or a stack of one per row, on a state or rows."""
+    a = _parts(states, 1)
+    return _moments(a, _apply(_parts(obs, 2), a))
+
+
+def robertson(a, b, states) -> tuple:
+    """The means and the variances of Hermitian A and B on rows, each a pair
+    (A's, B's), and the bound 0.5 |<[A, B]>|, from one application of the two."""
+    s = _parts(states, 1)
+    x = _apply(np.array([_parts(a, 2), _parts(b, 2)]).swapaxes(0, 1).reshape(8, 2, -1), s)
+    return (*_moments(s, x), _bound([part[0] for part in x], [part[1] for part in x]))
 
 
 def expectations(obs: Observable, amps) -> np.ndarray:
     """:func:`expectation` of obs on each state row of amps, bit for bit."""
-    return _inner(*_applied(require_states(amps), obs.matrix))[0]
+    a = _parts(require_states(amps), 1)
+    return _inner(a, _apply(_parts(obs, 2), a))[0]
 
 
 def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:
@@ -292,7 +305,7 @@ def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> Observable:
 
 def states_equal(a: StateVector, b: StateVector) -> bool:
     """Ray equality: true iff |<a|b>| exceeds 1 - norm tolerance."""
-    return bool(np.hypot(*_inner(a._parts, b._parts)) > 1.0 - TOL.norm)
+    return abs(inner(a, b)) > 1.0 - TOL.norm
 
 
 def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +344,7 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
         # Divide component-wise in real arithmetic: complex division by a
         # subnormal scale overflows inside numpy.
         v = (chosen.view(np.float64) / scale).view(np.complex128)
-        v = v / math.sqrt(_inner(_vector_parts(v), _vector_parts(v))[0])
+        v = v / math.sqrt(inner(v, v).real)
         # The second eigenvector of a Hermitian 2x2 is the orthogonal ray.
         w = np.array([-np.conj(v[1]), np.conj(v[0])])
         vecs = np.column_stack([v, w])
@@ -340,7 +353,7 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
         col = vecs[:, k]
         pivot = col[0] if abs(col[0]) > 1e-12 else col[1]
         q = np.conj(pivot) / abs(pivot)  # times q, as q I applied to the column
-        parts = _apply([q.real, q.imag, 0.0, 0.0, 0.0, 0.0, q.real, q.imag], _vector_parts(col))
+        parts = _apply([q.real, q.imag, 0.0, 0.0, 0.0, 0.0, q.real, q.imag], _parts(col, 1))
         vecs[:, k] = np.array(parts).view(np.complex128)
     return evals, vecs
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .interferometer import interference_scan
-from .qalgebra import Observable, StateVector, _apply, _bound, require_finite_angle
+from .qalgebra import commutator_bound, require_finite_angle
 from .tolerances import TOL
 
 
@@ -36,10 +36,7 @@ class UncertaintyReport:
         return self.gap < TOL.var
 
 
-def robertson_bound(a: Observable, b: Observable, state: StateVector) -> float:
-    """Half the magnitude of the commutator expectation: the floor under
-    the product of the two spreads."""
-    return _bound(_apply(a._parts, state._parts), _apply(b._parts, state._parts))
+robertson_bound = commutator_bound  # on one state; interference_scan has the rows
 
 
 def duality_report(phi: float, phi0: float) -> UncertaintyReport:

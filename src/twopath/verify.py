@@ -37,17 +37,15 @@ from .qalgebra import (
     SIGMA_Z,
     InvariantViolation,
     UnitaryGate,
-    _applied,
-    _apply_rows,
-    _bound,
-    _inner,
-    _moments,
-    _odds,
     _pauli_sum,
-    _vector_parts,
+    apply,
+    inner,
+    moments,
+    odds,
     require_seed,
     require_shots,
     require_states,
+    robertson,
 )
 from .rng import RandomStream, child_seeds
 from .tolerances import TOL
@@ -220,9 +218,9 @@ def run_verification(
 def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
     """The splitter is unitary, turns sz into sx and splits the lower port evenly.
     The products come out transposed, as rows of their columns; I and sx are symmetric."""
-    yield np.max(np.abs(_apply_rows(b, b.conj()) - np.eye(2)))
-    yield np.max(np.abs(_apply_rows(b.conj().T, _apply_rows(SIGMA_Z.matrix, b.T)) - SIGMA_X.matrix))
-    yield abs(_odds(KET_UPPER._parts, _applied(KET_LOWER.amplitudes, b)[1]) - 0.5)
+    yield np.max(np.abs(apply(b, b.conj()) - np.eye(2)))
+    yield np.max(np.abs(apply(b.conj().T, apply(SIGMA_Z, b.T)) - SIGMA_X.matrix))
+    yield abs(odds(KET_UPPER, apply(b, KET_LOWER)) - 0.5)
 
 
 def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
@@ -230,8 +228,8 @@ def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
     derived, tested, rows, waves = bases
     path_basis = comp.path_eigenbasis()
     arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(tested), 1))
-    yield _worst(np.abs(_moments(*_applied(rows, ifm.path_operator().matrix))[0]))
-    yield _worst(np.abs(_moments(*_applied(arms, waves))[0]))
+    yield _worst(np.abs(moments(ifm.path_operator(), rows)[0]))
+    yield _worst(np.abs(moments(waves, arms)[0]))
     yield _worst(comp.is_complementary(path_basis, basis).max_deviation for basis in tested)
     yield _worst(_closed_form_miss(phi0, basis) for phi0, basis in zip(_PHI0_GRID.tolist(), derived))
     yield np.max(np.abs(waves[::2] - ifm._wave_matrices(_PHI0_GRID)))
@@ -242,7 +240,7 @@ def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
     half = 0.5 * comp.canonical_phase(phi0)
     closed_plus = np.array([np.exp(-1j * half), np.exp(1j * half)]) / math.sqrt(2.0)
     closed_minus = np.array([-np.exp(-1j * half), np.exp(1j * half)]) / math.sqrt(2.0)
-    return max(1.0 - float(np.hypot(*_inner(v._parts, _vector_parts(closed))))
+    return max(1.0 - abs(inner(v, closed))
                for v, closed in ((basis.plus, closed_plus), (basis.minus, closed_minus)))
 
 
@@ -283,10 +281,10 @@ def _pipeline_residuals(b: np.ndarray) -> Iterator[float]:
     With the library's splitter the fringe is cos(phi) with unit contrast.
     """
     grid = np.linspace(-math.pi, math.pi, 129)
-    opened = require_states(_apply_rows(b, KET_LOWER.amplitudes[None]))
-    shifted = require_states(_apply_rows(ifm._shifter_matrices(grid), opened))
-    closed = require_states(_apply_rows(b, shifted))
-    fringe = _moments(*_applied(closed, SIGMA_Z.matrix))[0]
+    opened = require_states(apply(b, KET_LOWER.amplitudes[None]))
+    shifted = require_states(apply(ifm._shifter_matrices(grid), opened))
+    closed = require_states(apply(b, shifted))
+    fringe = moments(SIGMA_Z, closed)[0]
     yield abs(1.0 - float(np.max(np.abs(fringe))))
     yield np.max(np.abs(fringe - np.cos(grid)))
 
@@ -295,7 +293,7 @@ def _operator_residuals(bases: _WaveBases) -> Iterator[float]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
     yield np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
                         - ifm._wave_matrices(_PHI0_GRID)))
-    yield _worst(_moments(*_applied(bases.rows, bases.waves))[1])
+    yield _worst(moments(bases.waves, bases.rows)[1])
 
 
 def _robertson_residuals() -> Iterator[float]:
@@ -306,8 +304,9 @@ def _robertson_residuals() -> Iterator[float]:
     coeffs = (2.0 * raw[:8] - 1.0)[:, :, None, None]
     a, b = _pauli_sum(*coeffs[:4]), _pauli_sum(*coeffs[4:])
     half, xi = 0.5 * (math.pi * raw[8]), 2 * math.pi * raw[9]
-    s, x, y = _applied(require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)])), a, b)
-    yield _worst(_bound(x, y) ** 2 - _moments(s, x)[1] * _moments(s, y)[1])
+    states = require_states(np.column_stack([np.cos(half), np.sin(half) * np.exp(1j * xi)]))
+    _, (var_a, var_b), bound = robertson(a, b, states)
+    yield _worst(bound ** 2 - var_a * var_b)
 
 
 #: Half-width of the variance acceptance window, in standard errors.

@@ -25,11 +25,7 @@ from twopath.interferometer import (
     wave_operator,
 )
 from twopath.qalgebra import (
-    _apply,
-    _matrix_parts,
-    _moments,
     _pauli_sum,
-    _vector_parts,
     IDENTITY,
     InvariantViolation,
     KET_LOWER,
@@ -44,11 +40,13 @@ from twopath.qalgebra import (
     eig_hermitian,
     expectation,
     expectations,
+    moments,
     pauli_compose,
     require_states,
     states_equal,
     variance,
 )
+from twopath.tolerances import TOL
 from twopath.uncertainty import duality_report
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -172,11 +170,10 @@ class TestBatched:
     def test_variances_equal_the_scalar_rows(self, obs, rows):
         # One matrix for every row, then a stack with one observable per row.
         states = [s for _, s in rows]
-        amps = _vector_parts(require_states(np.array([s.amplitudes for s in states])))
-        assert _moments(amps, _apply(_matrix_parts(obs.matrix), amps))[1].tolist() == [
-            variance(obs, s) for s in states]
-        stack = _matrix_parts(np.array([o.matrix for o, _ in rows]))
-        assert _moments(amps, _apply(stack, amps))[1].tolist() == [variance(o, s) for o, s in rows]
+        amps = require_states(np.array([s.amplitudes for s in states]))
+        assert moments(obs, amps)[1].tolist() == [variance(obs, s) for s in states]
+        stack = np.array([o.matrix for o, _ in rows])
+        assert moments(stack, amps)[1].tolist() == [variance(o, s) for o, s in rows]
 
     @given(st.lists(st.tuples(*[signed_coefficients] * 4), min_size=1, max_size=6))
     def test_stacked_pauli_sum_equals_pauli_compose(self, rows):
@@ -201,6 +198,37 @@ class TestBatched:
     def test_rejects_a_single_vector(self):
         with pytest.raises(InvariantViolation, match="shape"):
             expectations(SIGMA_Z, KET_UPPER.amplitudes)
+
+
+def norm_verdict(check, amps):
+    """None if check accepts amps, else the |a0|^2 + |a1|^2 its message names."""
+    try:
+        check(amps)
+    except InvariantViolation as exc:
+        return str(exc).rsplit("= ", 1)[1]
+    return None
+
+
+class TestNormEdge:
+    """StateVector and require_states decide normalization by one formula, so
+    they agree on every state, whatever the BLAS kernel."""
+
+    def test_both_checks_agree_at_the_tolerance(self):
+        # The first state sits where a BLAS dot product with fused multiply-adds
+        # and a per-component sum of squares give different verdicts.
+        rng = np.random.default_rng(20261020)
+        theta, xi, gamma = rng.uniform(0.0, 2 * math.pi, (3, 2000))
+        unit = np.column_stack([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * xi)])
+        # norm^2 within 8 ulp of 1 + TOL.norm, the edge of acceptance
+        scale = np.sqrt(1.0 + TOL.norm + np.finfo(float).eps * rng.integers(-8, 9, 2000))
+        rows = [[(-0.565903884586309+0.34914900572809165j), (0.6268930029536421+0.40602084682682893j)],
+                *(unit * (scale * np.exp(1j * gamma))[:, None])]
+        verdicts = [(norm_verdict(StateVector, row), norm_verdict(lambda a: require_states([a]), row))
+                    for row in rows]
+        assert [k for k, (one, batch) in enumerate(verdicts) if one != batch] == []
+        assert verdicts[0] == (None, None)
+        # both verdicts occur, so the batch straddles the edge
+        assert 100 < sum(one is None for one, _ in verdicts) < 1900
 
 
 class TestCheckedOnce:

@@ -169,16 +169,10 @@ def test_one_number_format():
 #: rounds differently at different SIMD levels.
 BLAS_ROUTES = {"vdot", "dot", "inner", "outer", "matmul", "einsum", "tensordot", "linalg"}
 
-#: The BLAS routes left in the package, by module and enclosing function: the
-#: validation residuals of two constructors, which only decide whether a
-#: value is accepted, and the solve of derive_wave_eigenbasis's constant
-#: system, whose solution is exactly [0.5, 0.5].
-BLAS_ALLOWED = [
-    ("complementarity", "derive_wave_eigenbasis", "np.linalg"),
-    ("qalgebra", "StateVector.__post_init__", "@"),
-    ("qalgebra", "StateVector.__post_init__", "@"),
-    ("qalgebra", "UnitaryGate.__post_init__", "@"),
-]
+#: The BLAS route left in the package, by module and enclosing function: the
+#: solve of derive_wave_eigenbasis's constant system, whose solution is
+#: exactly [0.5, 0.5].
+BLAS_ALLOWED = [("complementarity", "derive_wave_eigenbasis", "np.linalg")]
 
 
 def blas_routes(tree: ast.AST, scope: str = "") -> list[tuple[str, str]]:
@@ -197,11 +191,34 @@ def blas_routes(tree: ast.AST, scope: str = "") -> list[tuple[str, str]]:
 
 
 def test_no_output_path_goes_through_blas():
-    # every 2x2 product is one of qalgebra's real formulas, so no output byte
-    # depends on the BLAS kernel
+    # every 2x2 product, the constructors' checks included, is one of
+    # qalgebra's real formulas, so neither an output byte nor whether a value
+    # is accepted depends on the BLAS kernel
     found = sorted((module.stem, scope, route) for module in SRC.glob("*.py")
                    for scope, route in blas_routes(ast.parse(module.read_text(encoding="utf-8"))))
     assert found == BLAS_ALLOWED
+
+
+#: qalgebra's private formulas on parts, and the names of those it had.
+PARTS_FORMULAS = {"_parts", "_apply", "_applied", "_apply_rows", "_inner", "_moments", "_bound", "_odds",
+                  "_vector_parts", "_matrix_parts"}
+
+
+def test_parts_stay_in_qalgebra():
+    # Only qalgebra knows the parts format (Re a0, Im a0, Re a1, Im a1): every
+    # other module passes states, observables or complex arrays to its
+    # entries, and reads no value's cached parts.
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "qalgebra.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in PARTS_FORMULAS:
+                found.append(f"{module.stem}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("qalgebra"):
+                found += [f"{module.stem}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in PARTS_FORMULAS]
+    assert found == []
 
 
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:

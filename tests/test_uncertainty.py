@@ -13,11 +13,12 @@ from support import (
     general_bound_rhs,
     hermitians,
     matmul_oracle,
+    patch_everywhere,
     pure_states,
     random_hermitian,
     random_state,
 )
-from twopath import interferometer, qalgebra
+from twopath import qalgebra
 from twopath.interferometer import (
     balanced_state,
     interference_scan,
@@ -25,14 +26,11 @@ from twopath.interferometer import (
     wave_operator,
 )
 from twopath.qalgebra import (
-    _apply,
-    _bound,
-    _matrix_parts,
-    _vector_parts,
     InvariantViolation,
     KET_UPPER,
     SIGMA_X,
     SIGMA_Z,
+    robertson,
     variance,
 )
 from twopath.uncertainty import (
@@ -72,9 +70,11 @@ class TestRobertsonBound:
 
     @given(st.lists(st.tuples(hermitians(), hermitians(), pure_states()), min_size=1, max_size=6))
     def test_stacked_bound_equals_the_scalar_rows(self, triples):
-        a, b = (_matrix_parts(np.array([t[k].matrix for t in triples])) for k in (0, 1))
-        rows = _vector_parts(np.array([t[2].amplitudes for t in triples]))
-        assert _bound(_apply(a, rows), _apply(b, rows)).tolist() == [robertson_bound(*t) for t in triples]
+        a, b = (np.array([t[k].matrix for t in triples]) for k in (0, 1))
+        rows = np.array([t[2].amplitudes for t in triples])
+        _, variances, bound = robertson(a, b, rows)
+        assert bound.tolist() == [robertson_bound(*t) for t in triples]
+        assert variances.tolist() == [[variance(t[k], t[2]) for t in triples] for k in (0, 1)]
 
 
 class TestGeneralBoundRhs:
@@ -165,14 +165,14 @@ class TestDualityTable:
     def test_first_product_below_its_bound_is_named(self, monkeypatch):
         # Shrink the spreads of rows 2 and 3 so their products fall below
         # the bound; the error names the first of them.
-        real = interferometer._moments
+        real = qalgebra._moments
 
         def shrunk(*args):
             means, values = real(*args)
             values[..., 2:4] *= 0.25  # rows 2 and 3 of both observables
             return means, values
 
-        monkeypatch.setattr(interferometer, "_moments", shrunk)
+        patch_everywhere(monkeypatch, real, shrunk)
         with pytest.raises(InvariantViolation, match=r"fell below its bound .* at phi = 0\.75$"):
             interference_scan(0.0, [0.25, 0.5, 0.75, 1.0])
 
