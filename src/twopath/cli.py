@@ -12,6 +12,11 @@ shots a row, so that its float64 columns hold its counts exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (any subcommand whose --out file or stdout, say on a full disk, cannot be written).
+
+A run imports only the modules its subcommand executes: scan loads output,
+interferometer, qalgebra and tolerances beside this module; sample adds
+measurement and rng, imported by cmd_sample; verify adds verify and,
+through it, the rest of the package.
 """
 
 from __future__ import annotations
@@ -19,22 +24,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .output import emit, format_rows
 from .interferometer import interference_scan
-from .measurement import (
-    MeasurementOrder,
-    outcome_moment_columns,
-    sequential_counts,
-    uniformity_columns,
-)
 from .qalgebra import InvariantViolation, require_finite_angle, require_seed, require_shots
-from .rng import child_seeds
-from .verify import format_report, run_verification
 
 SCAN_COLUMNS = (
     "phi",
@@ -76,10 +72,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the scan and sample commands."""
-
+class _RunFields(NamedTuple):
     phi0: float = 0.0
     phi_start: float = -math.pi
     phi_end: float = math.pi
@@ -88,7 +81,14 @@ class RunConfig:
     seed: int = 1
     order: str = "both"
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    """Validated run parameters shared by the scan and sample commands."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.steps < 1:
             raise InvariantViolation(f"steps must be >= 1, got {self.steps}")
         # numpy caps an array's size in bytes at the largest np.intp, and
@@ -116,6 +116,7 @@ class RunConfig:
         require_seed(self.seed)
         if self.order not in ("pw", "wp", "both"):
             raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
+        return self
 
     def grid(self) -> Iterator[np.ndarray]:
         """The ``steps`` phases from ``phi_start`` to ``phi_end`` inclusive,
@@ -167,7 +168,9 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
     every row's two +1 counts, and one format_rows call; so does a run of
     any --shots that RunConfig accepts.
     """
-    values = [order.value for order in MeasurementOrder] if config.order == "both" else [config.order]
+    from . import measurement as meas, rng
+
+    values = [order.value for order in meas.MeasurementOrder] if config.order == "both" else [config.order]
     shots, phi0 = config.shots, config.phi0
     yield ",".join(SAMPLE_COLUMNS) + "\n"
     first_row = 0
@@ -175,13 +178,13 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
         phis = np.repeat(grid, len(values))
         codes = np.tile(np.arange(len(values)), grid.size)
         orders = np.array(values, dtype=object).take(codes)
-        seeds = child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
+        seeds = rng.child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
         first_row += phis.size
-        n_first, n_second = sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
+        n_first, n_second = meas.sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
         block = np.column_stack([
             phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
-            *outcome_moment_columns(n_first, shots), *outcome_moment_columns(n_second, shots),
-            n_second, shots - n_second, *uniformity_columns(n_second, shots),
+            *meas.outcome_moment_columns(n_first, shots), *meas.outcome_moment_columns(n_second, shots),
+            n_second, shots - n_second, *meas.uniformity_columns(n_second, shots),
         ])
         yield from format_rows(block, text=(SAMPLE_COLUMNS.index("order"), values))
 
@@ -243,8 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            report = run_verification(shots=args.shots, seed=args.seed)
-            emit([format_report(report) + "\n"], None)
+            from . import verify
+
+            report = verify.run_verification(shots=args.shots, seed=args.seed)
+            emit([verify.format_report(report) + "\n"], None)
             return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
         half_turn = 180.0 if args.degrees else math.pi

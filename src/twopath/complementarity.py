@@ -13,7 +13,7 @@ solves the constraints rather than hard-coding their solution), assembles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .tolerances import TOL
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ComplementarityVerdict:
+class ComplementarityVerdict(NamedTuple):
     """Outcome of a mutual-unbiasedness test between two bases."""
 
     max_deviation: float  # largest |overlap^2 - 1/2| over the four pairs
@@ -52,6 +51,16 @@ def canonical_phase(phi: float) -> float:
     return wrapped
 
 
+def _solve_2x2(m, t) -> np.ndarray:
+    """The solution x of the real 2x2 system m x = t whose m[0][0] is at least
+    |m[1][0]|, by Gaussian elimination in the steps of an LU solve."""
+    (a, b), (c, d) = m
+    t0, t1 = t
+    factor = c / a
+    x1 = (t1 - factor * t0) / (d - factor * b)
+    return np.array([(t0 - b * x1) / a, x1])
+
+
 def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
     """Solve the complementarity constraints for the wave eigenbasis.
 
@@ -64,9 +73,7 @@ def derive_wave_eigenbasis(phi0: float) -> EigenBasis:
     ray, which automatically satisfies the same constraints.
     """
     phi0 = canonical_phase(phi0)
-    constraints = np.array([[1.0, -1.0], [1.0, 1.0]])
-    targets = np.array([0.0, 1.0])
-    moduli_sq = np.linalg.solve(constraints, targets)
+    moduli_sq = _solve_2x2(((1.0, -1.0), (1.0, 1.0)), (0.0, 1.0))
     r0, r1 = np.sqrt(moduli_sq)
     half = 0.5 * phi0
     plus = StateVector(

@@ -30,12 +30,13 @@ from __future__ import annotations
 import enum
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .interferometer import balanced_amplitudes, path_operator, wave_operator
 from .qalgebra import (
+    Frozen,
     InvariantViolation,
     Observable,
     StateVector,
@@ -70,16 +71,19 @@ class MeasurementOrder(enum.Enum):
     W_THEN_P = "wp"
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
+class MeasurementRecord(Frozen):
     """One projective measurement: the +1/-1 outcome and the projected state."""
 
+    __slots__ = ("outcome", "post_state")
     outcome: float
     post_state: StateVector
 
+    def __init__(self, outcome: float, post_state: StateVector) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "post_state", post_state)
 
-@dataclass(frozen=True)
-class SequentialStats:
+
+class SequentialStats(NamedTuple):
     """Empirical statistics of ordered measurement pairs."""
 
     order: MeasurementOrder

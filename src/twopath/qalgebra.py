@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,12 +109,18 @@ def _apply(m, a) -> tuple:
             (m10r * a0i + m10i * a0r) + (m11r * a1i + m11i * a1r))
 
 
-def _inner(a, b) -> tuple:
-    """<a|b> as (Re, Im), each the sum of the first and second components' terms."""
+def _re_inner(a, b):
+    """Re<a|b>, the sum of the first and second components' terms."""
     a0r, a0i, a1r, a1i = a
     b0r, b0i, b1r, b1i = b
-    return ((a0r * b0r + a1r * b1r) + (a0i * b0i + a1i * b1i),
-            (a0r * b0i + a1r * b1i) - (a0i * b0r + a1i * b1r))
+    return (a0r * b0r + a1r * b1r) + (a0i * b0i + a1i * b1i)
+
+
+def _im_inner(a, b):
+    """Im<a|b>, the sum of the first and second components' terms."""
+    a0r, a0i, a1r, a1i = a
+    b0r, b0i, b1r, b1i = b
+    return (a0r * b0i + a1r * b1i) - (a0i * b0r + a1i * b1r)
 
 
 def _moments(a, x) -> tuple:
@@ -126,31 +131,59 @@ def _moments(a, x) -> tuple:
     near eigenstates, where the textbook difference of two near-unit terms
     cancels catastrophically.
     """
-    mean = _inner(a, x)[0]
+    mean = _re_inner(a, x)
     residual = [xk - mean * ak for xk, ak in zip(x, a)]
-    return mean, _inner(residual, residual)[0]
+    return mean, _re_inner(residual, residual)
 
 
 def _bound(x, y):
     """The Robertson bound 0.5 |<[A, B]>| of Hermitian A and B from x = A a and
     y = B a, as <a|[A, B]|a> = <x|y> - <y|x> = 2i Im<x|y>."""
-    return abs(_inner(x, y)[1])
+    return abs(_im_inner(x, y))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``__slots__``, the public ones in the
+    order its ``__init__`` takes them, and sets each once, in ``__init__``,
+    through ``object.__setattr__``; assigning or deleting one afterwards
+    raises AttributeError, as for a frozen dataclass.  Values compare by
+    identity; the repr shows the public fields, and a copy or an unpickled
+    value is built by ``__init__`` from them, so it is checked again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if not name.startswith("_"))
+
+
+class StateVector(Frozen):
     """Normalized complex 2-vector of probability amplitudes.
 
     The global phase carries no physics; compare states with
     :func:`states_equal`, never element-wise.
     """
 
+    __slots__ = ("amplitudes", "_parts")
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = _checked_copy(self.amplitudes, (2,), "state must be a complex 2-vector", "state amplitudes")
+    def __init__(self, amplitudes) -> None:
+        a = _checked_copy(amplitudes, (2,), "state must be a complex 2-vector", "state amplitudes")
         parts = _parts(a, 1)
-        norm_sq = _inner(parts, parts)[0]
+        norm_sq = _re_inner(parts, parts)
         if abs(norm_sq - 1.0) > TOL.norm:
             raise InvariantViolation(
                 f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
@@ -159,14 +192,14 @@ class StateVector:
         object.__setattr__(self, "_parts", parts)
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(Frozen):
     """Hermitian 2x2 operator."""
 
+    __slots__ = ("matrix", "_parts")
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        m = _checked_copy(self.matrix, (2, 2), "observable must be 2x2", "observable entries")
+    def __init__(self, matrix) -> None:
+        m = _checked_copy(matrix, (2, 2), "observable must be 2x2", "observable entries")
         residual = float(np.abs(m - m.conj().T).max())
         if residual > TOL.herm:
             raise InvariantViolation(
@@ -176,14 +209,14 @@ class Observable:
         object.__setattr__(self, "_parts", _parts(m, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryGate:
+class UnitaryGate(Frozen):
     """Unitary 2x2 operator."""
 
+    __slots__ = ("matrix",)
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        m = _checked_copy(self.matrix, (2, 2), "gate must be 2x2", "gate entries")
+    def __init__(self, matrix) -> None:
+        m = _checked_copy(matrix, (2, 2), "gate must be 2x2", "gate entries")
         residual = float(np.abs(apply(m, m.conj()) - np.eye(2)).max())
         if residual > TOL.unit:
             raise InvariantViolation(
@@ -192,20 +225,22 @@ class UnitaryGate:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenBasis:
+class EigenBasis(Frozen):
     """The orthonormal eigenvectors of a +1/-1 observable: plus for the
     outcome +1, minus for -1."""
 
+    __slots__ = ("plus", "minus")
     plus: StateVector
     minus: StateVector
 
-    def __post_init__(self) -> None:
-        overlap = abs(inner(self.plus, self.minus))
+    def __init__(self, plus: StateVector, minus: StateVector) -> None:
+        overlap = abs(inner(plus, minus))
         if overlap > TOL.norm:
             raise InvariantViolation(
                 f"eigenbasis is not orthogonal: |<plus|minus>| = {overlap:.3e}"
             )
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
 
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=np.complex128))
@@ -220,7 +255,7 @@ KET_LOWER = StateVector(np.array([0, 1], dtype=np.complex128))
 
 def expectation(obs: Observable, state: StateVector) -> float:
     """<state|obs|state>, a real number within the spectrum of obs."""
-    return _inner(state._parts, _apply(obs._parts, state._parts))[0]
+    return _re_inner(state._parts, _apply(obs._parts, state._parts))
 
 
 def variance(obs: Observable, state: StateVector) -> float:
@@ -243,7 +278,7 @@ def require_states(amps) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != 2:
         raise InvariantViolation(f"states must form an (N, 2) complex array, got shape {a.shape}")
     parts = _parts(a, 1)
-    norm_sq = _inner(parts, parts)[0]
+    norm_sq = _re_inner(parts, parts)
     # A non-finite row has a NaN or infinite norm, which fails this test too.
     unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
     if not unit_norm.all():
@@ -263,12 +298,14 @@ def apply(matrix, amps) -> np.ndarray:
 
 def inner(a, b) -> complex:
     """<a|b> of two states or complex 2-vectors."""
-    return complex(*_inner(_parts(a, 1), _parts(b, 1)))
+    a, b = _parts(a, 1), _parts(b, 1)
+    return complex(_re_inner(a, b), _im_inner(a, b))
 
 
 def odds(a, b):
     """The Born odds |<a|b>|^2 of states, vectors or rows, as h * h of h = hypot(Re, Im)."""
-    h = np.hypot(*_inner(_parts(a, 1), _parts(b, 1)))
+    a, b = _parts(a, 1), _parts(b, 1)
+    h = np.hypot(_re_inner(a, b), _im_inner(a, b))
     return h * h
 
 
@@ -289,7 +326,7 @@ def robertson(a, b, states) -> tuple:
 def expectations(obs: Observable, amps) -> np.ndarray:
     """:func:`expectation` of obs on each state row of amps, bit for bit."""
     a = _parts(require_states(amps), 1)
-    return _inner(a, _apply(_parts(obs, 2), a))[0]
+    return _re_inner(a, _apply(_parts(obs, 2), a))
 
 
 def _pauli_sum(c0, cx, cy, cz) -> np.ndarray:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Absolute tolerances for construction-time checks and for the limits
     of the named checks in :mod:`twopath.verify`.
 

@@ -12,15 +12,14 @@ from its gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .interferometer import interference_scan
 from .qalgebra import commutator_bound, require_finite_angle
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     """Spreads, bound, and saturation gap at one scan point."""
 
     phi: float

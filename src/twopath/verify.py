@@ -21,7 +21,6 @@ each order on child streams 0-7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -54,8 +53,7 @@ _PHI0_GRID = np.linspace(-math.pi, math.pi, 17)
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float
@@ -63,8 +61,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -87,13 +87,13 @@ class TestScan:
 
     def test_state_count_does_not_grow_with_steps(self, monkeypatch):
         built = []
-        validate = StateVector.__post_init__
+        validate = StateVector.__init__
 
-        def counted(state):
+        def counted(state, amplitudes):
             built.append(state)
-            validate(state)
+            validate(state, amplitudes)
 
-        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        monkeypatch.setattr(StateVector, "__init__", counted)
         counts = []
         for steps in (10, 1000):
             built.clear()
@@ -235,8 +235,9 @@ class TestSampleRows:
 
     @staticmethod
     def crafted(monkeypatch, counts):
-        """Make cli.sequential_counts return counts(rows, shots); returns the
-        list of each call's rows, shots and counts."""
+        """Make measurement.sequential_counts, the sampler cmd_sample calls,
+        return counts(rows, shots); returns the list of each call's rows,
+        shots and counts."""
         calls = []
 
         def fake(orders, phis, phi0s, shots, seeds):
@@ -244,7 +245,7 @@ class TestSampleRows:
             calls.append((orders, phis, phi0s, shots, n_first, n_second))
             return n_first, n_second
 
-        monkeypatch.setattr(cli, "sequential_counts", fake)
+        monkeypatch.setattr(measurement, "sequential_counts", fake)
         return calls
 
     def assert_rows_match(self, monkeypatch, config, counts):
@@ -272,7 +273,7 @@ class TestSampleRows:
         def refused(*args):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(cli, "sequential_counts", refused)
+        monkeypatch.setattr(measurement, "sequential_counts", refused)
         assert main(["sample", "--steps", "1", "--shots", str(shots)]) == 2
         assert capsys.readouterr() == ("", f"twopath: shots must be <= 9007199254740992 (2**53), got {shots}\n")
 
@@ -304,7 +305,7 @@ class TestVerifyCommand:
         assert "second_outcome_uniform_pw" in out
 
     def test_failing_suite_exits_one_and_names_the_check(self, capsys, monkeypatch):
-        import twopath.cli as cli_module
+        import twopath.verify as verify_module
         from twopath.verify import run_verification
         from support import perturbed_splitter
 
@@ -314,7 +315,7 @@ class TestVerifyCommand:
                 beam_splitter_override=perturbed_splitter(),
             )
 
-        monkeypatch.setattr(cli_module, "run_verification", crooked_run)
+        monkeypatch.setattr(verify_module, "run_verification", crooked_run)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert any(
@@ -645,16 +646,16 @@ class TestStreaming:
         # the whole output would add ~300 B per row
         assert large < small + 128 * 1024
 
-    @pytest.mark.parametrize("command, kernel, argv", [
-        ("scan", "interference_scan", ["scan", "--steps", "5"]),
-        ("sample", "sequential_counts", ["sample", "--steps", "5", "--shots", "10"]),
+    @pytest.mark.parametrize("command, owner, kernel, argv", [
+        ("scan", cli, "interference_scan", ["scan", "--steps", "5"]),
+        ("sample", measurement, "sequential_counts", ["sample", "--steps", "5", "--shots", "10"]),
     ], ids=["scan", "sample"])
-    def test_fault_in_block_two(self, command, kernel, argv, tmp_path, capsys, monkeypatch):
+    def test_fault_in_block_two(self, command, owner, kernel, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "BLOCK_POINTS", 2)
         assert main(argv) == 0
         whole = capsys.readouterr().out
         calls = []
-        real = getattr(cli, kernel)
+        real = getattr(owner, kernel)
 
         def faulty(*args):
             calls.append(args)
@@ -662,7 +663,7 @@ class TestStreaming:
                 raise InvariantViolation("fault in block 2")
             return real(*args)
 
-        monkeypatch.setattr(cli, kernel, faulty)
+        monkeypatch.setattr(owner, kernel, faulty)
         # stdout: the header and block 1's lines, each complete
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -1,6 +1,8 @@
 """Hilbert-space primitives: validation, operations, and their invariants."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -87,6 +89,17 @@ class TestConstructors:
             state.amplitudes[0] = 0.0
         with pytest.raises(ValueError):
             SIGMA_X.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("value, field", [
+        (KET_UPPER, "amplitudes"), (SIGMA_X, "matrix"), (UnitaryGate(np.eye(2)), "matrix"),
+        (EigenBasis(KET_UPPER, KET_LOWER), "plus"),
+    ])
+    def test_values_are_frozen_and_copy_through_their_constructors(self, value, field):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, getattr(value, field))
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone is not value
+            assert repr(clone) == repr(value)
 
     def test_constructors_do_not_renormalize(self):
         # off by more than the tolerance, even if only just

@@ -3,6 +3,7 @@ every public name in the package has a user outside the unit tests."""
 
 import ast
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -53,12 +54,18 @@ def test_readme_sketch_runs():
         if isinstance(stmt, ast.ImportFrom) and stmt.module == "twopath"
         for alias in stmt.names
     }
+    # The package resolves each export on first use, so vars(twopath) holds
+    # only what earlier imports put there; __all__ and dir() do not depend on it.
+    assert set(twopath.__all__) == imported | {"InvariantViolation"}
+    for name in twopath.__all__:
+        value = getattr(twopath, name)
+        assert getattr(sys.modules[value.__module__], name) is value
     public = {
         name
-        for name, value in vars(twopath).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(twopath)
+        if not name.startswith("_") and not isinstance(getattr(twopath, name), types.ModuleType)
     }
-    assert public == imported | {"InvariantViolation"}
+    assert public == set(twopath.__all__)
 
 
 def referenced_names(path: Path) -> tuple[set[str], set[str]]:
@@ -169,10 +176,10 @@ def test_one_number_format():
 #: rounds differently at different SIMD levels.
 BLAS_ROUTES = {"vdot", "dot", "inner", "outer", "matmul", "einsum", "tensordot", "linalg"}
 
-#: The BLAS route left in the package, by module and enclosing function: the
-#: solve of derive_wave_eigenbasis's constant system, whose solution is
-#: exactly [0.5, 0.5].
-BLAS_ALLOWED = [("complementarity", "derive_wave_eigenbasis", "np.linalg")]
+#: The BLAS routes left in the package, by module and enclosing function:
+#: none, since derive_wave_eigenbasis solves its constant 2x2 system by
+#: elimination in real arithmetic.
+BLAS_ALLOWED = []
 
 
 def blas_routes(tree: ast.AST, scope: str = "") -> list[tuple[str, str]]:
@@ -199,9 +206,55 @@ def test_no_output_path_goes_through_blas():
     assert found == BLAS_ALLOWED
 
 
+#: A fresh interpreter imports the CLI, runs scan and then sample, and
+#: prints the twopath modules loaded after each, and whether dataclasses was.
+MODULES_PER_RUN = """
+import json, os, sys
+import twopath.cli as cli
+loaded = []
+for argv in (["scan", "--steps", "3"], ["sample", "--steps", "3", "--shots", "10"]):
+    assert cli.main(argv + ["--out", os.devnull]) == 0
+    twopath = sorted(name for name in sys.modules if name.split(".")[0] == "twopath")
+    loaded.append([twopath, "dataclasses" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    # The package resolves its exports on first use and cli imports the
+    # sampler and the check suite where it runs them, so a scan loads five
+    # of the eleven modules.  No time bound: the module set is the contract.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", MODULES_PER_RUN], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    scan_modules = ["cli", "output", "interferometer", "qalgebra", "tolerances"]
+    expected = [
+        [sorted(["twopath", *(f"twopath.{name}" for name in modules)]), False]
+        for modules in (scan_modules, scan_modules + ["measurement", "rng"])
+    ]
+    assert json.loads(run.stdout) == expected
+
+
+def test_no_module_imports_dataclasses():
+    # Every record is a NamedTuple or a qalgebra.Frozen class: building a
+    # dataclass costs ~0.5 ms at import, more than most of a scan's work.
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{module.stem}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 #: qalgebra's private formulas on parts, and the names of those it had.
-PARTS_FORMULAS = {"_parts", "_apply", "_applied", "_apply_rows", "_inner", "_moments", "_bound", "_odds",
-                  "_vector_parts", "_matrix_parts"}
+PARTS_FORMULAS = {"_parts", "_apply", "_applied", "_apply_rows", "_inner", "_re_inner", "_im_inner",
+                  "_moments", "_bound", "_odds", "_vector_parts", "_matrix_parts"}
 
 
 def test_parts_stay_in_qalgebra():

@@ -149,9 +149,9 @@ COMPONENT_FAULTS = {
                            lambda f: lambda phi0s: f(phi0s) + [[0.0, 0.1], [0.0, 0.0]]),
     # W read at phi0 / 2, so its period is 4 pi
     "wave-half-angle": (interferometer._wave_matrices, lambda f: lambda phi0s: f(np.asarray(phi0s) / 2)),
-    # the constraint solve inside derive_wave_eigenbasis, its one caller,
-    # gives moduli^2 0.51 and 0.49: still normalized and orthogonal
-    "derive-moduli": ((np.linalg, "solve"), lambda f: lambda a, b: f(a, b) + [0.01, -0.01]),
+    # the constraint solve of derive_wave_eigenbasis, its one caller, gives
+    # moduli^2 0.51 and 0.49: still normalized and orthogonal
+    "derive-moduli": (complementarity._solve_2x2, lambda f: lambda a, b: f(a, b) + [0.01, -0.01]),
     # the shared set-up raises: each group that reads the offsets fails
     "derived-state-x1.01": ((complementarity, "StateVector"),
                             lambda cls: lambda amps: cls(1.01 * np.asarray(amps))),
