@@ -10,8 +10,19 @@ printed by output.format_rows in numpy: scan's doubles, and sample's
 columns with its order as text.  sample takes at most MAX_SAMPLE_SHOTS
 shots a row, so that its float64 columns hold its counts exactly.
 
+An argv is a subcommand, then its flags from the table COMMANDS in any
+order, each spelled in full as ``--flag value`` or ``--flag=value``, or
+alone for a switch.  The token after a flag is its value even if it starts
+with "-", and a flag given twice keeps its last value.  ``-h`` or
+``--help`` prints the help of twopath or of the subcommand, through
+output.emit.  The table is read by a few lines of this module, not by
+argparse, whose import with gettext and locale cost a run more start-up
+than all of twopath's own modules.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
-(any subcommand whose --out file or stdout, say on a full disk, cannot be written).
+(any subcommand whose --out file or stdout, say on a full disk, cannot be
+written).  Every usage error, the parser's among them, is one
+"twopath: ..." line on stderr.
 
 A run imports only the modules its subcommand executes: scan loads output,
 interferometer, qalgebra and tolerances beside this module; sample adds
@@ -21,7 +32,7 @@ through it, the rest of the package.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import math
 import sys
 from typing import Iterator, NamedTuple
@@ -196,84 +207,193 @@ plot '{path}' {plot}
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twopath",
-        description="Ideal two-path interferometer: scans, sampling, verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Flag(NamedTuple):
+    """One flag of a subcommand: the key its value is stored under, how the
+    value is read, its default and its help line.  ``kind`` is int, float or
+    str for a flag that takes a value, the tuple of the values it accepts,
+    or None for a switch, which takes none and is True when given."""
 
-    def add_common(p: argparse.ArgumentParser, sampling: bool) -> None:
-        p.add_argument("--phi0", type=float, default=0.0, help="setup offset (rad)")
-        p.add_argument(
-            "--from", dest="phi_from", type=float, default=None,
-            help="scan start (default -pi, or -180 with --degrees)",
-        )
-        p.add_argument(
-            "--to", dest="phi_to", type=float, default=None,
-            help="scan end (default pi, or 180 with --degrees)",
-        )
-        p.add_argument("--steps", type=int, default=181 if not sampling else 9,
-                       help="number of grid points")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret input angles as degrees")
-        p.add_argument("--gnuplot", action="store_true",
-                       help="also write a gnuplot script next to --out")
+    dest: str
+    kind: object
+    default: object
+    help: str
 
-    scan_p = sub.add_parser("scan", help="analytic interference scan (CSV)")
-    add_common(scan_p, sampling=False)
 
-    sample_p = sub.add_parser("sample", help="sequential-measurement Monte Carlo (CSV)")
-    add_common(sample_p, sampling=True)
-    sample_p.add_argument("--shots", type=int, default=100_000,
-                          help="shots per row, at most 2**53 (the CSV's counts are exact doubles)")
-    sample_p.add_argument("--seed", type=int, default=1, help="base stream seed")
-    sample_p.add_argument("--order", choices=("pw", "wp", "both"), default="both",
-                          help="measurement order(s) to run")
+def _grid_flags(steps: int) -> dict[str, Flag]:
+    """The flags scan and sample share; they differ in the default --steps."""
+    return {
+        "--phi0": Flag("phi0", float, 0.0, "setup offset in radians"),
+        "--from": Flag("phi_from", float, None, "scan start (default -pi, or -180 with --degrees)"),
+        "--to": Flag("phi_to", float, None, "scan end (default pi, or 180 with --degrees)"),
+        "--steps": Flag("steps", int, steps, "number of grid points"),
+        "--out": Flag("out", str, None, "output path (default stdout)"),
+        "--degrees": Flag("degrees", None, False, "interpret input angles as degrees"),
+        "--gnuplot": Flag("gnuplot", None, False, "also write a gnuplot script next to --out"),
+    }
 
-    verify_p = sub.add_parser("verify", help="run the named invariant suite")
-    verify_p.add_argument("--shots", type=int, default=None,
-                          help="also run Monte Carlo checks at this shot count")
-    verify_p.add_argument("--seed", type=int, default=1, help="stream seed")
 
-    return parser
+#: The flag table: each subcommand's help line and its flags by spelling.
+#: A flag is given only in full, as ``--flag value`` or ``--flag=value``.
+COMMANDS = {
+    "scan": ("analytic interference scan (CSV)", _grid_flags(181)),
+    "sample": ("sequential-measurement Monte Carlo (CSV)", {
+        **_grid_flags(9),
+        "--shots": Flag("shots", int, 100_000,
+                        "shots per row, at most 2**53 (the CSV's counts are exact doubles)"),
+        "--seed": Flag("seed", int, 1, "base stream seed"),
+        "--order": Flag("order", ("pw", "wp", "both"), "both", "measurement order(s) to run"),
+    }),
+    "verify": ("run the named invariant suite", {
+        "--shots": Flag("shots", int, None, "also run Monte Carlo checks at this shot count"),
+        "--seed": Flag("seed", int, 1, "stream seed"),
+    }),
+}
+
+_HELP = ("-h", "--help")
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _one_of(values) -> str:
+    return f"{', '.join(values[:-1])} or {values[-1]}"
+
+
+class Parser:
+    """Reads an argv by a flag table, as the module docstring describes,
+    and writes the help of each subcommand from it."""
+
+    def __init__(self, commands: dict) -> None:
+        self.commands = commands
+        self.defaults = {
+            name: {flag.dest: flag.default for flag in flags.values()}
+            for name, (_, flags) in commands.items()
+        }
+
+    def parse(self, argv: list[str]) -> tuple[str | None, dict | None]:
+        """The subcommand and its values by dest, every flag not given at
+        its default; or, for help, the subcommand (None at the top) and
+        None.  A usage error raises InvariantViolation."""
+        if not argv:
+            raise InvariantViolation(
+                f"missing subcommand: expected {_one_of(list(self.commands))} (see twopath --help)"
+            )
+        command, *rest = argv
+        if command in _HELP:
+            return None, None
+        if command not in self.commands:
+            raise InvariantViolation(
+                f"unknown subcommand {command!r}: expected {_one_of(list(self.commands))}"
+            )
+        flags, values = self.commands[command][1], dict(self.defaults[command])
+        args = iter(rest)
+        for arg in args:
+            if arg in _HELP:
+                return command, None
+            name, given, value = arg.partition("=")
+            flag = flags.get(name)
+            if flag is None:
+                raise InvariantViolation(
+                    f"unknown argument {arg!r} for {command} (see twopath {command} --help)"
+                )
+            if flag.kind is None:
+                if given:
+                    raise InvariantViolation(f"{name} takes no value, got {arg!r}")
+                values[flag.dest] = True
+                continue
+            if not given:
+                value = next(args, None)
+                if value is None:
+                    raise InvariantViolation(f"{name} needs a value")
+            values[flag.dest] = _read(name, flag.kind, value)
+        return command, values
+
+    def help(self, command: str | None) -> str:
+        """The help text of a subcommand, or of twopath itself for None."""
+        if command is None:
+            lines = [
+                f"usage: twopath {{{','.join(self.commands)}}} [FLAG ...]",
+                "",
+                "Ideal two-path interferometer: scans, sampling, verification.",
+                "",
+                "subcommands:",
+                *(f"  {name:<8}{summary}" for name, (summary, _) in self.commands.items()),
+                "",
+                "twopath SUBCOMMAND --help lists the flags of a subcommand.",
+            ]
+            return "\n".join(lines) + "\n"
+        summary, flags = self.commands[command]
+        rows = [("-h, --help", "show this help and exit")]
+        for spelling, flag in flags.items():
+            if flag.kind is None:
+                rows.append((spelling, flag.help))
+                continue
+            meta = "|".join(flag.kind) if isinstance(flag.kind, tuple) else flag.dest.upper()
+            default = "" if flag.default is None else f"; default {flag.default}"
+            rows.append((f"{spelling} {meta}", flag.help + default))
+        width = max(len(left) for left, _ in rows) + 2
+        lines = [
+            f"usage: twopath {command} [--flag VALUE | --flag=VALUE | --switch] ...",
+            "",
+            summary,
+            "",
+            "flags:",
+            *(f"  {left:<{width}}{right}" for left, right in rows),
+        ]
+        return "\n".join(lines) + "\n"
+
+
+def _read(name: str, kind, text: str):
+    """The value of flag ``name`` from its text, read as ``kind`` says."""
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        raise InvariantViolation(f"{name} must be {_one_of(kind)}, got {text!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvariantViolation(f"{name} must be {_KIND_NAMES[kind]}, got {text!r}") from None
+
+
+@functools.cache
+def build_parser() -> Parser:
+    """The parser of the flag table, built on the first call; main uses it."""
+    return Parser(COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Parse, build, run and write; every failure maps to one exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify":
+        command, args = parser.parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            emit([parser.help(command)], None)
+            return EXIT_OK
+        if command == "verify":
             from . import verify
 
-            report = verify.run_verification(shots=args.shots, seed=args.seed)
+            report = verify.run_verification(shots=args["shots"], seed=args["seed"])
             emit([verify.format_report(report) + "\n"], None)
             return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
-        half_turn = 180.0 if args.degrees else math.pi
-        phi_from = args.phi_from if args.phi_from is not None else -half_turn
-        phi_to = args.phi_to if args.phi_to is not None else half_turn
-        angles = (args.phi0, phi_from, phi_to)
-        phi0, phi_start, phi_end = map(math.radians, angles) if args.degrees else angles
-        sampling = {k: v for k, v in vars(args).items() if k in ("shots", "seed", "order")}
-        config = RunConfig(phi0, phi_start, phi_end, args.steps, **sampling)
-        if args.gnuplot and args.out is None:
-            parser.error("--gnuplot requires --out")
-        if args.command == "scan":
+        half_turn = 180.0 if args["degrees"] else math.pi
+        phi_from = args["phi_from"] if args["phi_from"] is not None else -half_turn
+        phi_to = args["phi_to"] if args["phi_to"] is not None else half_turn
+        angles = (args["phi0"], phi_from, phi_to)
+        phi0, phi_start, phi_end = map(math.radians, angles) if args["degrees"] else angles
+        sampling = {k: v for k, v in args.items() if k in ("shots", "seed", "order")}
+        config = RunConfig(phi0, phi_start, phi_end, args["steps"], **sampling)
+        out = args["out"]
+        if args["gnuplot"] and out is None:
+            raise InvariantViolation("--gnuplot requires --out")
+        if command == "scan":
             chunks, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
         else:
             chunks, plot = cmd_sample(config), "using 1:6 with points"
-        emit(chunks, args.out)
-        if args.gnuplot:
+        emit(chunks, out)
+        if args["gnuplot"]:
             # inside a single-quoted gnuplot string, '' stands for one '
-            path = args.out.replace("'", "''")
-            emit([_GNUPLOT.format(path=path, plot=plot)], args.out + ".gp")
+            emit([_GNUPLOT.format(path=out.replace("'", "''"), plot=plot)], out + ".gp")
         return EXIT_OK
-    except SystemExit as exc:  # argparse signals usage errors and --help
-        return int(exc.code or 0)
-    except InvariantViolation as exc:
+    except InvariantViolation as exc:  # usage errors, the parser's among them
         code, message = EXIT_USAGE, str(exc)
     except MemoryError as exc:
         # scan and sample hold one block of the grid at a time, so this is a

@@ -56,13 +56,15 @@ CHI2_CRITICAL_1PCT = 6.635
 #: table of steps stay in a core's L2 cache: the whole rows of
 #: max(1, CHUNK_SHOTS // shots) streams, or one piece of a row of more
 #: shots.  A part holds its own buffers, ~1 MB.  Two parts want larger
-#: blocks: every numpy call hands the GIL over.
-#: `sequential_counts` of 3 phases x 2 orders x 4e6 shots, median of 3 x 21
-#: calls on a 2-vCPU VM, in ms (2 x 32768 peaked ~0.7 MB above 2 x 24576):
+#: blocks, since every numpy call hands the GIL over, but 2 x 32768 peaked
+#: ~0.7 MB above 2 x 24576.  Between two numpy calls a part holds the GIL
+#: while the other waits for it, so a block does as little Python work as
+#: it can between its ufunc calls: views are built once per piece shape, a
+#: group's values once per group, and one-row counts add up in Python ints.
+#: `sequential_counts` of 3 phases x 2 orders x 4e6 shots (sample-deep's
+#: rows), medians of 10 runs of 15 calls on a 2-vCPU VM, in ms:
 #:
-#:   parts \ shots per block   16384   24576   32768
-#:   1                         96.6    90.2    91.1
-#:   2                         78.8    58.2    54.6
+#:   one thread 125.9, two threads 98.8, two processes of 3 rows at once 66.1
 CHUNK_SHOTS = 3 << 13
 
 
@@ -281,37 +283,53 @@ def sequential_counts(
     # a band's last word below T_high (>= 2^11), or 2^64 - 1 where certain
     high_last = (t[2] - ~certain[2])[:, None]
     thresholds, certain = t[:2].T[:, :, None], certain[:2].T
-    n_first, n_second = np.zeros((2, len(amps)), dtype=np.int64)
+    counts = np.zeros((2, len(amps)), dtype=np.int64)
 
-    def count(r0, r1, stop):
+    def count(r0, r1, stop):  # per block, little but its ufunc calls (see CHUNK_SHOTS)
         below = np.empty(2 * CHUNK_SHOTS, dtype=bool)
-        any_certain, group = certain[r0:r1].any(), None
+        part_limits, part_certain, part_banded = thresholds[r0:r1], certain[r0:r1], banded[r0:r1]
+        part_high, part_plus, part_counts = high_last[r0:r1], plus_is_higher[r0:r1], counts[:, r0:r1]
+        any_certain, any_band = part_certain.any(), part_banded.any()
+        group = last = None
+        single = False
         for lo, hi, raw in uniform_grid(seeds[r0:r1], counter, shots, CHUNK_SHOTS, 2):
             if stop.is_set():
                 return
             if lo != group:  # new rows: what their pieces share
-                group, rows = lo, slice(r0 + lo, r0 + hi)
-                limits, band = thresholds[rows], banded[rows].any()
+                if single:
+                    part_counts[:, group] = k1, k2
+                group, single, k1, k2 = lo, hi - lo == 1, 0, 0
+                limits = part_limits[lo:hi]
+                band = any_band and part_banded[lo:hi].any()
+                if band:
+                    high, plus = part_high[lo:hi], part_plus[lo:hi]
                 # a certain lane has no uint64 threshold: set it after
-                fixed = np.argwhere(certain[rows]).tolist() if any_certain else ()
-            block = np.less(raw, limits, out=below[:raw.size].reshape(raw.shape))
+                fixed = np.argwhere(part_certain[lo:hi]).tolist() if any_certain else ()
+            if raw is not last:  # a new piece shape: its views
+                last = raw
+                block = below[:raw.size].reshape(raw.shape)
+                firsts, seconds, raw_seconds = block[:, 0], block[:, 1], raw[:, 1]
+                row_first, row_second = firsts[0], seconds[0]
+            np.less(raw, limits, block)
             for row, lane in fixed:
                 block[row, lane] = True
             if band:
-                block[:, 1] |= (raw[:, 1] <= high_last[rows]) & (block[:, 0] == plus_is_higher[rows])
-            if hi - lo == 1:
+                seconds |= (raw_seconds <= high) & (firsts == plus)
+            if single:
                 # flat counts take ~1 us a lane
-                n_first[rows.start] += np.count_nonzero(block[0, 0])
-                n_second[rows.start] += np.count_nonzero(block[0, 1])
+                k1 += np.count_nonzero(row_first)
+                k2 += np.count_nonzero(row_second)
             else:
                 # a packed row has at most CHUNK_SHOTS // 2 < 2^16 shots
-                n_first[rows], n_second[rows] = np.add.reduce(block.view(np.uint8), axis=2, dtype=np.uint16).T
+                part_counts[:, lo:hi] += np.add.reduce(block.view(np.uint8), axis=2, dtype=np.uint16).T
+        if single:
+            part_counts[:, group] = k1, k2
 
     n_rows = len(amps)
     parts = max(1, min(_usable_cpus(), n_rows, -(-n_rows * shots // CHUNK_SHOTS)))
     bounds = [n_rows * part // parts for part in range(parts + 1)]
     _run_parts(count, list(zip(bounds, bounds[1:])))
-    return n_first, n_second
+    return counts[0], counts[1]
 
 
 def sequential_experiment(

@@ -18,6 +18,8 @@ real + - * of "parts" in a fixed order, a vector's (Re a0, Im a0, Re a1, Im a1)
 or a matrix's entries row by row: Python floats for one (values cache theirs),
 float64 columns for rows or stacks.  No other module sees parts.  Both round
 once per operation and fuse none, so no result depends on the BLAS kernel.
+A residual's complex modulus is :func:`max_modulus`'s, math.hypot of the
+parts, so no verdict depends on numpy's SIMD level either.
 """
 
 from __future__ import annotations
@@ -142,6 +144,17 @@ def _bound(x, y):
     return abs(_im_inner(x, y))
 
 
+def max_modulus(values) -> float:
+    """The largest modulus of the complex entries of values, NaN if one is
+    NaN, each entry's as math.hypot(Re, Im).  numpy's complex abs and its
+    hypot round differently at different SIMD levels; CPython's hypot does
+    not, so a residual compared with a tolerance is the same on every CPU."""
+    z = np.asarray(values)
+    moduli = list(map(math.hypot, z.real.ravel().tolist(), z.imag.ravel().tolist()))
+    # max() may pass over a NaN; the sum of moduli >= 0 is NaN only if one is
+    return math.nan if math.isnan(sum(moduli)) else max(moduli)
+
+
 class Frozen:
     """Base of the immutable value types.
 
@@ -200,7 +213,7 @@ class Observable(Frozen):
 
     def __init__(self, matrix) -> None:
         m = _checked_copy(matrix, (2, 2), "observable must be 2x2", "observable entries")
-        residual = float(np.abs(m - m.conj().T).max())
+        residual = max_modulus(m - m.conj().T)
         if residual > TOL.herm:
             raise InvariantViolation(
                 f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
@@ -217,7 +230,7 @@ class UnitaryGate(Frozen):
 
     def __init__(self, matrix) -> None:
         m = _checked_copy(matrix, (2, 2), "gate must be 2x2", "gate entries")
-        residual = float(np.abs(apply(m, m.conj()) - np.eye(2)).max())
+        residual = max_modulus(apply(m, m.conj()) - np.eye(2))
         if residual > TOL.unit:
             raise InvariantViolation(
                 f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
@@ -280,7 +293,7 @@ def require_states(amps) -> np.ndarray:
     parts = _parts(a, 1)
     norm_sq = _re_inner(parts, parts)
     # A non-finite row has a NaN or infinite norm, which fails this test too.
-    unit_norm = np.abs(norm_sq - 1.0) <= TOL.norm
+    unit_norm = np.fabs(norm_sq - 1.0) <= TOL.norm
     if not unit_norm.all():
         if not np.isfinite(a).all():
             raise InvariantViolation("state amplitudes must be finite (no NaN/Inf)")

@@ -34,6 +34,7 @@ _U53 = float(2.0**-53)
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def mix64(z):
@@ -111,27 +112,33 @@ def uniform_grid(
     steps = np.arange(0, lanes * cols, lanes, dtype=np.uint64)
     steps *= _GOLDEN_U64
     lane_steps = np.arange(1, lanes + 1, dtype=np.uint64) * _GOLDEN_U64
+    # the distance from one whole piece's first position to the next's
+    piece_step = np.uint64(lanes * cols * _GOLDEN & _MASK64)
     t = _aligned_empty(per_block * lanes * cols)
+    shape = None
     for lo in range(0, len(seeds), per_block):
         hi = min(lo + per_block, len(seeds))
+        # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod
+        # 2^64: starts holds the first two terms, advanced after each piece
         starts = seeds[lo:hi, None, None] + lane_steps[:, None]
+        starts += np.uint64(counter * _GOLDEN & _MASK64)
         for done in range(0, n, cols):
             c = min(cols, n - done)
-            if done == 0 or c < cols:  # views: whole pieces, then the last
+            if (hi - lo, c) != shape:  # views: one per piece shape
+                shape, step = (hi - lo, c), steps[:c]
                 zb = z[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
                 tb = t[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
-            # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod 2^64
-            offset = np.uint64((counter + lanes * done) * _GOLDEN & _MASK64)
-            np.add(starts + offset, steps[:c], out=zb)
-            np.right_shift(zb, np.uint64(30), out=tb)
-            zb ^= tb
-            zb *= _MIX_A_U64
-            np.right_shift(zb, np.uint64(27), out=tb)
-            zb ^= tb
-            zb *= _MIX_B_U64
-            np.right_shift(zb, np.uint64(31), out=tb)
-            zb ^= tb
+            np.add(starts, step, zb)
+            np.right_shift(zb, _SHIFT_30, tb)
+            np.bitwise_xor(zb, tb, zb)
+            np.multiply(zb, _MIX_A_U64, zb)
+            np.right_shift(zb, _SHIFT_27, tb)
+            np.bitwise_xor(zb, tb, zb)
+            np.multiply(zb, _MIX_B_U64, zb)
+            np.right_shift(zb, _SHIFT_31, tb)
+            np.bitwise_xor(zb, tb, zb)
             yield lo, hi, zb
+            np.add(starts, piece_step, starts)
 
 
 def draw_thresholds(p) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +187,7 @@ class RandomStream:
         _, _, raw = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n, 1))
         self.counter += n
         # in place, so a batch allocates no third array of n entries
-        k = np.right_shift(raw[0, 0], np.uint64(11), out=raw[0, 0])
+        k = np.right_shift(raw[0, 0], _SHIFT_11, raw[0, 0])
         return np.multiply(k, _U53, out=k.view(np.float64))
 
     def __repr__(self) -> str:

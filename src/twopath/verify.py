@@ -39,6 +39,7 @@ from .qalgebra import (
     _pauli_sum,
     apply,
     inner,
+    max_modulus,
     moments,
     odds,
     require_seed,
@@ -215,8 +216,8 @@ def run_verification(
 def _splitter_residuals(b: np.ndarray) -> Iterator[float]:
     """The splitter is unitary, turns sz into sx and splits the lower port evenly.
     The products come out transposed, as rows of their columns; I and sx are symmetric."""
-    yield np.max(np.abs(apply(b, b.conj()) - np.eye(2)))
-    yield np.max(np.abs(apply(b.conj().T, apply(SIGMA_Z, b.T)) - SIGMA_X.matrix))
+    yield max_modulus(apply(b, b.conj()) - np.eye(2))
+    yield max_modulus(apply(b.conj().T, apply(SIGMA_Z, b.T)) - SIGMA_X.matrix)
     yield abs(odds(KET_UPPER, apply(b, KET_LOWER)) - 0.5)
 
 
@@ -225,11 +226,11 @@ def _complementarity_residuals(bases: _WaveBases) -> Iterator[float]:
     derived, tested, rows, waves = bases
     path_basis = comp.path_eigenbasis()
     arms = np.tile([path_basis.plus.amplitudes, path_basis.minus.amplitudes], (len(tested), 1))
-    yield _worst(np.abs(moments(ifm.path_operator(), rows)[0]))
-    yield _worst(np.abs(moments(waves, arms)[0]))
+    yield _worst(np.fabs(moments(ifm.path_operator(), rows)[0]))
+    yield _worst(np.fabs(moments(waves, arms)[0]))
     yield _worst(comp.is_complementary(path_basis, basis).max_deviation for basis in tested)
     yield _worst(_closed_form_miss(phi0, basis) for phi0, basis in zip(_PHI0_GRID.tolist(), derived))
-    yield np.max(np.abs(waves[::2] - ifm._wave_matrices(_PHI0_GRID)))
+    yield max_modulus(waves[::2] - ifm._wave_matrices(_PHI0_GRID))
 
 
 def _closed_form_miss(phi0: float, basis: comp.EigenBasis) -> float:
@@ -282,14 +283,13 @@ def _pipeline_residuals(b: np.ndarray) -> Iterator[float]:
     shifted = require_states(apply(ifm._shifter_matrices(grid), opened))
     closed = require_states(apply(b, shifted))
     fringe = moments(SIGMA_Z, closed)[0]
-    yield abs(1.0 - float(np.max(np.abs(fringe))))
-    yield np.max(np.abs(fringe - np.cos(grid)))
+    yield abs(1.0 - float(np.max(np.fabs(fringe))))
+    yield np.max(np.fabs(fringe - np.cos(grid)))
 
 
 def _operator_residuals(bases: _WaveBases) -> Iterator[float]:
     """W is 2 pi periodic in phi0, and its eigenstates have zero spread."""
-    yield np.max(np.abs(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi)
-                        - ifm._wave_matrices(_PHI0_GRID)))
+    yield max_modulus(ifm._wave_matrices(_PHI0_GRID + 2 * math.pi) - ifm._wave_matrices(_PHI0_GRID))
     yield _worst(moments(bases.waves, bases.rows)[1])
 
 

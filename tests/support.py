@@ -9,10 +9,12 @@ tests compare against them, so they live here.
 
 import cmath
 import math
+import os
 import sys
 
 import numpy as np
 from hypothesis import strategies as st
+from numpy._core import _multiarray_umath as umath
 
 from twopath import measurement, rng
 from twopath.complementarity import canonical_phase
@@ -29,6 +31,11 @@ from twopath.qalgebra import (
     require_finite_angle,
 )
 from twopath.tolerances import TOL
+
+#: numpy's SIMD levels above its build's baseline that this CPU has, or that
+#: this process was started with switched off, lowest first.
+SIMD_LEVELS = [f for f in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(f) or f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()]
 
 angles = st.floats(min_value=-25.0, max_value=25.0)
 coefficients = st.floats(min_value=-2.0, max_value=2.0)

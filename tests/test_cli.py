@@ -498,6 +498,160 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
 
+#: Per kind of flag: a value that starts with "-", and what the parser stores.
+PARSED = {int: ("-7", -7), float: ("-1e308", -1e308), str: ("-x.csv", "-x.csv")}
+
+
+def table_flags(kinds=None):
+    """(subcommand, spelling, flag) of every flag in the table, optionally
+    only those whose kind is in ``kinds``."""
+    return [(command, spelling, flag)
+            for command, (_, flags) in cli.COMMANDS.items()
+            for spelling, flag in flags.items()
+            if kinds is None or flag.kind in kinds]
+
+
+def flag_id(case):
+    return f"{case[0]}{case[1]}"
+
+
+def usage_error(argv, capsys) -> str:
+    """The one stderr line of a run that must exit 2 with nothing on stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"twopath: [^\n]+\n", err), err
+    return err[len("twopath: "):-1]
+
+
+class TestParser:
+    """The argv grammar, read from the flag table cli.COMMANDS."""
+
+    def parse(self, argv):
+        return cli.build_parser().parse(argv)
+
+    def expected(self, command, **given):
+        values = {flag.dest: flag.default for flag in cli.COMMANDS[command][1].values()}
+        return command, {**values, **given}
+
+    def test_no_flag_gives_the_defaults(self):
+        for command in cli.COMMANDS:
+            assert self.parse([command]) == self.expected(command)
+        # sample's defaults are RunConfig's
+        _, values = self.parse(["sample"])
+        assert {k: values[k] for k in ("shots", "seed", "order")} == {
+            k: RunConfig._field_defaults[k] for k in ("shots", "seed", "order")
+        }
+
+    @pytest.mark.parametrize("case", table_flags(), ids=flag_id)
+    def test_every_flag_in_both_forms(self, case):
+        command, spelling, flag = case
+        if flag.kind is None:
+            assert self.parse([command, spelling]) == self.expected(command, **{flag.dest: True})
+            return
+        # a value may start with "-", as a negative number does
+        text, value = (flag.kind[-1], flag.kind[-1]) if isinstance(flag.kind, tuple) else PARSED[flag.kind]
+        want = self.expected(command, **{flag.dest: value})
+        assert self.parse([command, spelling, text]) == want
+        assert self.parse([command, f"{spelling}={text}"]) == want
+
+    @pytest.mark.parametrize("case", table_flags((int, float, str)), ids=flag_id)
+    def test_repeated_flag_keeps_its_last_value(self, case):
+        command, spelling, flag = case
+        text, value = PARSED[flag.kind]
+        argv = [command, f"{spelling}=1", spelling, "2", f"{spelling}={text}"]
+        assert self.parse(argv) == self.expected(command, **{flag.dest: value})
+
+    def test_flags_in_any_order(self):
+        argv = ["sample", "--order", "wp", "--steps=3", "--degrees", "--phi0", "-90"]
+        assert self.parse(argv) == self.expected("sample", order="wp", steps=3, degrees=True, phi0=-90.0)
+
+    @pytest.mark.parametrize("case", table_flags(), ids=flag_id)
+    def test_abbreviated_flag_is_unknown(self, case, capsys):
+        command, spelling, _ = case
+        assert usage_error([command, spelling[:-1], "1"], capsys) == (
+            f"unknown argument {spelling[:-1]!r} for {command} (see twopath {command} --help)"
+        )
+
+    @pytest.mark.parametrize("arg", ["--bogus", "--bogus=1", "-s", "extra", "--", "--workers"])
+    def test_unknown_argument(self, arg, capsys):
+        for command in cli.COMMANDS:
+            assert usage_error([command, arg], capsys) == (
+                f"unknown argument {arg!r} for {command} (see twopath {command} --help)"
+            )
+
+    @pytest.mark.parametrize("case", table_flags((int, float, str)) + table_flags((None,)), ids=flag_id)
+    def test_value_less_flag(self, case, capsys):
+        command, spelling, flag = case
+        if flag.kind is None:  # a switch takes no value
+            assert usage_error([command, f"{spelling}=1"], capsys) == (
+                f"{spelling} takes no value, got '{spelling}=1'"
+            )
+        else:
+            assert usage_error([command, spelling], capsys) == f"{spelling} needs a value"
+
+    @pytest.mark.parametrize("case", table_flags((int, float)), ids=flag_id)
+    @pytest.mark.parametrize("text", ["abc", "", "1.5.2", "0x10"])
+    def test_non_numeric_value(self, case, text, capsys):
+        command, spelling, flag = case
+        kind = "an integer" if flag.kind is int else "a number"
+        for argv in ([command, spelling, text], [command, f"{spelling}={text}"]):
+            assert usage_error(argv, capsys) == f"{spelling} must be {kind}, got {text!r}"
+
+    @pytest.mark.parametrize("text", ["qq", "", "PW", "bot"])
+    def test_bad_order(self, text, capsys):
+        assert usage_error(["sample", "--order", text], capsys) == (
+            f"--order must be pw, wp or both, got {text!r}"
+        )
+
+    def test_subcommand_errors(self, capsys):
+        assert usage_error([], capsys) == "missing subcommand: expected scan, sample or verify (see twopath --help)"
+        for argv in (["scna"], ["--steps", "3", "scan"], ["sc"]):
+            assert usage_error(argv, capsys) == (
+                f"unknown subcommand {argv[0]!r}: expected scan, sample or verify"
+            )
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["twopath", "scan", "--steps", "2", "--from", "0", "--to", "1"])
+        assert main() == 0
+        assert capsys.readouterr().out.count("\n") == 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "scan"], *(
+        [command, *flags] for command in cli.COMMANDS
+        for flags in (["--help"], ["-h"], [next(iter(cli.COMMANDS[command][1])), "3", "--help"],
+                      ["-h", "--bogus"])
+    )], ids=" ".join)
+    def test_help_goes_through_emit(self, argv, capsys, monkeypatch):
+        parser = cli.build_parser()
+        command = None if argv[0] in ("-h", "--help") else argv[0]
+        emitted = []
+        monkeypatch.setattr(cli, "emit", lambda chunks, path: emitted.append((list(chunks), path)))
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert emitted == [([parser.help(command)], None)]
+
+    def test_help_lists_every_flag(self, capsys):
+        assert main(["--help"]) == 0
+        top = capsys.readouterr().out
+        for command, (summary, flags) in cli.COMMANDS.items():
+            assert f"  {command}" in top and summary in top
+            assert main([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            assert text.startswith(f"usage: twopath {command} ")
+            for spelling, flag in flags.items():
+                assert re.search(rf"^  {re.escape(spelling)}\b.*{re.escape(flag.help)}", text, re.M)
+
+    def test_main_uses_build_parser(self, monkeypatch, capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        seen = []
+        parse = parser.parse
+        monkeypatch.setattr(parser, "parse", lambda argv: seen.append(argv) or parse(argv))
+        assert main(["scan", "--steps", "2"]) == 0
+        assert seen == [["scan", "--steps", "2"]]
+        capsys.readouterr()
+
+
 class TestOneWriter:
     def test_only_emit_opens_or_writes_output(self):
         # every output byte leaves through output.emit; the one other write
@@ -841,8 +995,5 @@ class TestContract:
             assert err == ""
         elif code == 1:  # a failed check is reported on stdout
             assert err == "" and "FAIL" in stdout.getvalue()
-        elif err.startswith("usage: twopath"):
-            assert code == 2
-            assert re.search(r"\ntwopath( sample| verify)?: error: [^\n]+\n\Z", err)
         else:
             assert re.fullmatch(r"twopath: [^\n]+\n", err)

@@ -39,11 +39,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from numpy._core import _multiarray_umath as umath
 
 import twopath
 
-from support import force_parts
+from support import SIMD_LEVELS, force_parts
 from twopath import measurement, output
 from twopath.cli import main
 
@@ -150,11 +149,6 @@ def test_sample_above_the_exactness_bound(shots, digest, capsys):
             "--order", "wp", "--shots", shots, "--seed", "5"]
     test_output_digest(argv, digest, capsys)
 
-
-#: numpy's SIMD levels above its build's baseline that this CPU has, or that
-#: this process was started with switched off.
-SIMD_LEVELS = [f for f in umath.__cpu_dispatch__
-               if umath.__cpu_features__.get(f) or f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()]
 
 #: Child environments that pick another OpenBLAS kernel, or switch every
 #: one of those SIMD levels off.

@@ -1,9 +1,14 @@
 """Hilbert-space primitives: validation, operations, and their invariants."""
 
 import copy
+import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from support import (
+    SIMD_LEVELS,
     angles,
     count_calls,
     expectation_oracle,
@@ -242,6 +248,66 @@ class TestNormEdge:
         assert verdicts[0] == (None, None)
         # both verdicts occur, so the batch straddles the edge
         assert 100 < sum(one is None for one, _ in verdicts) < 1900
+
+
+#: Builds an Observable from each matrix on stdin, as JSON [re, im] pairs,
+#: and prints None where it is accepted, else its message, then the numpy
+#: SIMD levels in use.
+HERMITIAN_EDGE_CHILD = """
+import json, sys
+from numpy._core import _multiarray_umath as umath
+from twopath.qalgebra import InvariantViolation, Observable
+verdicts = []
+for rows in json.load(sys.stdin):
+    try:
+        Observable([[complex(*z) for z in row] for row in rows])
+        verdicts.append(None)
+    except InvariantViolation as exc:
+        verdicts.append(str(exc))
+print(json.dumps([verdicts, [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]]))
+"""
+
+
+class TestHermitianEdge:
+    """Observable takes its Hermiticity residual by math.hypot, so whether a
+    matrix at the 1e-12 edge is accepted does not depend on numpy's SIMD
+    level, as it did under complex np.abs."""
+
+    def edge_matrices(self):
+        # off-diagonal entries ~1e-12, so their difference e is fine-grained;
+        # |e| within 8 ulp of TOL.herm, the edge of acceptance
+        rng = np.random.default_rng(20261021)
+        n = 2000
+        c = TOL.herm * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        size = TOL.herm * (1.0 + np.finfo(float).eps * rng.integers(-8, 9, n))
+        e = size * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+        diagonal = rng.uniform(-2.0, 2.0, (2, n))
+        return [[[d0, z01], [z10, d1]] for d0, d1, z01, z10
+                in zip(*diagonal.tolist(), (c + e).tolist(), np.conj(c).tolist())]
+
+    def oracle(self, rows):
+        """Accepted, by plain Python complex arithmetic and math.hypot."""
+        diffs = [complex(rows[i][j]) - complex(rows[j][i]).conjugate() for i in range(2) for j in range(2)]
+        return max(math.hypot(d.real, d.imag) for d in diffs) <= TOL.herm
+
+    def test_verdicts_do_not_depend_on_the_simd_level(self):
+        matrices = self.edge_matrices()
+        want = [self.oracle(rows) for rows in matrices]
+        # both verdicts occur, so the batch straddles the edge
+        assert 100 < sum(want) < 1900
+        payload = json.dumps([[[(complex(z).real, complex(z).imag) for z in row] for row in rows]
+                              for rows in matrices])
+        env = {**os.environ, "PYTHONPATH": str(Path(qalgebra.__file__).resolve().parents[1])}
+        # every level on, then the highest off, and so on down to the baseline
+        for k in range(len(SIMD_LEVELS), -1, -1):
+            off = SIMD_LEVELS[k:]
+            run = subprocess.run([sys.executable, "-c", HERMITIAN_EDGE_CHILD], input=payload,
+                                 capture_output=True, text=True, timeout=120,
+                                 env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(off)})
+            assert (run.returncode, run.stderr) == (0, "")
+            verdicts, simd = json.loads(run.stdout)
+            assert simd == SIMD_LEVELS[:k]
+            assert [verdict is None for verdict in verdicts] == want, off
 
 
 class TestCheckedOnce:
