@@ -44,28 +44,34 @@ from .qalgebra import (
     odds,
     require_shots,
 )
-from .rng import RandomStream, draw_thresholds, uniform_grid
+from .rng import FINE_STEPS, RandomStream, draw_thresholds, uniform_grid
 
 #: Upper 1% critical value of the chi-square distribution with one degree
 #: of freedom; the acceptance threshold for the 50/50 uniformity test.
 CHI2_CRITICAL_1PCT = 6.635
 
 #: Shots per block of the sampler, in every part of a call.  A block
-#: draws at most 49152 words, two lanes of CHUNK_SHOTS, into two 384 KB
-#: buffers and compares them into a 48 KB bool one, which with the 192 KB
-#: table of steps stay in a core's L2 cache: the whole rows of
-#: max(1, CHUNK_SHOTS // shots) streams, or one piece of a row of more
-#: shots.  A part holds its own buffers, ~1 MB.  Two parts want larger
-#: blocks, since every numpy call hands the GIL over, but 2 x 32768 peaked
-#: ~0.7 MB above 2 x 24576.  Between two numpy calls a part holds the GIL
-#: while the other waits for it, so a block does as little Python work as
-#: it can between its ufunc calls: views are built once per piece shape, a
-#: group's values once per group, and one-row counts add up in Python ints.
-#: `sequential_counts` of 3 phases x 2 orders x 4e6 shots (sample-deep's
-#: rows), medians of 10 runs of 15 calls on a 2-vCPU VM, in ms:
+#: draws at most 65536 words, two lanes of CHUNK_SHOTS, into two 512 KB
+#: buffers and compares them into a 64 KB bool one; with the 32 KB fine
+#: table of steps (:data:`rng.FINE_STEPS`), a part holds ~1.1 MB.  A
+#: block is the whole rows of max(1, CHUNK_SHOTS // shots) streams, or
+#: one piece of a row of more shots.  A multiple of FINE_STEPS, so a whole
+#: piece takes one add of positions; CHUNK_SHOTS // 2 < 2^16, so a packed
+#: row's uint16 count cannot wrap.  Every numpy call hands the GIL over
+#: to the other part, and a block makes the same dozen or so calls at any
+#: size, so larger blocks mean fewer handovers per shot.  Between two
+#: numpy calls a part holds the GIL while the other waits for it, so a
+#: block does as little Python work as it can between its ufunc calls:
+#: views are built once per piece shape, a group's values once per group,
+#: and one-row counts add up in Python ints.  `sequential_counts` of 3 phases x 2 orders x 4e6 shots
+#: (sample-deep's rows) on a 2-vCPU VM, medians of 10 rounds (two threads:
+#: 20) of 15 calls, in ms:
 #:
-#:   one thread 125.9, two threads 98.8, two processes of 3 rows at once 66.1
-CHUNK_SHOTS = 3 << 13
+#:   24576 shots, one table step per shot:
+#:     one thread 138.3, two threads 84.7, two processes of 3 rows 73.5
+#:   32768 shots, the fine table:
+#:     one thread 137.4, two threads 81.8, two processes of 3 rows 72.6
+CHUNK_SHOTS = 8 * FINE_STEPS
 
 
 class MeasurementOrder(enum.Enum):

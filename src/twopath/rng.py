@@ -78,6 +78,13 @@ def _aligned_empty(m: int) -> np.ndarray:
     return raw[skip:skip + m]
 
 
+#: Entries of :func:`uniform_grid`'s fine table of steps, 32 KB: a piece
+#: of c tuples is filled as c // FINE_STEPS runs of this table plus a
+#: remainder.  numpy's broadcast add kept its per-word speed at inner
+#: lengths of 4096, but ran ~3x slower per word at 2048 and below.
+FINE_STEPS = 4096
+
+
 def uniform_grid(
     seeds: np.ndarray, counter: int, n: int, size: int, lanes: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -93,6 +100,15 @@ def uniform_grid(
     holds max(1, size // n) whole rows; a longer row is a block of its own,
     yielded in pieces of `size` tuples (the last may be shorter).
 
+    The positions take a two-level table of steps, not one entry per
+    tuple: a fine table of min(cols, FINE_STEPS) steps of `lanes`
+    positions, and per row and lane the offsets of the piece's runs of
+    FINE_STEPS tuples.  One add fills the (rows, lanes, runs, FINE_STEPS)
+    view of a piece, and a second its last c % FINE_STEPS tuples, which
+    only a row's short last piece, or a row of more than FINE_STEPS tuples
+    that are not a multiple of it, has.  So the table costs at most 32 KB,
+    not 8 bytes per tuple of a block.
+
     Every block is computed in place in the same two uint64 buffers,
     allocated once per call, so a block is valid only until the next is
     drawn.  A long run thus allocates nothing per block; freeing large
@@ -103,32 +119,44 @@ def uniform_grid(
         return
     cols = min(n, size)
     per_block = min(len(seeds), max(1, size // n))
+    runs = -(-cols // FINE_STEPS)
     z = _aligned_empty(per_block * lanes * cols)
-    # Lane j of tuple s is position lanes * s + j + 1 of a piece: one step
-    # per tuple plus one per lane, each times GOLDEN, added in one pass.  A
-    # (lanes, cols) table built by transposing an arange would free a
-    # 512 KB temporary, after which the C heap kept the two buffers' pages
-    # and `verify --shots` peaked ~0.5 MB higher.
-    steps = np.arange(0, lanes * cols, lanes, dtype=np.uint64)
-    steps *= _GOLDEN_U64
-    lane_steps = np.arange(1, lanes + 1, dtype=np.uint64) * _GOLDEN_U64
+    # Lane j of tuple s = q * FINE_STEPS + f is position lanes * s + j + 1 of
+    # a piece: the fine step lanes * f plus the offset of lane j and run q,
+    # each times GOLDEN, added in one pass.
+    fine = np.arange(0, lanes * min(cols, FINE_STEPS), lanes, dtype=np.uint64)
+    fine *= _GOLDEN_U64
+    # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod 2^64:
+    # offsets hold all but the fine step, advanced in place after each piece
+    first = np.arange(1, lanes + 1, dtype=np.uint64)[:, None] + np.arange(
+        0, runs * lanes * FINE_STEPS, lanes * FINE_STEPS, dtype=np.uint64)
+    first *= _GOLDEN_U64
+    first += np.uint64(counter * _GOLDEN & _MASK64)
+    offsets = np.empty((per_block, lanes, runs), dtype=np.uint64)
     # the distance from one whole piece's first position to the next's
     piece_step = np.uint64(lanes * cols * _GOLDEN & _MASK64)
     t = _aligned_empty(per_block * lanes * cols)
     shape = None
     for lo in range(0, len(seeds), per_block):
         hi = min(lo + per_block, len(seeds))
-        # seed + (counter + lanes * done + position) * GOLDEN, wrapping mod
-        # 2^64: starts holds the first two terms, advanced after each piece
-        starts = seeds[lo:hi, None, None] + lane_steps[:, None]
-        starts += np.uint64(counter * _GOLDEN & _MASK64)
+        block_offsets = offsets[:hi - lo]
+        np.add(seeds[lo:hi, None, None], first, block_offsets)
         for done in range(0, n, cols):
             c = min(cols, n - done)
             if (hi - lo, c) != shape:  # views: one per piece shape
-                shape, step = (hi - lo, c), steps[:c]
+                shape, (whole, rest) = (hi - lo, c), divmod(c, FINE_STEPS)
                 zb = z[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
                 tb = t[:(hi - lo) * lanes * c].reshape(hi - lo, lanes, c)
-            np.add(starts, step, zb)
+                if whole:
+                    runs_out = zb[:, :, :whole * FINE_STEPS].reshape(hi - lo, lanes, whole, FINE_STEPS)
+                    runs_in = block_offsets[:, :, :whole, None]
+                if rest:
+                    rest_out, rest_in = zb[:, :, whole * FINE_STEPS:], block_offsets[:, :, whole, None]
+                    rest_steps = fine[:rest]
+            if whole:
+                np.add(runs_in, fine, runs_out)
+            if rest:
+                np.add(rest_in, rest_steps, rest_out)
             np.right_shift(zb, _SHIFT_30, tb)
             np.bitwise_xor(zb, tb, zb)
             np.multiply(zb, _MIX_A_U64, zb)
@@ -138,7 +166,7 @@ def uniform_grid(
             np.right_shift(zb, _SHIFT_31, tb)
             np.bitwise_xor(zb, tb, zb)
             yield lo, hi, zb
-            np.add(starts, piece_step, starts)
+            np.add(block_offsets, piece_step, block_offsets)
 
 
 def draw_thresholds(p) -> tuple[np.ndarray, np.ndarray]:
@@ -186,9 +214,12 @@ class RandomStream:
             return np.empty(0)
         _, _, raw = next(uniform_grid(np.array([self.seed], dtype=np.uint64), self.counter, n, n, 1))
         self.counter += n
-        # in place, so a batch allocates no third array of n entries
-        k = np.right_shift(raw[0, 0], _SHIFT_11, raw[0, 0])
-        return np.multiply(k, _U53, out=k.view(np.float64))
+        # A multiply from uint64 into the same memory as float64 copies its
+        # input first; a contiguous astype casts without a copy or a buffer,
+        # so a batch holds at most two arrays of n entries.
+        draws = np.right_shift(raw[0, 0], _SHIFT_11, raw[0, 0]).astype(np.float64)
+        draws *= _U53
+        return draws
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self.counter})"

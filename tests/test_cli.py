@@ -190,7 +190,7 @@ class TestSample:
         assert [len(args[0]) for args in amplitudes] == [4002]
         assert states == []
         # one grid kernel call per part; each draws every block in place,
-        # as many whole rows to a block as fit: 84 blocks for 2001 rows
+        # as many whole rows to a block as fit, CHUNK_SHOTS // 1000 of 1000 shots
         assert len(calls) == 2
         for seeds, blocks, shots in calls:
             assert len(blocks) == -(-len(seeds) // (CHUNK_SHOTS // 1000))

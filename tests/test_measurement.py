@@ -34,7 +34,7 @@ from twopath.qalgebra import (
     states_equal,
 )
 from twopath.cli import RunConfig, cmd_sample
-from twopath.rng import RandomStream, child_seeds
+from twopath.rng import FINE_STEPS, RandomStream, child_seeds
 from twopath.verify import run_verification
 
 
@@ -288,27 +288,52 @@ class TestBlocks:
     def one_part(self, monkeypatch):
         force_parts(monkeypatch, 1)
 
+    def test_block_size_fits_the_counts_and_the_fine_table(self):
+        # a packed block counts each row's shots by one uint16 add.reduce,
+        # which would wrap without an error from 2^16 shots a row on
+        assert CHUNK_SHOTS // 2 < 2**16
+        # so a whole piece takes one add of positions and no remainder
+        assert CHUNK_SHOTS % FINE_STEPS == 0
+
     @pytest.mark.parametrize(
         "shots, steps, order",
         [
-            # 24576 rows per block, then a last block of 8193
-            (1, 32_769, "pw"),
-            # 3510 rows per block, then a partial last block of 1490
+            # CHUNK_SHOTS rows per block, then a last block of one
+            (1, CHUNK_SHOTS + 1, "pw"),
+            # CHUNK_SHOTS // 7 rows per block, then a partial last block
             (7, 2500, "both"),
-            # 24 rows per block, then a partial last block of 2
+            # CHUNK_SHOTS // 1000 rows per block, then a partial last block
             (1000, 50, "pw"),
             (1000, 50, "wp"),
             (1000, 25, "both"),
+            # packed rows shorter than one run of the fine table of steps, of
+            # one run, and of one run and a remainder of one shot
+            (FINE_STEPS - 1, 5, "both"),
+            (FINE_STEPS, 5, "both"),
+            (FINE_STEPS + 1, 5, "both"),
+            # packed rows of runs and a remainder, FINE_STEPS < shots < CHUNK_SHOTS // 2
+            (2 * FINE_STEPS + 5, 4, "both"),
+            (3 * FINE_STEPS - 1, 2, "both"),
+            # the longest packed rows, two a block, of whole runs
+            (CHUNK_SHOTS // 2, 2, "both"),
+            # one row a block, of one piece shorter than a block: runs and a
+            # remainder, whole runs, and runs and a remainder of one shot
+            (6 * FINE_STEPS - 1, 3, "both"),
+            (6 * FINE_STEPS, 3, "both"),
+            (6 * FINE_STEPS + 1, 3, "both"),
             # one row per block from here on, in pieces of CHUNK_SHOTS shots:
-            # around one piece, then last pieces of 8191, 8192, 8193 and,
-            # after two whole pieces, 16391 shots
+            # around one piece, then last pieces of FINE_STEPS - 1, FINE_STEPS
+            # and FINE_STEPS + 1 shots and, after two whole pieces, of three
+            # runs and a remainder of 7
             (CHUNK_SHOTS - 1, 3, "both"),
             (CHUNK_SHOTS, 3, "both"),
             (CHUNK_SHOTS + 1, 3, "both"),
-            (32_767, 3, "both"),
-            (32_768, 3, "both"),
-            (32_769, 3, "both"),
-            (65_543, 2, "both"),
+            (CHUNK_SHOTS + FINE_STEPS - 1, 3, "both"),
+            (CHUNK_SHOTS + FINE_STEPS, 3, "both"),
+            (CHUNK_SHOTS + FINE_STEPS + 1, 3, "both"),
+            (2 * CHUNK_SHOTS + 3 * FINE_STEPS + 7, 2, "both"),
+            # after two whole pieces, a last piece of a remainder alone
+            (2 * CHUNK_SHOTS + 7, 2, "both"),
         ],
     )
     def test_rows_equal_their_own_streams(self, shots, steps, order):
@@ -492,7 +517,8 @@ class TestCertainOutcomes:
     @pytest.mark.parametrize("parts", [1, 2])
     def test_packed_rows_count_every_shot(self, monkeypatch, parts):
         # CHUNK_SHOTS // 2 shots, the most a row of a packed block has: two
-        # rows a block, so the certain rows count 12288 shots in one block sum
+        # rows a block, so the certain rows count CHUNK_SHOTS // 2 shots in
+        # one block sum
         ran = force_parts(monkeypatch, parts)
         rows = self.ROWS * 2  # two blocks, one per part at two parts
         orders, phis, phi0s = zip(*rows)
@@ -500,7 +526,7 @@ class TestCertainOutcomes:
         shots = CHUNK_SHOTS // 2
         n_first, n_second = sequential_counts(orders, phis, phi0s, shots, seeds)
         assert ran == [parts]
-        assert n_first[0] == n_first[2] == shots == 12288
+        assert n_first[0] == n_first[2] == shots == CHUNK_SHOTS // 2
         for row, (order, phi, phi0) in enumerate(rows):
             want = reference_counts(order, phi, phi0, shots, RandomStream(child_seeds(self.SEED, row)))
             assert (int(n_first[row]), int(n_second[row])) == want, row
@@ -587,7 +613,7 @@ class TestParts:
         [
             # 7 rows that each cross CHUNK_SHOTS, which 2, 3 and 5 do not divide
             (7, CHUNK_SHOTS + 3),
-            # 203 rows packed 24 to a block
+            # 203 rows packed CHUNK_SHOTS // 1000 to a block
             (203, 1000),
         ],
     )

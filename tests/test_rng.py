@@ -1,13 +1,14 @@
 """Counter-based stream: reproducibility, batching, derivation, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twopath.cli import RunConfig
 from twopath.qalgebra import InvariantViolation, require_seed
-from twopath.rng import RandomStream, child_seeds, draw_thresholds, mix64, uniform_grid
+from twopath.rng import FINE_STEPS, RandomStream, child_seeds, draw_thresholds, mix64, uniform_grid
 from twopath.verify import run_verification
 
 # Raw 64-bit outputs of the published algorithm for seed 1234567,
@@ -89,6 +90,27 @@ class TestBatching:
         a.uniforms(123)
         assert a.counter == 123
 
+    # around one run of the fine table of steps, and runs plus a remainder
+    @pytest.mark.parametrize("n", [FINE_STEPS - 1, FINE_STEPS, FINE_STEPS + 1, 3 * FINE_STEPS + 5])
+    def test_batch_equals_single_draws(self, n):
+        a, b = RandomStream(2024), RandomStream(2024)
+        a.uniform()
+        b.uniform()
+        assert a.uniforms(n).tolist() == [b.uniform() for _ in range(n)]
+        assert a.counter == b.counter == n + 1
+
+    def test_batch_holds_two_buffers_and_the_fine_table(self):
+        # the n-word draw and scratch buffers, plus at most 32 KB of steps
+        # and a few words per run: no third array of n words
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            RandomStream(1).uniforms(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n + 64 * 1024
+
 
 class TestUniformChunks:
     """One stream's draws as pieces of :func:`uniform_grid` with one seed
@@ -147,10 +169,30 @@ class TestUniformGrid:
             assert got[row] == reference_raw_stream(seed, 3 + n)[3:]
 
     @pytest.mark.parametrize("lanes", [2, 3])
-    @pytest.mark.parametrize("n, size", [(7, 16), (25, 10)])
+    @pytest.mark.parametrize(
+        "n, size",
+        [
+            (7, 16),
+            (25, 10),
+            # packed rows shorter than one run of the fine table of steps, of
+            # one run, and of one run and a remainder of one tuple
+            (FINE_STEPS - 1, 2 * FINE_STEPS),
+            (FINE_STEPS, 2 * FINE_STEPS),
+            (FINE_STEPS + 1, 2 * FINE_STEPS + 2),
+            # a piece of two runs and a remainder, then a last piece of one
+            # run and a remainder
+            (3 * FINE_STEPS + 10, 2 * FINE_STEPS + 3),
+            # pieces of two runs and a remainder, then a last piece of a
+            # remainder alone
+            (4 * FINE_STEPS + 9, 2 * FINE_STEPS + 3),
+            # whole pieces of two runs, then a last piece of a remainder alone
+            (4 * FINE_STEPS + 1, 2 * FINE_STEPS),
+        ],
+    )
     def test_lanes_deal_each_stream_round_robin(self, lanes, n, size):
         # lane j of tuple s is position counter + lanes * s + j + 1, also in
-        # the pieces of a row longer than a block
+        # the pieces of a row longer than a block and in every run of the
+        # fine table of steps
         seeds = np.array(self.SEEDS, dtype=np.uint64)
         got = {lo: [] for lo in range(len(seeds))}
         for lo, hi, raw in uniform_grid(seeds, 3, n, size, lanes):
