@@ -102,14 +102,11 @@ class RunConfig(_RunFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.steps < 1:
             raise InvariantViolation(f"steps must be >= 1, got {self.steps}")
-        # numpy caps an array's size in bytes at the largest np.intp, and
-        # np.linspace counts its points as a float64, which can round up.
+        # the length numpy allows one float64 array, 2**60 - 1 on 64-bit
+        # systems; the grid itself is built in blocks of BLOCK_POINTS
         max_steps = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
-        if self.steps > max_steps or float(self.steps) > max_steps:
-            raise InvariantViolation(
-                f"steps must fit one float64 array (numpy allows at most {max_steps} "
-                f"entries), got {self.steps}"
-            )
+        if self.steps > max_steps:
+            raise InvariantViolation(f"steps must be <= {max_steps}, got {self.steps}")
         for name in ("phi0", "phi_start", "phi_end"):
             require_finite_angle(getattr(self, name), name)
         if self.phi_start > self.phi_end:
@@ -176,8 +173,8 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
     so its values do not depend on the rows before it, nor on the block
     that holds it.  Yields the CSV text in chunks: the header line, then
     the lines of each grid block, from one sampler call, which draws
-    every row's two +1 counts, and one format_rows call; so does a run of
-    any --shots that RunConfig accepts.
+    every row's two +1 counts, one row_statistics call and one
+    format_rows call; so does a run of any --shots that RunConfig accepts.
     """
     from . import measurement as meas, rng
 
@@ -192,11 +189,8 @@ def cmd_sample(config: RunConfig) -> Iterator[str]:
         seeds = rng.child_seeds(config.seed, np.arange(first_row, first_row + phis.size, dtype=np.uint64))
         first_row += phis.size
         n_first, n_second = meas.sequential_counts(orders, phis, np.full(phis.size, phi0), shots, seeds)
-        block = np.column_stack([
-            phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
-            *meas.outcome_moment_columns(n_first, shots), *meas.outcome_moment_columns(n_second, shots),
-            n_second, shots - n_second, *meas.uniformity_columns(n_second, shots),
-        ])
+        block = np.column_stack([phis, np.full(phis.size, phi0), codes, np.full(phis.size, shots),
+                                 *meas.row_statistics(n_first, n_second, shots)])
         yield from format_rows(block, text=(SAMPLE_COLUMNS.index("order"), values))
 
 

@@ -23,6 +23,11 @@ they mix.  Each part holds its own block buffers and writes only its
 own rows' counts, and every row draws all of its shots from its own
 stream, so the counts do not depend on the number of parts.  A call of
 one row, or of fewer shots than one block, starts no thread.
+
+A row's statistics follow from its two counts: :func:`outcome_moments`
+and :func:`uniformity_test` define them from Python's integers, and
+:func:`row_statistics` gives a block's columns equal to them bit for bit,
+the one place that falls back to them above EXACT_SHOTS shots a row.
 """
 
 from __future__ import annotations
@@ -126,47 +131,41 @@ def outcome_moments(n_plus: int, shots: int) -> tuple[float, float]:
     return (2 * n_plus - shots) / shots, 4 * n_plus * (shots - n_plus) / shots**2
 
 
-#: The most shots per row for which the column forms below compute in
+#: The most shots per row for which :func:`row_statistics` computes in
 #: float64: every operand, shots^2 included, is then an integer below
 #: 2^53, so float64 holds it exactly (94906265^2 < 2^53 < 94906266^2).
 EXACT_SHOTS = 94_906_265
 
 
-def outcome_moment_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`outcome_moments` of each count in a column, as float64 columns.
+def row_statistics(n_first: np.ndarray, n_second: np.ndarray, shots: int) -> np.ndarray:
+    """The eight statistic columns of rows of `shots` shots with n_first and
+    n_second +1 outcomes, in cli.SAMPLE_COLUMNS[4:] order, as an (8, rows)
+    float64 array: :func:`outcome_moments` of both counts, n_second,
+    shots - n_second, and :func:`uniformity_test` of those two (chi2_pass
+    as 1.0 or 0.0).
 
-    For shots <= EXACT_SHOTS each is one correctly rounded division of
-    exact values, as Python's int / int is, so the two are equal.  Above
-    it each row is :func:`outcome_moments` itself, from Python's integers;
-    such a row takes ~0.5 s to draw, so the loop costs nothing measurable.
+    For shots <= EXACT_SHOTS all three statistics share m = 2 k - n: mean
+    m / n, variance (n n - m m) / (n n), chi2 m m / n.  Every operand is
+    an exact integer in float64, so each is the scalar form's exact value
+    rounded once, as the scalar form rounds it.  Above EXACT_SHOTS each
+    row is the scalar forms' own, from Python's integers; such a row takes
+    ~0.5 s to draw, so the loop costs nothing measurable.
     """
     if shots > EXACT_SHOTS:
-        moments = [outcome_moments(k, shots) for k in n_plus.tolist()]
-        mean, variance = np.array(moments, dtype=np.float64).reshape(-1, 2).T
-        return mean, variance
-    k, n = n_plus.astype(np.float64), float(shots)
-    return (2 * k - n) / n, 4 * k * (n - k) / (n * n)
-
-
-def uniformity_columns(n_plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`uniformity_test` of the counts (n_plus, shots - n_plus) of each
-    row, as a float64 column and a bool column.
-
-    For shots <= EXACT_SHOTS, k - n/2 is a half-integer m/2 with m^2 < 2^53,
-    so its square is exact, as Python's ``** 2`` is, and every other step
-    is the scalar one's, rounded as it is; so the two are equal.  Above
-    EXACT_SHOTS each row is :func:`uniformity_test` itself, row by row as
-    in :func:`outcome_moment_columns`.
-    """
-    if shots > EXACT_SHOTS:
-        tests = [uniformity_test((k, shots - k)) for k in n_plus.tolist()]
-        chi2, passed = np.array(tests, dtype=np.float64).reshape(-1, 2).T
-        return chi2, passed.astype(bool)
-    k, n = n_plus.astype(np.float64), float(shots)
-    expected = n / 2.0
-    plus, minus = k - expected, (n - k) - expected
-    chi2 = plus * plus / expected + minus * minus / expected
-    return chi2, chi2 < CHI2_CRITICAL_1PCT
+        rows = [(*outcome_moments(k1, shots), *outcome_moments(k2, shots),
+                 k2, shots - k2, *uniformity_test((k2, shots - k2)))
+                for k1, k2 in zip(n_first.tolist(), n_second.tolist())]
+        return np.array(rows, dtype=np.float64).reshape(-1, 8).T
+    n = float(shots)
+    k = np.array([n_first, n_second], dtype=np.float64)
+    m = 2 * k - n
+    stats = np.empty((8, k.shape[1]))
+    stats[0:4:2] = m / n
+    stats[1:4:2] = (n * n - m * m) / (n * n)
+    stats[4], stats[5] = k[1], n - k[1]
+    stats[6] = m[1] * m[1] / n
+    stats[7] = stats[6] < CHI2_CRITICAL_1PCT
+    return stats
 
 
 def _usable_cpus() -> int:

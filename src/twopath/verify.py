@@ -344,16 +344,16 @@ def _sampled_residuals(shots: int, seed: int) -> Iterator[float]:
                                     phis, phi0s, shots,
                                     np.concatenate([np.uint64([seed]), seeds, np.uint64([seed])]))
     same = all(c[0] == c[-1] for c in counts)
-    n_first, n_second = (c[1:-1].reshape(len(orders), len(pairs)).tolist() for c in counts)
-    for order, firsts, seconds in zip(orders, n_first, n_second):
-        chi2s, misses = [], []
-        for (phi, phi0), n1, n2 in zip(pairs.tolist(), firsts, seconds):
-            chi2s.append(meas.uniformity_test((n2, shots - n2))[0])
+    stats = meas.row_statistics(counts[0][1:-1], counts[1][1:-1], shots)
+    # first_variance and chi2 of each row, by order
+    variances, chi2s = stats[[1, 6]].reshape(2, len(orders), len(pairs))
+    for order, first_variances, chi2 in zip(orders, variances.tolist(), chi2s):
+        misses = []
+        for (phi, phi0), first_variance in zip(pairs.tolist(), first_variances):
             mean = 0.0 if order is pw else math.cos(phi - phi0)
             target_var = 1.0 if order is pw else math.sin(phi - phi0) ** 2
-            first_variance = meas.outcome_moments(n1, shots)[1]
             misses.append(abs(first_variance - target_var) / variance_window(mean, shots))
-        yield _worst(chi2s)
+        yield _worst(chi2)
         yield _worst(misses)
     yield 0.0 if same else 1.0
 

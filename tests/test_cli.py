@@ -421,7 +421,7 @@ class TestExitCodes:
         assert len(drawn) == 1 and drawn[0][0] < 100
 
     def test_usage_error_steps_beyond_the_largest_grid(self, capsys):
-        # 2**60 float64 entries overflow numpy's byte count; 2**63 its index
+        # past RunConfig's bound of 2**60 - 1, and past int64 (2**63)
         for command in ("scan", "sample"):
             for steps in (2**60, 2**63):
                 assert main([command, "--steps", str(steps)]) == 2
@@ -718,6 +718,15 @@ class TestRunConfig:
             RunConfig(seed=-1)
         with pytest.raises(InvariantViolation):
             RunConfig(order="sideways")
+
+    def test_steps_accepts_the_bound_it_names(self):
+        # the largest float64 array numpy allows, 2**60 - 1 entries on 64-bit
+        # systems; constructed only, its grid is never run
+        bound = np.iinfo(np.intp).max // 8
+        assert RunConfig(steps=bound).steps == bound
+        with pytest.raises(InvariantViolation) as raised:
+            RunConfig(steps=bound + 1)
+        assert str(raised.value) == f"steps must be <= {bound}, got {bound + 1}"
 
     def test_cmd_scan_accepts_config_directly(self):
         text = "".join(cmd_scan(RunConfig(phi0=0.0, phi_start=0.0, phi_end=0.0, steps=1)))

@@ -31,6 +31,7 @@ at most 3.3e-16.  No `sample` digest moved.  The subprocess test below
 holds the new bytes under other BLAS kernels and SIMD levels.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -143,7 +144,7 @@ def test_sample_wide_is_printed_without_percent(capsys, monkeypatch):
 ])
 def test_sample_above_the_exactness_bound(shots, digest, capsys):
     # one real row of more than EXACT_SHOTS shots (~0.5 s), whose
-    # statistics the column forms take from the scalar ones
+    # statistics row_statistics takes from the scalar forms
     assert measurement.EXACT_SHOTS == 94_906_265
     argv = ["sample", "--steps", "1", "--from", "0.5", "--to", "0.5", "--phi0", "0.1",
             "--order", "wp", "--shots", shots, "--seed", "5"]
@@ -158,8 +159,41 @@ KERNELS = {
     "numpy-baseline-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(SIMD_LEVELS)},
 }
 
-#: Prints the digest of each argv's output, then the numpy SIMD levels in use.
-DIGEST_CHILD = """
+#: Defines threshold_digest(): the digest of every input and output of
+#: rng.draw_thresholds as the sampler calls it on sample-wide's 4002 rows
+#: at five offsets.  A threshold that moved would change a count only if a
+#: draw fell in its 2^11-word window (~2^-52 a shot), which the output
+#: digests cannot show.
+THRESHOLD_DIGEST = """
+import hashlib
+import numpy as np
+from twopath import measurement, rng
+from twopath.cli import RunConfig
+
+def threshold_digest():
+    digest, draw = hashlib.sha256(), measurement.draw_thresholds
+
+    def recorded(row_odds):
+        thresholds, certain = draw(row_odds)
+        for array in (row_odds, thresholds, certain):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return thresholds, certain
+
+    phis = np.repeat(next(RunConfig(phi0=0.6, steps=2001).grid()), 2)
+    seeds = rng.child_seeds(1, np.arange(phis.size, dtype=np.uint64))
+    measurement.draw_thresholds = recorded
+    try:
+        for phi0 in (0.6, 0.1, -1.1, 2.5, 0.0):
+            # one shot a row: the thresholds do not depend on the shots
+            measurement.sequential_counts(["pw", "wp"] * 2001, phis, np.full(phis.size, phi0), 1, seeds)
+    finally:
+        measurement.draw_thresholds = draw
+    return digest.hexdigest()
+"""
+
+#: Prints the digest of each argv's output, the sampler's threshold digest,
+#: then the numpy SIMD levels in use.
+DIGEST_CHILD = THRESHOLD_DIGEST + """
 import contextlib, hashlib, io, json, sys
 from numpy._core import _multiarray_umath as umath
 from twopath.cli import main
@@ -169,20 +203,30 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         main(argv)
     digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
-print(json.dumps([digests, [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]]))
+print(json.dumps([digests, threshold_digest(), [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]]))
 """
+
+
+@functools.cache
+def threshold_digest() -> str:
+    """THRESHOLD_DIGEST's digest in this process."""
+    namespace: dict = {}
+    exec(THRESHOLD_DIGEST, namespace)
+    return namespace["threshold_digest"]()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_digests_do_not_depend_on_the_kernel(kernel):
     # the bytes are a function of the seed alone, not of the BLAS kernel
-    # or the SIMD loops numpy picks for this CPU
+    # or the SIMD loops numpy picks for this CPU; nor are the sampler's
+    # thresholds, which this process draws at its own SIMD level
     pinned = [GOLDEN[IDS.index(name)] for name in ("scan", "verify", "verify-mc", "sample-wp")]
     env = {**os.environ, "PYTHONPATH": str(Path(twopath.__file__).resolve().parents[1]), **KERNELS[kernel]}
     argv = [sys.executable, "-c", DIGEST_CHILD, json.dumps([a for a, _ in pinned])]
     run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
-    digests, simd = json.loads(run.stdout)
+    digests, thresholds, simd = json.loads(run.stdout)
     assert digests == [d for _, d in pinned]
+    assert thresholds == threshold_digest()
     if "NPY_DISABLE_CPU_FEATURES" in KERNELS[kernel]:
         assert simd == []

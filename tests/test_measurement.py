@@ -33,7 +33,7 @@ from twopath.qalgebra import (
     pauli_compose,
     states_equal,
 )
-from twopath.cli import RunConfig, cmd_sample
+from twopath.cli import SAMPLE_COLUMNS, RunConfig, cmd_sample
 from twopath.rng import FINE_STEPS, RandomStream, child_seeds
 from twopath.verify import run_verification
 
@@ -748,18 +748,21 @@ class TestUniformityTest:
         with pytest.raises(InvariantViolation, match="at least one"):
             uniformity_test((0, 0))
 
-    # float64 arithmetic would give the scalar values at the even counts
-    # here, but not at the odd ones, whose squares it rounds
-    @pytest.mark.parametrize("shots", [94_906_266, 94_906_267, 2**53 - 1, 2**53])
-    def test_column_forms_equal_the_scalar_forms_beyond_the_bound(self, shots):
-        # above EXACT_SHOTS float64 cannot hold every shots^2, so each row is
-        # the scalar form's, from Python's integers
-        assert shots > measurement.EXACT_SHOTS
+    # Up to EXACT_SHOTS the columns are float64 arithmetic on m = 2k - n;
+    # above it each row is the scalar forms' own, from Python's integers.
+    # Beyond the bound float64 would still give the scalar values at the
+    # even counts, but not at the odd ones, whose squares it rounds.
+    @pytest.mark.parametrize("shots", [1, 2, measurement.EXACT_SHOTS - 1, measurement.EXACT_SHOTS,
+                                       94_906_266, 94_906_267, 2**53 - 1, 2**53])
+    def test_row_statistics_equal_the_scalar_forms(self, shots):
         draw = random.Random(shots)
-        counts = [0, shots, shots // 2] + [draw.randrange(shots + 1) for _ in range(200)]
-        column = np.array(counts, dtype=np.int64)
-        mean, variance = measurement.outcome_moment_columns(column, shots)
-        assert list(zip(mean.tolist(), variance.tolist())) == [outcome_moments(k, shots) for k in counts]
-        chi2, passed = measurement.uniformity_columns(column, shots)
-        assert passed.dtype == bool
-        assert list(zip(chi2.tolist(), passed.tolist())) == [uniformity_test((k, shots - k)) for k in counts]
+        counts = [0, shots, shots // 2, (shots + 1) // 2] + [draw.randrange(shots + 1) for _ in range(200)]
+        n_first = np.array(counts[::-1], dtype=np.int64)
+        n_second = np.array(counts, dtype=np.int64)
+        stats = measurement.row_statistics(n_first, n_second, shots)
+        scalar = [(*outcome_moments(k1, shots), *outcome_moments(k2, shots),
+                   k2, shots - k2, *uniformity_test((k2, shots - k2)))
+                  for k1, k2 in zip(counts[::-1], counts)]
+        assert stats.shape == (len(SAMPLE_COLUMNS[4:]), len(counts)) and stats.dtype == np.float64
+        # bit for bit, so a -0.0 for a 0.0 would show
+        assert stats.T.tobytes() == np.array(scalar, dtype=np.float64).tobytes()

@@ -295,6 +295,20 @@ def test_parts_stay_in_qalgebra():
     assert found == []
 
 
+def test_one_exactness_fallback():
+    # measurement.row_statistics is the one place that chooses between
+    # float64 columns and the scalar forms by EXACT_SHOTS; a second
+    # comparison would be a second copy of that fallback.
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(getattr(op, "id", getattr(op, "attr", None)) == "EXACT_SHOTS" for op in operands):
+                    found.append(f"{module.stem}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("measurement:"), found
+
+
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     argv = [sys.executable, str(ROOT / "scripts" / name), *args]
