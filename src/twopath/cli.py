@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from typing import Iterator, NamedTuple
 
@@ -71,6 +72,16 @@ SAMPLE_COLUMNS = (
 #: which holds shots, n_plus and n_minus exactly only up to 2^53.
 MAX_SAMPLE_SHOTS = 2**53
 
+#: The most grid points a run may have.  No array that long is built any
+#: more, since the grid comes in blocks of BLOCK_POINTS; the value, numpy's
+#: limit for one float64 array, keeps the --steps values accepted today.
+MAX_STEPS = 2**60 - 1
+
+#: The values of sample's --order: either MeasurementOrder value, or both.
+ORDERS = ("pw", "wp", "both")
+#: RunConfig's angle fields, in radians; --degrees converts the ones given.
+ANGLES = ("phi0", "phi_start", "phi_end")
+
 #: Grid points per block.  ``scan`` and ``sample`` build, evaluate, format
 #: and write one block before they start the next, so their memory does not
 #: grow with --steps.  A grid of up to this many phases, both orders of a
@@ -102,12 +113,9 @@ class RunConfig(_RunFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.steps < 1:
             raise InvariantViolation(f"steps must be >= 1, got {self.steps}")
-        # the length numpy allows one float64 array, 2**60 - 1 on 64-bit
-        # systems; the grid itself is built in blocks of BLOCK_POINTS
-        max_steps = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
-        if self.steps > max_steps:
-            raise InvariantViolation(f"steps must be <= {max_steps}, got {self.steps}")
-        for name in ("phi0", "phi_start", "phi_end"):
+        if self.steps > MAX_STEPS:
+            raise InvariantViolation(f"steps must be <= {MAX_STEPS}, got {self.steps}")
+        for name in ANGLES:
             require_finite_angle(getattr(self, name), name)
         if self.phi_start > self.phi_end:
             raise InvariantViolation(
@@ -122,8 +130,9 @@ class RunConfig(_RunFields):
                 f"shots must be <= {MAX_SAMPLE_SHOTS} (2**53), got {self.shots}"
             )
         require_seed(self.seed)
-        if self.order not in ("pw", "wp", "both"):
-            raise InvariantViolation(f"order must be pw, wp, or both, got {self.order!r}")
+        if self.order not in ORDERS:
+            *values, last = ORDERS
+            raise InvariantViolation(f"order must be {', '.join(values)}, or {last}, got {self.order!r}")
         return self
 
     def grid(self) -> Iterator[np.ndarray]:
@@ -213,12 +222,16 @@ class Flag(NamedTuple):
     help: str
 
 
+#: RunConfig's defaults by field; a flag's dest is the field it sets.
+_RUN = RunConfig._field_defaults
+
+
 def _grid_flags(steps: int) -> dict[str, Flag]:
     """The flags scan and sample share; they differ in the default --steps."""
     return {
-        "--phi0": Flag("phi0", float, 0.0, "setup offset in radians"),
-        "--from": Flag("phi_from", float, None, "scan start (default -pi, or -180 with --degrees)"),
-        "--to": Flag("phi_to", float, None, "scan end (default pi, or 180 with --degrees)"),
+        "--phi0": Flag("phi0", float, _RUN["phi0"], "setup offset in radians"),
+        "--from": Flag("phi_start", float, None, "scan start (default -pi, or -180 with --degrees)"),
+        "--to": Flag("phi_end", float, None, "scan end (default pi, or 180 with --degrees)"),
         "--steps": Flag("steps", int, steps, "number of grid points"),
         "--out": Flag("out", str, None, "output path (default stdout)"),
         "--degrees": Flag("degrees", None, False, "interpret input angles as degrees"),
@@ -229,17 +242,17 @@ def _grid_flags(steps: int) -> dict[str, Flag]:
 #: The flag table: each subcommand's help line and its flags by spelling.
 #: A flag is given only in full, as ``--flag value`` or ``--flag=value``.
 COMMANDS = {
-    "scan": ("analytic interference scan (CSV)", _grid_flags(181)),
+    "scan": ("analytic interference scan (CSV)", _grid_flags(_RUN["steps"])),
     "sample": ("sequential-measurement Monte Carlo (CSV)", {
         **_grid_flags(9),
-        "--shots": Flag("shots", int, 100_000,
+        "--shots": Flag("shots", int, _RUN["shots"],
                         "shots per row, at most 2**53 (the CSV's counts are exact doubles)"),
-        "--seed": Flag("seed", int, 1, "base stream seed"),
-        "--order": Flag("order", ("pw", "wp", "both"), "both", "measurement order(s) to run"),
+        "--seed": Flag("seed", int, _RUN["seed"], "base stream seed"),
+        "--order": Flag("order", ORDERS, _RUN["order"], "measurement order(s) to run"),
     }),
     "verify": ("run the named invariant suite", {
         "--shots": Flag("shots", int, None, "also run Monte Carlo checks at this shot count"),
-        "--seed": Flag("seed", int, 1, "stream seed"),
+        "--seed": Flag("seed", int, _RUN["seed"], "stream seed"),
     }),
 }
 
@@ -364,26 +377,24 @@ def main(argv: list[str] | None = None) -> int:
         if command == "verify":
             from . import verify
 
-            report = verify.run_verification(shots=args["shots"], seed=args["seed"])
+            report = verify.run_verification(**args)
             emit([verify.format_report(report) + "\n"], None)
             return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
-        half_turn = 180.0 if args["degrees"] else math.pi
-        phi_from = args["phi_from"] if args["phi_from"] is not None else -half_turn
-        phi_to = args["phi_to"] if args["phi_to"] is not None else half_turn
-        angles = (args["phi0"], phi_from, phi_to)
-        phi0, phi_start, phi_end = map(math.radians, angles) if args["degrees"] else angles
-        sampling = {k: v for k, v in args.items() if k in ("shots", "seed", "order")}
-        config = RunConfig(phi0, phi_start, phi_end, args["steps"], **sampling)
-        out = args["out"]
-        if args["gnuplot"] and out is None:
+        out, gnuplot, degrees = args.pop("out"), args.pop("gnuplot"), args.pop("degrees")
+        # an unset --from or --to keeps RunConfig's -pi or pi, equal to radians(-180.0) or radians(180.0)
+        config = RunConfig(**{name: math.radians(value) if degrees and name in ANGLES else value
+                              for name, value in args.items() if value is not None})
+        if gnuplot and out is None:
             raise InvariantViolation("--gnuplot requires --out")
+        if gnuplot and os.path.exists(out) and not os.path.isfile(out):
+            raise InvariantViolation(f"--gnuplot requires --out to be a regular file, got {out!r}")
         if command == "scan":
             chunks, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
         else:
             chunks, plot = cmd_sample(config), "using 1:6 with points"
         emit(chunks, out)
-        if args["gnuplot"]:
+        if gnuplot:
             # inside a single-quoted gnuplot string, '' stands for one '
             emit([_GNUPLOT.format(path=out.replace("'", "''"), plot=plot)], out + ".gp")
         return EXIT_OK

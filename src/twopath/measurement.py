@@ -26,8 +26,9 @@ one row, or of fewer shots than one block, starts no thread.
 
 A row's statistics follow from its two counts: :func:`outcome_moments`
 and :func:`uniformity_test` define them from Python's integers, and
-:func:`row_statistics` gives a block's columns equal to them bit for bit,
-the one place that falls back to them above EXACT_SHOTS shots a row.
+:func:`row_statistics` computes every sampled row's, one-row calls
+included, equal to them bit for bit; it is the one place that falls back
+to them above EXACT_SHOTS shots a row.
 """
 
 from __future__ import annotations
@@ -68,14 +69,11 @@ CHI2_CRITICAL_1PCT = 6.635
 #: numpy calls a part holds the GIL while the other waits for it, so a
 #: block does as little Python work as it can between its ufunc calls:
 #: views are built once per piece shape, a group's values once per group,
-#: and one-row counts add up in Python ints.  `sequential_counts` of 3 phases x 2 orders x 4e6 shots
-#: (sample-deep's rows) on a 2-vCPU VM, medians of 10 rounds (two threads:
-#: 20) of 15 calls, in ms:
-#:
-#:   24576 shots, one table step per shot:
-#:     one thread 138.3, two threads 84.7, two processes of 3 rows 73.5
-#:   32768 shots, the fine table:
-#:     one thread 137.4, two threads 81.8, two processes of 3 rows 72.6
+#: and one-row counts add up in Python ints.  `sequential_counts` of 3
+#: phases x 2 orders x 4e6 shots (sample-deep's rows) on a 2-vCPU VM,
+#: medians of 10 rounds (two threads: 20) of 15 calls, in ms: one thread
+#: 137.4, two threads 81.8, two processes of 3 rows 72.6.  BENCH_pr33.json
+#: records how this compares with the earlier blocks.
 CHUNK_SHOTS = 8 * FINE_STEPS
 
 
@@ -352,25 +350,15 @@ def sequential_experiment(
     whose counter advances by two draws per shot.
 
     Outcomes are +1/-1, so the +1 counts of the two measurements are a
-    sufficient statistic; the moments follow from them
-    (:func:`outcome_moments`).
+    sufficient statistic; the moments are their :func:`row_statistics`.
     """
     shots = require_shots(shots)
     seeds = np.array([rng.seed], dtype=np.uint64)
-    (n1,), (n2,) = sequential_counts([order], [phi], [phi0], shots, seeds, rng.counter)
+    n_first, n_second = sequential_counts([order], [phi], [phi0], shots, seeds, rng.counter)
     rng.counter += 2 * shots
-    n1, n2 = int(n1), int(n2)
-    first_mean, first_variance = outcome_moments(n1, shots)
-    second_mean, second_variance = outcome_moments(n2, shots)
-    return SequentialStats(
-        order=MeasurementOrder(order),
-        shots=shots,
-        first_mean=first_mean,
-        first_variance=first_variance,
-        second_mean=second_mean,
-        second_variance=second_variance,
-        second_counts=(n2, shots - n2),
-    )
+    moments = row_statistics(n_first, n_second, shots)[:4, 0].tolist()
+    n2 = int(n_second[0])
+    return SequentialStats(MeasurementOrder(order), shots, *moments, (n2, shots - n2))
 
 
 def uniformity_test(counts: tuple[int, int]) -> tuple[float, bool]:

@@ -494,6 +494,19 @@ class TestExitCodes:
     def test_gnuplot_requires_out(self, capsys):
         assert main(["scan", "--gnuplot"]) == 2
 
+    @pytest.mark.parametrize("target", ["device", "directory", "fifo"])
+    def test_gnuplot_beside_a_non_file_is_a_usage_error(self, target, tmp_path, capsys, monkeypatch):
+        # its script would go to <out>.gp beside the device or in the
+        # directory; nothing is written, the CSV neither
+        out = {"device": os.devnull, "directory": str(tmp_path), "fifo": str(tmp_path / "pipe")}[target]
+        if target == "fifo":
+            os.mkfifo(out)
+        emitted = []
+        monkeypatch.setattr(cli, "emit", lambda chunks, path: emitted.append(path))
+        message = usage_error(["scan", "--steps", "3", "--gnuplot", "--out", out], capsys)
+        assert message == f"--gnuplot requires --out to be a regular file, got {out!r}"
+        assert emitted == []
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -542,6 +555,18 @@ class TestParser:
         assert {k: values[k] for k in ("shots", "seed", "order")} == {
             k: RunConfig._field_defaults[k] for k in ("shots", "seed", "order")
         }
+        # and so are scan's run values and verify's seed
+        _, values = self.parse(["scan"])
+        assert {k: values[k] for k in ("phi0", "steps")} == {
+            k: RunConfig._field_defaults[k] for k in ("phi0", "steps")
+        }
+        assert self.parse(["verify"])[1]["seed"] == RunConfig._field_defaults["seed"]
+
+    def test_orders_are_the_measurement_orders_and_both(self):
+        # cmd_sample imports measurement only when it runs, so cli spells
+        # the orders itself
+        assert cli.ORDERS == (*(order.value for order in measurement.MeasurementOrder), "both")
+        assert cli.COMMANDS["sample"][1]["--order"].kind == cli.ORDERS
 
     @pytest.mark.parametrize("case", table_flags(), ids=flag_id)
     def test_every_flag_in_both_forms(self, case):
@@ -723,6 +748,7 @@ class TestRunConfig:
         # the largest float64 array numpy allows, 2**60 - 1 entries on 64-bit
         # systems; constructed only, its grid is never run
         bound = np.iinfo(np.intp).max // 8
+        assert cli.MAX_STEPS == bound
         assert RunConfig(steps=bound).steps == bound
         with pytest.raises(InvariantViolation) as raised:
             RunConfig(steps=bound + 1)

@@ -159,6 +159,26 @@ class TestSequentialExperiment:
         with pytest.raises(InvariantViolation, match="shots"):
             sequential_experiment(MeasurementOrder.P_THEN_W, 0.0, 0.0, 0, RandomStream(1))
 
+    @pytest.mark.parametrize("order, phi, phi0, shots, counter", [
+        (MeasurementOrder.P_THEN_W, 0.9, 0.2, 1, 0),
+        (MeasurementOrder.P_THEN_W, 0.9, 0.2, 1000, 0),
+        (MeasurementOrder.W_THEN_P, 0.6, 0.6, 1000, 0),
+        (MeasurementOrder.W_THEN_P, 2.2, 0.4, 1000, 12_345),
+    ], ids=["1-shot", "1000-shots", "wp-at-phi0", "counter"])
+    def test_fields_are_the_scalar_forms_of_its_counts(self, order, phi, phi0, shots, counter):
+        # field for field, with its type and its repr: outcome_moments of
+        # the two +1 counts that sequential_counts draws from the stream
+        seeds = np.array([7], dtype=np.uint64)
+        n1, n2 = (int(k[0]) for k in sequential_counts([order], [phi], [phi0], shots, seeds, counter))
+        want = (order, shots, *outcome_moments(n1, shots), *outcome_moments(n2, shots), (n2, shots - n2))
+        stream = RandomStream(7)
+        stream.counter = counter
+        stats = sequential_experiment(order, phi, phi0, shots, stream)
+        assert [(type(v), repr(v)) for v in stats] == [(type(v), repr(v)) for v in want]
+        assert stream.counter == counter + 2 * shots
+        if phi == phi0:  # the balanced state at phi0 is W's +1 eigenstate
+            assert (n1, stats.first_variance) == (shots, 0.0)
+
 
 SHOTS_ENTRIES = {
     "sequential_counts": lambda shots: sequential_counts(

@@ -309,6 +309,22 @@ def test_one_exactness_fallback():
     assert len(found) == 1 and found[0].startswith("measurement:"), found
 
 
+def test_one_statistics_path():
+    # Every sampled row's statistics come from measurement.row_statistics,
+    # the one-row sequential_experiment's among them; the scalar forms are
+    # called only there, as its fallback above EXACT_SHOTS.
+    scalar_forms = {"outcome_moments", "uniformity_test"}
+    callers = []
+    for module in sorted(SRC.glob("*.py")):
+        for top in ast.parse(module.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", getattr(node.func, "attr", None)) in scalar_forms
+                ):
+                    callers.append(f"{module.stem}.{getattr(top, 'name', '<module>')}:{node.lineno}")
+    assert {caller.split(":")[0] for caller in callers} == {"measurement.row_statistics"}, callers
+
+
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     argv = [sys.executable, str(ROOT / "scripts" / name), *args]
