@@ -42,7 +42,7 @@ import numpy as np
 
 from .output import emit, format_rows
 from .interferometer import interference_scan
-from .qalgebra import InvariantViolation, require_finite_angle, require_seed, require_shots
+from .qalgebra import DEFAULT_SEED, InvariantViolation, require_finite_angle, require_seed, require_shots
 
 SCAN_COLUMNS = (
     "phi",
@@ -100,7 +100,7 @@ class _RunFields(NamedTuple):
     phi_end: float = math.pi
     steps: int = 181
     shots: int = 100_000
-    seed: int = 1
+    seed: int = DEFAULT_SEED
     order: str = "both"
 
 
@@ -389,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InvariantViolation("--gnuplot requires --out")
         if gnuplot and os.path.exists(out) and not os.path.isfile(out):
             raise InvariantViolation(f"--gnuplot requires --out to be a regular file, got {out!r}")
+        if gnuplot and os.path.dirname(os.path.realpath(out)) != os.path.dirname(os.path.realpath(out + ".gp")):
+            raise InvariantViolation(f"--gnuplot requires --out to resolve beside {out + '.gp'!r}, got {out!r}")
         if command == "scan":
             chunks, plot = cmd_scan(config), "using 1:2 with lines, '' using 1:6 with lines"
         else:

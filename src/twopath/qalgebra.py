@@ -6,8 +6,8 @@ Constructors reject invalid input instead of repairing it.
 
 Each value is checked where it enters the library, a stream seed by
 :func:`require_seed` and a shot count by :func:`require_shots`.  The three
-value types share one construction check and add only their own norm,
-Hermiticity or unitarity test.
+value types share one construction check, on their parts (below), and add
+only their own norm, Hermiticity or unitarity test, on the same parts.
 :class:`EigenBasis` is the one form of a +1/-1 observable's eigenbasis;
 :func:`binary_eigensystem` solves for it.  Each 2x2 quantity has one entry,
 :func:`apply`, :func:`inner`, :func:`odds`, :func:`moments` or :func:`robertson`
@@ -18,8 +18,8 @@ real + - * of "parts" in a fixed order, a vector's (Re a0, Im a0, Re a1, Im a1)
 or a matrix's entries row by row: Python floats for one (values cache theirs),
 float64 columns for rows or stacks.  No other module sees parts.  Both round
 once per operation and fuse none, so no result depends on the BLAS kernel.
-A residual's complex modulus is :func:`max_modulus`'s, math.hypot of the
-parts, so no verdict depends on numpy's SIMD level either.
+A residual's complex modulus is math.hypot of the parts, and a NaN residual
+fails, so no verdict depends on numpy's SIMD level either.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import operator
 import numpy as np
 
 from .tolerances import TOL
+
+DEFAULT_SEED = 1  # the seed of a run that names none: RunConfig's and run_verification's
 
 
 class InvariantViolation(ValueError):
@@ -80,21 +82,10 @@ def require_finite_angles(values, name: str) -> np.ndarray:
     return angles
 
 
-def _checked_copy(values, shape: tuple[int, ...], shape_error: str, entries: str) -> np.ndarray:
-    """A read-only complex copy of values with the given shape and finite entries."""
-    a = np.array(values, dtype=np.complex128, order="C")
-    if a.shape != shape:
-        raise InvariantViolation(f"{shape_error}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvariantViolation(f"{entries} must be finite (no NaN/Inf)")
-    a.setflags(write=False)
-    return a
-
-
 def _parts(values, ndim: int):
     """A value's cached parts, or complex vectors' (ndim 1) or matrices' (ndim 2): Python floats
     for one, float64 columns for N of them.  Two state rows have a matrix's shape, hence the ndim."""
-    if isinstance(values, (StateVector, Observable)):
+    if isinstance(values, (StateVector, Observable, UnitaryGate)):
         return values._parts
     flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
     return flat.ravel().tolist() if flat.ndim == ndim else np.ascontiguousarray(flat.reshape(-1, 4 * ndim).T)
@@ -144,15 +135,25 @@ def _bound(x, y):
     return abs(_im_inner(x, y))
 
 
-def max_modulus(values) -> float:
-    """The largest modulus of the complex entries of values, NaN if one is
-    NaN, each entry's as math.hypot(Re, Im).  numpy's complex abs and its
-    hypot round differently at different SIMD levels; CPython's hypot does
-    not, so a residual compared with a tolerance is the same on every CPU."""
-    z = np.asarray(values)
-    moduli = list(map(math.hypot, z.real.ravel().tolist(), z.imag.ravel().tolist()))
+def _largest(moduli) -> float:
+    """The largest of a residual's moduli, NaN if one is.  Each is math.hypot(Re, Im), or abs
+    of a real or imaginary entry, which equals it: numpy's complex abs and hypot round
+    differently at different SIMD levels, CPython's hypot does not."""
     # max() may pass over a NaN; the sum of moduli >= 0 is NaN only if one is
     return math.nan if math.isnan(sum(moduli)) else max(moduli)
+
+
+def max_modulus(values) -> float:
+    """The largest modulus of the complex entries of values, NaN if one is NaN."""
+    z = np.asarray(values)
+    return _largest(list(map(math.hypot, z.real.ravel().tolist(), z.imag.ravel().tolist())))
+
+
+def unitarity_residual(gate) -> float:
+    """max |U U^dag - I| of a gate or a 2x2 matrix: row k of U U^dag is U applied to row k's conjugate."""
+    m = _parts(gate, 2)
+    (r00, i00, r01, i01), (r10, i10, r11, i11) = (_apply(m, (p, -q, r, -s)) for p, q, r, s in (m[:4], m[4:]))
+    return _largest(list(map(math.hypot, (r00 - 1.0, r01, r10, r11 - 1.0), (i00, i01, i10, i11))))
 
 
 class Frozen:
@@ -182,6 +183,21 @@ class Frozen:
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__slots__ if not name.startswith("_"))
 
+    def _freeze(self, values, shape: tuple[int, ...], shape_error: str, entries: str) -> list:
+        """Set the first field to a read-only complex copy of values with the given
+        shape and finite entries and ``_parts`` to its parts, which it returns."""
+        a = np.array(values, dtype=np.complex128, order="C")
+        if a.shape != shape:
+            raise InvariantViolation(f"{shape_error}, got shape {a.shape}")
+        parts = a.view(np.float64).ravel().tolist()
+        # a finite sum has finite terms; a sum that is not may have overflowed
+        if not math.isfinite(sum(parts)) and not all(map(math.isfinite, parts)):
+            raise InvariantViolation(f"{entries} must be finite (no NaN/Inf)")
+        a.setflags(write=False)
+        object.__setattr__(self, self.__slots__[0], a)
+        object.__setattr__(self, "_parts", parts)
+        return parts
+
 
 class StateVector(Frozen):
     """Normalized complex 2-vector of probability amplitudes.
@@ -194,15 +210,10 @@ class StateVector(Frozen):
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes) -> None:
-        a = _checked_copy(amplitudes, (2,), "state must be a complex 2-vector", "state amplitudes")
-        parts = _parts(a, 1)
+        parts = self._freeze(amplitudes, (2,), "state must be a complex 2-vector", "state amplitudes")
         norm_sq = _re_inner(parts, parts)
-        if abs(norm_sq - 1.0) > TOL.norm:
-            raise InvariantViolation(
-                f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}"
-            )
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "_parts", parts)
+        if not abs(norm_sq - 1.0) <= TOL.norm:
+            raise InvariantViolation(f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}")
 
 
 class Observable(Frozen):
@@ -212,30 +223,25 @@ class Observable(Frozen):
     matrix: np.ndarray
 
     def __init__(self, matrix) -> None:
-        m = _checked_copy(matrix, (2, 2), "observable must be 2x2", "observable entries")
-        residual = max_modulus(m - m.conj().T)
-        if residual > TOL.herm:
-            raise InvariantViolation(
-                f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_parts", _parts(m, 2))
+        m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i = self._freeze(
+            matrix, (2, 2), "observable must be 2x2", "observable entries")
+        # the entries of M - M^dag: 2i Im m00, 2i Im m11, and m01 - conj(m10) and minus its conjugate
+        residual = _largest((abs(m00i + m00i), abs(m11i + m11i), math.hypot(m01r - m10r, m01i + m10i)))
+        if not residual <= TOL.herm:
+            raise InvariantViolation(f"observable is not Hermitian: max |M - M^dag| = {residual:.3e}")
 
 
 class UnitaryGate(Frozen):
     """Unitary 2x2 operator."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_parts")
     matrix: np.ndarray
 
     def __init__(self, matrix) -> None:
-        m = _checked_copy(matrix, (2, 2), "gate must be 2x2", "gate entries")
-        residual = max_modulus(apply(m, m.conj()) - np.eye(2))
-        if residual > TOL.unit:
-            raise InvariantViolation(
-                f"gate is not unitary: max |U U^dag - I| = {residual:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
+        self._freeze(matrix, (2, 2), "gate must be 2x2", "gate entries")
+        residual = unitarity_residual(self)
+        if not residual <= TOL.unit:
+            raise InvariantViolation(f"gate is not unitary: max |U U^dag - I| = {residual:.3e}")
 
 
 class EigenBasis(Frozen):
@@ -358,6 +364,12 @@ def states_equal(a: StateVector, b: StateVector) -> bool:
     return abs(inner(a, b)) > 1.0 - TOL.norm
 
 
+def _over(re, im, s) -> tuple:
+    """(re + i im) / s, s > 0, as numpy divides by s + 0j (Smith's method), signed zeros too."""
+    sc = 1.0 / (s + 0.0 * 0.0)
+    return (re + im * 0.0) * sc, (im - re * 0.0) * sc
+
+
 def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigendecomposition of a Hermitian 2x2 operator.
 
@@ -366,46 +378,30 @@ def eig_hermitian(obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     normalized and phase-fixed so its first non-negligible component is
     real and positive.
     """
-    m = obs.matrix
-    a = float(m[0, 0].real)
-    d = float(m[1, 1].real)
-    b = complex(m[0, 1])
+    a, _, br, bi, _, _, d, _ = obs._parts
     mid = 0.5 * (a + d)
-    radius = math.hypot(0.5 * (a - d), abs(b))
-    evals = np.array([mid + radius, mid - radius])
-
-    if b == 0:
-        if a >= d:
-            vecs = np.eye(2, dtype=np.complex128)
-        else:
-            vecs = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    modulus_b = abs(complex(br, bi))
+    radius = math.hypot(0.5 * (a - d), modulus_b)
+    lam = mid + radius
+    if br == 0 and bi == 0:
+        columns = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))[::1 if a >= d else -1]
     else:
-        lam = evals[0]
-        # Two algebraically equivalent eigenvector formulas; pick the
-        # better-conditioned (larger) one and rescale by its biggest
-        # component before normalizing, so subnormal entries cannot
-        # underflow the norm.
-        cand1 = np.array([b, lam - a], dtype=np.complex128)
-        cand2 = np.array([lam - d, np.conj(b)], dtype=np.complex128)
-        scale1 = max(abs(cand1[0]), abs(cand1[1]))
-        scale2 = max(abs(cand2[0]), abs(cand2[1]))
-        chosen = cand1 if scale1 >= scale2 else cand2
+        # Of the equivalent eigenvectors (b, lam - a) and (lam - d, conj(b)), take the larger,
+        # scaled by its biggest component before normalizing, so subnormals cannot underflow
+        scale1, scale2 = max(modulus_b, abs(lam - a)), max(abs(lam - d), modulus_b)
+        chosen = (br, bi, lam - a, 0.0) if scale1 >= scale2 else (lam - d, 0.0, br, -bi)
         scale = max(scale1, scale2)
-        # Divide component-wise in real arithmetic: complex division by a
-        # subnormal scale overflows inside numpy.
-        v = (chosen.view(np.float64) / scale).view(np.complex128)
-        v = v / math.sqrt(inner(v, v).real)
+        v = [x / scale for x in chosen]
+        norm = math.sqrt(_re_inner(v, v))
+        v = (*_over(v[0], v[1], norm), *_over(v[2], v[3], norm))
         # The second eigenvector of a Hermitian 2x2 is the orthogonal ray.
-        w = np.array([-np.conj(v[1]), np.conj(v[0])])
-        vecs = np.column_stack([v, w])
-
-    for k in (0, 1):
-        col = vecs[:, k]
-        pivot = col[0] if abs(col[0]) > 1e-12 else col[1]
-        q = np.conj(pivot) / abs(pivot)  # times q, as q I applied to the column
-        parts = _apply([q.real, q.imag, 0.0, 0.0, 0.0, 0.0, q.real, q.imag], _parts(col, 1))
-        vecs[:, k] = np.array(parts).view(np.complex128)
-    return evals, vecs
+        columns = (v, (-v[2], v[3], v[0], -v[1]))
+    fixed = []
+    for col in columns:
+        pr, pi = col[:2] if abs(complex(*col[:2])) > 1e-12 else col[2:]
+        qr, qi = _over(pr, -pi, abs(complex(pr, pi)))  # times q, as q I applied to the column
+        fixed.extend(_apply((qr, qi, 0.0, 0.0, 0.0, 0.0, qr, qi), col))
+    return np.array([lam, mid - radius]), np.array(fixed).view(np.complex128).reshape(2, 2).T.copy()
 
 
 def binary_eigensystem(obs: Observable) -> EigenBasis:

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from support import count_calls, force_parts, grid_failing, patch_everywhere, sample_lines
 import twopath
-from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty
+from twopath import cli, interferometer, measurement, output, qalgebra, rng, uncertainty, verify
 from twopath.cli import RunConfig, cmd_sample, cmd_scan, main
 from twopath.interferometer import balanced_state, wave_operator
 from twopath.measurement import CHUNK_SHOTS, uniformity_test
@@ -507,6 +508,21 @@ class TestExitCodes:
         assert message == f"--gnuplot requires --out to be a regular file, got {out!r}"
         assert emitted == []
 
+    def test_gnuplot_through_a_symlink_into_another_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                                              monkeypatch):
+        # the CSV would go where --out resolves, in the sibling directory, and
+        # its script to <out>.gp beside the link; nothing is written
+        (tmp_path / "sibling").mkdir()
+        (tmp_path / "sibling" / "data.csv").write_text("")
+        out = str(tmp_path / "link.csv")
+        os.symlink(tmp_path / "sibling" / "data.csv", out)
+        emitted = []
+        monkeypatch.setattr(cli, "emit", lambda chunks, path: emitted.append(path))
+        message = usage_error(["scan", "--steps", "3", "--gnuplot", "--out", out], capsys)
+        assert message == f"--gnuplot requires --out to resolve beside {out + '.gp'!r}, got {out!r}"
+        assert emitted == []
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["data.csv", "link.csv", "sibling"]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -561,6 +577,9 @@ class TestParser:
             k: RunConfig._field_defaults[k] for k in ("phi0", "steps")
         }
         assert self.parse(["verify"])[1]["seed"] == RunConfig._field_defaults["seed"]
+        # one default seed, for a run and for a library call of run_verification alike
+        assert RunConfig._field_defaults["seed"] == qalgebra.DEFAULT_SEED
+        assert inspect.signature(verify.run_verification).parameters["seed"].default == qalgebra.DEFAULT_SEED
 
     def test_orders_are_the_measurement_orders_and_both(self):
         # cmd_sample imports measurement only when it runs, so cli spells

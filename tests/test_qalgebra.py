@@ -1,6 +1,7 @@
 """Hilbert-space primitives: validation, operations, and their invariants."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -88,6 +89,12 @@ class TestConstructors:
     def test_gate_rejects_non_unitary(self):
         with pytest.raises(InvariantViolation, match="not unitary"):
             UnitaryGate(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_gate_with_a_nan_residual_is_not_unitary(self):
+        # finite entries whose products overflow, so U U^dag - I holds inf - inf
+        message = "gate is not unitary: max |U U^dag - I| = nan"
+        with pytest.raises(InvariantViolation, match=re.escape(message) + "$"):
+            UnitaryGate(np.array([[1e200j, 1e200], [1e200, 1e200j]]))
 
     def test_values_are_immutable(self):
         state = StateVector(np.array([1.0, 0.0]))
@@ -310,6 +317,43 @@ class TestHermitianEdge:
             assert [verdict is None for verdict in verdicts] == want, off
 
 
+class TestUnitaryEdge:
+    """UnitaryGate's verdict on gates whose residual straddles TOL.unit is that
+    of plain Python complex arithmetic and math.hypot."""
+
+    def edge_gates(self):
+        # random unitaries scaled by 1 + delta, so |U U^dag - I| ~ 2 delta is
+        # within ~1e-15 of TOL.unit, a few rounding errors of the entries
+        rng = np.random.default_rng(20261022)
+        n = 2000
+        alpha, beta, gamma, theta = rng.uniform(0.0, 2 * math.pi, (4, n))
+        a, b = np.cos(theta) * np.exp(1j * beta), np.sin(theta) * np.exp(1j * gamma)
+        scale = np.exp(1j * alpha) * (1.0 + 0.5 * TOL.unit * (1.0 + 2e-3 * rng.uniform(-1.0, 1.0, n)))
+        gates = scale[:, None, None] * np.array([[a, b], [-np.conj(b), np.conj(a)]]).transpose(2, 0, 1)
+        return gates.tolist()
+
+    def oracle(self, rows):
+        """Accepted, by plain Python complex arithmetic and math.hypot; a NaN is not."""
+        u = [[complex(z) for z in row] for row in rows]
+        entries = [u[i][0] * u[k][0].conjugate() + u[i][1] * u[k][1].conjugate() - (i == k)
+                   for i in range(2) for k in range(2)]
+        return all(math.hypot(z.real, z.imag) <= TOL.unit for z in entries)
+
+    def test_verdicts_are_the_oracles(self):
+        gates = self.edge_gates()
+        want = [self.oracle(rows) for rows in gates]
+        # both verdicts occur, so the batch straddles the edge
+        assert 100 < sum(want) < 1900
+        got = []
+        for rows in gates:
+            try:
+                got.append(UnitaryGate(rows) is not None)
+            except InvariantViolation as exc:
+                assert str(exc).startswith("gate is not unitary: max |U U^dag - I| = ")
+                got.append(False)
+        assert got == want
+
+
 class TestCheckedOnce:
     """State rows are validated where they come in from outside, and the
     rows the library builds itself are not checked again."""
@@ -399,6 +443,22 @@ class TestEigHermitian:
             evals[k] * np.outer(vecs[:, k], vecs[:, k].conj()) for k in (0, 1)
         )
         np.testing.assert_allclose(rebuilt, obs.matrix, atol=1e-10)
+
+    def test_keeps_its_bytes(self):
+        # one digest over Pauli sums whose coefficients run from subnormal to
+        # 1e300, with zeros of both signs, 300 of them diagonal (either entry
+        # the larger), then the wave operators at TestBinaryEigensystem.OFFSETS
+        rng = np.random.default_rng(20261022)
+        size = 10.0 ** rng.uniform(-323.0, 300.0, (1800, 4))
+        size[rng.random((1800, 4)) < 0.15] = 0.0
+        size[:300, 1:3] = 0.0
+        coeffs = size * rng.choice([-1.0, 1.0], (1800, 4))
+        digest = hashlib.sha256()
+        for obs in (*(pauli_compose(*row) for row in coeffs.tolist()),
+                    *map(wave_operator, TestBinaryEigensystem.OFFSETS)):
+            evals, vecs = eig_hermitian(obs)
+            digest.update(evals.tobytes() + vecs.tobytes())
+        assert digest.hexdigest() == "02b608fbc141921a61b2661b0ecf9119de7b66a390f9654501ff76cf46f991dd"
 
     @given(obs=hermitians())
     def test_orthonormal_descending_phase_fixed(self, obs):

@@ -214,7 +214,8 @@ UNLOADED = ["dataclasses", "argparse", "gettext", "locale"]
 def test_complex_moduli_go_through_max_modulus():
     # numpy's complex abs (and its hypot) round differently at different SIMD
     # levels, so every complex modulus in qalgebra and verify, the residuals
-    # that decide a constructor or a check, is qalgebra.max_modulus's; a real
+    # that decide a constructor or a check, is math.hypot's, through
+    # qalgebra.max_modulus, unitarity_residual or a constructor's parts; a real
     # magnitude takes np.fabs, which refuses complex input
     with pytest.raises(TypeError):
         np.fabs(np.array([1j]))
